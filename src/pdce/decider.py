@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InternalCaseError, SizeMismatch
 from .geometry import ConvexPointSet
 from .paths import DirPath, Embedding
-from .validator import check_direction_consistency, check_planarity_prefix, edge_ok
+from .validator import edge_ok, require_pdce
 
 
 def _edge_mask(label: str, xa, ya, xb, yb):
@@ -61,9 +61,6 @@ class DPTable:
         # In row 0 both ends are the same single position.
         sizes[0] = np.minimum(sizes[0], 1)
         return int(sizes.max())
-
-    def reachable(self) -> bool:
-        return bool(self.near[self.n - 1].any() or self.far[self.n - 1].any())
 
 
 def dp_table(p: DirPath, s: ConvexPointSet) -> DPTable:
@@ -141,10 +138,4 @@ def decide_pdce(p: DirPath, s: ConvexPointSet) -> Optional[Embedding]:
         else:
             raise InternalCaseError("witness reconstruction lost the trail")
     assignment[0] = j
-    e = Embedding(tuple(assignment))
-    ok, bad = check_direction_consistency(p, s, e)
-    if not ok:
-        raise InternalCaseError(f"reconstructed witness breaks edge {bad}")
-    if not check_planarity_prefix(s, e):
-        raise InternalCaseError("reconstructed witness is not crossing-free")
-    return e
+    return require_pdce(p, s, Embedding(tuple(assignment)), "reconstructed witness")

@@ -8,9 +8,14 @@ line through the bottom and top points (plan_udr_case / execute_plan).
 
 The planner only chooses index ranges and point subsets; all actual
 coordinates are handled by three primitive embedders (left-sided,
-right-sided, strip) plus plain y-sorting for monotone runs. Each primitive
-checks its own entry conditions and endpoint guarantees at runtime, so a
-planner bug surfaces as InternalCaseError instead of a wrong drawing.
+right-sided, strip) plus plain y-sorting for monotone runs. Transformed
+sets and plan sub-sets are built by index arithmetic, never re-validated.
+
+Each public entry checks its preconditions, runs an unchecked private core
+and checks the answer once (direction and prefix planarity). Inside the
+cores only cheap guards run: the primitives' endpoint guarantees and the
+executor's agreement of parts on shared vertices. A planner bug therefore
+surfaces as InternalCaseError instead of a wrong drawing.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .errors import (
     PreconditionViolated,
     SizeMismatch,
 )
-from .geometry import ConvexPointSet, classify, split_by_bt_line, validate
+from .geometry import ConvexPointSet, classify, split_by_bt_line, top_first
 from .paths import (
     DirPath,
     Embedding,
@@ -33,11 +38,10 @@ from .paths import (
     mirror_set,
     reverse_embedding,
     reverse_path,
-    rotate_embedding,
     rotate_path,
     rotate_set,
 )
-from .validator import check_direction_consistency, check_planarity_prefix
+from .validator import require_pdce
 
 UDR = frozenset("UDR")
 UR = frozenset("UR")
@@ -50,12 +54,10 @@ def _require_same_size(p: DirPath, s: ConvexPointSet) -> None:
         )
 
 
-def _cheap_check(p: DirPath, s: ConvexPointSet, e: Embedding, context: str) -> None:
-    ok, bad = check_direction_consistency(p, s, e)
-    if not ok:
-        raise InternalCaseError(f"{context}: edge {bad} violates its label")
-    if not check_planarity_prefix(s, e):
-        raise InternalCaseError(f"{context}: construction produced a crossing")
+def _shift(e: Embedding, k: int, n: int) -> Embedding:
+    # Carry e back from a turned copy of an n-point set whose index 0 is
+    # index k of the original.
+    return Embedding(tuple((i + k) % n for i in e.assignment))
 
 
 def backward_embedding(p: DirPath, s: ConvexPointSet) -> Embedding:
@@ -103,12 +105,15 @@ def embed_udr_left_sided(p: DirPath, s: ConvexPointSet) -> Embedding:
         raise PreconditionViolated("left-sided embedding handles U/D/R labels only")
     if not classify(s).is_left_sided:
         raise PreconditionViolated("point set is not left-sided")
+    return require_pdce(p, s, _left_sided(p, s), "left-sided")
+
+
+def _left_sided(p: DirPath, s: ConvexPointSet) -> Embedding:
     e = backward_embedding(p, s)
     if s.n >= 2:
         want = {"U": s.top_index, "D": s.bottom_index, "R": s.right_index}
         if e[s.n - 1] != want[p.labels[-1]]:
             raise InternalCaseError("left-sided endpoint guarantee broken")
-    _cheap_check(p, s, e, "left-sided")
     return e
 
 
@@ -117,26 +122,26 @@ def embed_udr_right_sided(p: DirPath, s: ConvexPointSet) -> Embedding:
 
     A half-turn of the plane maps the instance to a left-sided one and the
     reversed path keeps its labels, so the left-sided routine applies;
-    two more quarter turns bring the result back. Guarantees for n >= 2:
-    the first vertex lands on the bottom, top or leftmost point when the
-    first label is U, D or R respectively.
+    index k of the turned set is index (k + bottom_index) mod n of s.
+    Guarantees for n >= 2: the first vertex lands on the bottom, top or
+    leftmost point when the first label is U, D or R respectively.
     """
     _require_same_size(p, s)
     if not p.directions_used() <= UDR:
         raise PreconditionViolated("right-sided embedding handles U/D/R labels only")
     if not classify(s).is_right_sided:
         raise PreconditionViolated("point set is not right-sided")
-    s2 = rotate_set(rotate_set(s))
-    p3 = reverse_path(rotate_path(rotate_path(p)))
-    e3 = embed_udr_left_sided(p3, s2)
-    e2 = reverse_embedding(e3)
-    s3 = rotate_set(s2)
-    e = rotate_embedding(rotate_embedding(e2, s2), s3)
+    return require_pdce(p, s, _right_sided(p, s), "right-sided")
+
+
+def _right_sided(p: DirPath, s: ConvexPointSet) -> Embedding:
+    half_turn = rotate_set(rotate_set(s))
+    turned = _left_sided(reverse_path(rotate_path(rotate_path(p))), half_turn)
+    e = _shift(reverse_embedding(turned), s.bottom_index, s.n)
     if s.n >= 2:
         want = {"U": s.bottom_index, "D": s.top_index, "R": s.left_index}
         if e[0] != want[p.labels[0]]:
             raise InternalCaseError("right-sided endpoint guarantee broken")
-    _cheap_check(p, s, e, "right-sided")
     return e
 
 
@@ -152,6 +157,10 @@ def embed_ur_strip(p: DirPath, s: ConvexPointSet) -> Embedding:
         raise PreconditionViolated("strip embedding handles U/R labels only")
     if not classify(s).is_strip:
         raise PreconditionViolated("point set is not strip-convex")
+    return require_pdce(p, s, _strip(p, s), "strip")
+
+
+def _strip(p: DirPath, s: ConvexPointSet) -> Embedding:
     e = backward_embedding(p, s)
     if s.n >= 2:
         if e[0] not in (s.bottom_index, s.left_index):
@@ -159,8 +168,10 @@ def embed_ur_strip(p: DirPath, s: ConvexPointSet) -> Embedding:
         want = s.top_index if p.labels[-1] == "U" else s.right_index
         if e[s.n - 1] != want:
             raise InternalCaseError("strip endpoint guarantee broken (last vertex)")
-    _cheap_check(p, s, e, "strip")
     return e
+
+
+_PRIMITIVES = {"left_sided": _left_sided, "right_sided": _right_sided, "strip": _strip}
 
 
 @dataclass(frozen=True)
@@ -195,7 +206,7 @@ class CasePlan:
     parts: tuple[CasePart, ...] = ()
 
 
-def _pick(s: ConvexPointSet, pool, k: int, key, reverse: bool = False):
+def _pick(pool, k: int, key, reverse: bool = False):
     ordered = sorted(pool, key=key, reverse=reverse)
     if k > len(ordered):
         raise InternalCaseError(f"asked for {k} points from a pool of {len(ordered)}")
@@ -203,19 +214,19 @@ def _pick(s: ConvexPointSet, pool, k: int, key, reverse: bool = False):
 
 
 def _lowest(s, pool, k):
-    return _pick(s, pool, k, lambda i: s.points[i].y)
+    return _pick(pool, k, lambda i: s.points[i].y)
 
 
 def _highest(s, pool, k):
-    return _pick(s, pool, k, lambda i: s.points[i].y, reverse=True)
+    return _pick(pool, k, lambda i: s.points[i].y, reverse=True)
 
 
 def _leftmost(s, pool, k):
-    return _pick(s, pool, k, lambda i: s.points[i].x)
+    return _pick(pool, k, lambda i: s.points[i].x)
 
 
 def _rightmost(s, pool, k):
-    return _pick(s, pool, k, lambda i: s.points[i].x, reverse=True)
+    return _pick(pool, k, lambda i: s.points[i].x, reverse=True)
 
 
 def _rest(n: int, taken, extra=()) -> tuple[int, ...]:
@@ -458,6 +469,10 @@ def plan_udr_case(p: DirPath, s: ConvexPointSet) -> CasePlan:
 
 def execute_plan(p: DirPath, s: ConvexPointSet, plan: CasePlan) -> Embedding:
     """Carry out a plan and validate the merged result."""
+    return require_pdce(p, s, _execute_plan(p, s, plan), f"plan {plan.case_tag}")
+
+
+def _execute_plan(p: DirPath, s: ConvexPointSet, plan: CasePlan) -> Embedding:
     n = s.n
     slots: list[Optional[int]] = [None] * n
     for part in plan.parts:
@@ -472,18 +487,16 @@ def execute_plan(p: DirPath, s: ConvexPointSet, plan: CasePlan) -> Embedding:
                 key=lambda k: s.points[k].y,
                 reverse=part.method == "sort_down",
             )
-        else:
-            sub_set = validate([s.points[k] for k in part.points])
+        elif part.method in _PRIMITIVES:
+            # A subset of the hull in hull order, started at its topmost
+            # point, is already canonical; local index k is order[k] in s.
+            order = top_first(sorted(part.points), s.points)
+            sub_set = ConvexPointSet(tuple(s.points[k] for k in order))
             sub_path = p.subpath(part.first_vertex, part.last_vertex)
-            if part.method == "left_sided":
-                sub_e = embed_udr_left_sided(sub_path, sub_set)
-            elif part.method == "right_sided":
-                sub_e = embed_udr_right_sided(sub_path, sub_set)
-            elif part.method == "strip":
-                sub_e = embed_ur_strip(sub_path, sub_set)
-            else:
-                raise InternalCaseError(f"unknown part method {part.method!r}")
-            local = [s.index_of(sub_set.points[idx]) for idx in sub_e.assignment]
+            sub_e = _PRIMITIVES[part.method](sub_path, sub_set)
+            local = [order[k] for k in sub_e.assignment]
+        else:
+            raise InternalCaseError(f"unknown part method {part.method!r}")
         for off in range(count):
             slot = part.first_vertex - 1 + off
             if slots[slot] is None:
@@ -495,9 +508,7 @@ def execute_plan(p: DirPath, s: ConvexPointSet, plan: CasePlan) -> Embedding:
                 )
     if any(v is None for v in slots):
         raise InternalCaseError(f"plan {plan.case_tag} left vertices unassigned")
-    e = Embedding(tuple(slots))
-    _cheap_check(p, s, e, f"plan {plan.case_tag}")
-    return e
+    return Embedding(tuple(slots))
 
 
 def embed_udr_convex(p: DirPath, s: ConvexPointSet) -> Embedding:
@@ -512,50 +523,42 @@ def embed_udr_convex(p: DirPath, s: ConvexPointSet) -> Embedding:
     return execute_plan(p, s, plan_udr_case(p, s))
 
 
-def _rotate_back(e: Embedding, s_rot: ConvexPointSet) -> Embedding:
-    # Three more quarter turns return a rotated instance to the original.
-    cur = s_rot
-    for _ in range(3):
-        e = rotate_embedding(e, cur)
-        cur = rotate_set(cur)
-    return e
-
-
 def _embed_udr_any(p: DirPath, s: ConvexPointSet) -> Embedding:
     if s.n == 1:
         return Embedding((0,))
     if s.top.x > s.bottom.x:
-        return embed_udr_convex(p, s)
+        return _execute_plan(p, s, plan_udr_case(p, s))
     # Mirroring puts the top right of the bottom; reversing first keeps the
-    # label set inside U/D/R.
+    # label set inside U/D/R. Mirroring sm gives s back, by index (-i) mod n.
     sm = mirror_set(s)
     pm = mirror_path(reverse_path(p))
-    em = embed_udr_convex(pm, sm)
+    em = _execute_plan(pm, sm, plan_udr_case(pm, sm))
     return reverse_embedding(mirror_embedding(em, sm))
 
 
 def embed_three_directional(p: DirPath, s: ConvexPointSet) -> Embedding:
     """Embed any path that avoids at least one label on any convex set."""
     _require_same_size(p, s)
-    used = p.directions_used()
-    if len(used) == 4:
+    if len(p.directions_used()) == 4:
         raise FourDirectional(
             "path uses all four labels; an embedding may not exist on this set"
         )
+    return require_pdce(p, s, _embed_three_directional(p, s), "three-directional")
+
+
+def _embed_three_directional(p: DirPath, s: ConvexPointSet) -> Embedding:
+    used = p.directions_used()
     if used <= UDR:
-        e = _embed_udr_any(p, s)
-    elif used <= frozenset("UDL"):
-        e = reverse_embedding(_embed_udr_any(reverse_path(p), s))
-    elif used <= frozenset("ULR"):
-        s1 = rotate_set(s)
-        e1 = reverse_embedding(_embed_udr_any(reverse_path(rotate_path(p)), s1))
-        e = _rotate_back(e1, s1)
-    else:  # subset of {D, L, R}
-        s1 = rotate_set(s)
-        e1 = _embed_udr_any(rotate_path(p), s1)
-        e = _rotate_back(e1, s1)
-    _cheap_check(p, s, e, "three-directional")
-    return e
+        return _embed_udr_any(p, s)
+    if used <= frozenset("UDL"):
+        return reverse_embedding(_embed_udr_any(reverse_path(p), s))
+    # A quarter turn takes U/L/R to L/D/U and D/L/R to R/D/U; index k of the
+    # turned set is index (k + right_index) mod n of s.
+    if used <= frozenset("ULR"):
+        e = reverse_embedding(_embed_udr_any(reverse_path(rotate_path(p)), rotate_set(s)))
+    else:
+        e = _embed_udr_any(rotate_path(p), rotate_set(s))
+    return _shift(e, s.right_index, s.n)
 
 
 _QUARTER_INC_COLLAPSE = {"U": "U", "D": "D", "R": "U", "L": "D"}
@@ -577,12 +580,6 @@ def embed_quarter_convex(p: DirPath, s: ConvexPointSet) -> Embedding:
     else:
         raise PreconditionViolated("point set is not an x/y-monotone chain")
     collapsed = DirPath("".join(table[ch] for ch in p.labels))
-    e = embed_three_directional(collapsed, s)
-    # The collapse is reversible on these chains, but verify against the
-    # original labels rather than trusting that.
-    ok, bad = check_direction_consistency(p, s, e)
-    if not ok:
-        raise InternalCaseError(f"label collapse failed at edge {bad}")
-    if not check_planarity_prefix(s, e):
-        raise InternalCaseError("label collapse produced a crossing")
-    return e
+    # The collapse is reversible on these chains, but the answer is checked
+    # against the original labels rather than trusting that.
+    return require_pdce(p, s, _embed_three_directional(collapsed, s), "label collapse")

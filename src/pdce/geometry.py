@@ -104,8 +104,9 @@ class ConvexPointSet:
     """Strictly convex general-position points in canonical hull order.
 
     points[0] is the topmost point and the tuple proceeds counterclockwise.
-    Instances should be built through validate(); the constructor trusts
-    its argument.
+    The constructor trusts its argument: outside input goes through
+    validate(), while the symmetry operators and the plan executor build
+    instances directly from an already valid set by index arithmetic.
     """
 
     points: tuple[Point, ...]
@@ -113,13 +114,6 @@ class ConvexPointSet:
     @property
     def n(self) -> int:
         return len(self.points)
-
-    @cached_property
-    def _index(self) -> dict[Point, int]:
-        return {p: i for i, p in enumerate(self.points)}
-
-    def index_of(self, p: Point) -> int:
-        return self._index[p]
 
     @cached_property
     def top_index(self) -> int:
@@ -166,17 +160,10 @@ class ConvexPointSet:
         return f"ConvexPointSet([{inner}])"
 
 
-def extreme_index(s: ConvexPointSet, which: str) -> int:
-    table = {
-        "top": s.top_index,
-        "bottom": s.bottom_index,
-        "left": s.left_index,
-        "right": s.right_index,
-    }
-    try:
-        return table[which]
-    except KeyError:
-        raise PreconditionViolated(f"unknown extreme {which!r}") from None
+def top_first(order: Sequence[int], pts: Sequence[Point]) -> list[int]:
+    """Rotate a counterclockwise cycle of indices into pts to start at its topmost point."""
+    start = max(range(len(order)), key=lambda k: pts[order[k]].y)
+    return list(order[start:]) + list(order[:start])
 
 
 def validate(raw_points: Iterable) -> ConvexPointSet:
@@ -212,9 +199,7 @@ def validate(raw_points: Iterable) -> ConvexPointSet:
         missing = min(i for i in range(n) if i not in members)
         raise NotConvexPosition(missing)
 
-    ordered = [pts[i] for i in hull]
-    start = max(range(n), key=lambda k: ordered[k].y)
-    ordered = ordered[start:] + ordered[:start]
+    ordered = [pts[i] for i in top_first(hull, pts)]
     for k in range(n):
         a, b, c = ordered[k], ordered[(k + 1) % n], ordered[(k + 2) % n]
         assert orientation(a, b, c) > 0, "hull canonicalization broke convexity"
@@ -252,25 +237,12 @@ class SetTag(enum.Enum):
     GENERAL_CONVEX = "GeneralConvex"
 
 
-_TAG_ORDER = (
-    SetTag.LEFT_SIDED,
-    SetTag.RIGHT_SIDED,
-    SetTag.QUARTER_INC,
-    SetTag.QUARTER_DEC,
-    SetTag.STRIP_CONVEX,
-    SetTag.GENERAL_CONVEX,
-)
-
-
 @dataclass(frozen=True)
 class PointSetClass:
     tags: frozenset
 
     def __contains__(self, tag: SetTag) -> bool:
         return tag in self.tags
-
-    def names(self) -> list[str]:
-        return [t.value for t in _TAG_ORDER if t in self.tags]
 
     @property
     def is_left_sided(self) -> bool:

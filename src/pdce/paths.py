@@ -9,6 +9,19 @@ embeddings: reversal walks the path backwards, rotation turns the plane a
 quarter turn counterclockwise, mirroring flips it across the vertical axis.
 Applying an operator to all three components preserves the defining
 properties of an embedding, which the test suite checks exhaustively.
+
+Canonical hull order (counterclockwise from the topmost point) makes each
+operator on sets and embeddings pure index arithmetic on an n-point set s:
+
+- rotation: the new topmost point is the old rightmost one, so new index k
+  holds old point (k + s.right_index) mod n, and old index i becomes
+  (i - s.right_index) mod n;
+- mirror: the top stays first and the cycle runs the other way, so new
+  index k holds old point (-k) mod n, and old index i becomes (-i) mod n;
+- a half turn, two rotations, maps new index k to old (k + s.bottom_index)
+  mod n.
+
+No operator re-validates: a transformed valid set is valid.
 """
 
 from __future__ import annotations
@@ -16,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionViolated
-from .geometry import ConvexPointSet, Point, validate
+from .geometry import ConvexPointSet, Point
 
 LABELS = "UDLR"
 
@@ -89,12 +102,13 @@ def mirror_point(p: Point) -> Point:
 
 
 def rotate_set(s: ConvexPointSet) -> ConvexPointSet:
-    # Re-validate to recover the canonical order of the rotated points.
-    return validate([rotate_point(p) for p in s.points])
+    r, pts = s.right_index, s.points
+    return ConvexPointSet(tuple(rotate_point(p) for p in pts[r:] + pts[:r]))
 
 
 def mirror_set(s: ConvexPointSet) -> ConvexPointSet:
-    return validate([mirror_point(p) for p in s.points])
+    pts = s.points
+    return ConvexPointSet(tuple(mirror_point(p) for p in pts[:1] + pts[:0:-1]))
 
 
 def reverse_embedding(e: Embedding) -> Embedding:
@@ -103,15 +117,11 @@ def reverse_embedding(e: Embedding) -> Embedding:
 
 def rotate_embedding(e: Embedding, s: ConvexPointSet) -> Embedding:
     """Carry an embedding on s over to rotate_set(s)."""
-    target = rotate_set(s)
-    return Embedding(
-        tuple(target.index_of(rotate_point(s.points[i])) for i in e.assignment)
-    )
+    r, n = s.right_index, s.n
+    return Embedding(tuple((i - r) % n for i in e.assignment))
 
 
 def mirror_embedding(e: Embedding, s: ConvexPointSet) -> Embedding:
     """Carry an embedding on s over to mirror_set(s)."""
-    target = mirror_set(s)
-    return Embedding(
-        tuple(target.index_of(mirror_point(s.points[i])) for i in e.assignment)
-    )
+    n = s.n
+    return Embedding(tuple(-i % n for i in e.assignment))

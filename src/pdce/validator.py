@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidEmbedding, PreconditionViolated, SizeMismatch
+from .errors import InternalCaseError, InvalidEmbedding, PreconditionViolated, SizeMismatch
 from .geometry import ConvexPointSet, Point, segments_intersect
 from .paths import DirPath, Embedding
 
@@ -99,6 +99,20 @@ def check_planarity_segments(s: ConvexPointSet, e: Embedding) -> bool:
             if segments_intersect(a, b, c, d):
                 return False
     return True
+
+
+def require_pdce(p: DirPath, s: ConvexPointSet, e: Embedding, context: str) -> Embedding:
+    """Return e if it is direction-consistent and prefix-planar.
+
+    The one check a library answer passes before it leaves the public entry
+    that produced it; a failure is a bug, reported as InternalCaseError.
+    """
+    ok, bad = check_direction_consistency(p, s, e)
+    if not ok:
+        raise InternalCaseError(f"{context}: edge {bad} violates its label")
+    if _first_prefix_failure(s, e) is not None:
+        raise InternalCaseError(f"{context}: the drawing has a crossing")
+    return e
 
 
 @dataclass(frozen=True)

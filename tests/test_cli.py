@@ -322,10 +322,18 @@ def test_module_entry_exit_codes(fixture_files, tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("usage: pdce")
-    # The module entry point must stay out of a plain import of the package.
+    # Neither entry module may be imported by a plain import of the package;
+    # otherwise runpy warns when it runs `python -m pdce.cli`.
+    probe = "import sys, pdce; print('pdce.__main__' in sys.modules, 'pdce.cli' in sys.modules)"
+    proc = _run_child([sys.executable, "-c", probe], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False False"
+    tri = tmp_path / "tri.txt"
+    tri.write_text(UD_TEXT)
     proc = _run_child(
-        [sys.executable, "-c", "import sys, pdce; print('pdce.__main__' in sys.modules)"],
+        [sys.executable, "-m", "pdce.cli", "decide", "--points", str(tri), "--path", "UD"],
         tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["2", "0", "1"]
+    assert proc.stderr == ""

@@ -1,6 +1,11 @@
+import random
+import sys
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 
+import pdce
 from pdce import (
     DirPath,
     FourDirectional,
@@ -16,12 +21,13 @@ from pdce import (
     embed_udr_right_sided,
     embed_ur_strip,
     generate_random_convex,
+    mirror_set,
     plan_udr_case,
     split_by_bt_line,
     validate,
     validate_embedding,
 )
-from conftest import convex_sets, instances
+from conftest import convex_sets, instances, random_path
 
 S5 = validate([(4, 0), (3, 6), (1, 5), (0, 3), (2, 1)])
 CHAIN4 = validate([(0, 0), (2, 1), (3, 3), (5, 4)])
@@ -321,6 +327,47 @@ def test_quarter_four_label_sound(inst):
     p, s = inst
     e = embed_quarter_convex(p, s)
     assert validate_embedding(p, s, e).is_pdce
+
+
+def test_validate_once_check_once(monkeypatch):
+    # Transformed sets and plan parts come from index arithmetic, and only
+    # the outermost public call checks its answer: no validate() call, one
+    # direction check and one prefix scan per top-level call.
+    general = generate_random_convex(40, seed=3, mode="general")
+    turned = mirror_set(general)
+    assert (general.top.x > general.bottom.x) != (turned.top.x > turned.bottom.x)
+    chain = generate_random_convex(40, seed=3, mode="quarter_inc")
+    originals = {
+        "validate": pdce.geometry.validate,
+        "check_direction_consistency": pdce.validator.check_direction_consistency,
+        "_first_prefix_failure": pdce.validator._first_prefix_failure,
+    }
+    calls = Counter()
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "pdce" or mod_name.startswith("pdce."):
+            for name, fn in originals.items():
+                if getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, _counted(fn, name, calls))
+    once = {"check_direction_consistency": 1, "_first_prefix_failure": 1}
+    rng = random.Random(5)
+    for s in (general, turned):
+        for subset in ("UDR", "UDL", "ULR", "DLR"):
+            p = random_path(rng, s.n, subset)
+            calls.clear()
+            e = embed_three_directional(p, s)
+            assert calls == once, (subset, calls)
+            assert validate_embedding(p, s, e).is_pdce
+    calls.clear()
+    embed_quarter_convex(random_path(rng, chain.n, "UDLR"), chain)
+    assert calls == once, calls
+
+
+def _counted(fn, name, calls):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
 
 
 @settings(max_examples=40)

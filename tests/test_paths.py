@@ -18,6 +18,7 @@ from pdce import (
     validate,
     validate_embedding,
 )
+from pdce.paths import mirror_point, rotate_point
 from conftest import convex_sets, instances
 
 paths = st.text(alphabet="UDLR", max_size=12).map(DirPath)
@@ -104,11 +105,20 @@ def test_mirror_of_left_sided_is_right_sided():
     assert classify(mirror_set(s5)).is_right_sided
 
 
-@given(convex_sets(min_n=1, max_n=20))
-def test_transformed_sets_stay_valid(s):
+@given(convex_sets(min_n=1, max_n=20), st.data())
+def test_transformed_sets_stay_valid(s, data):
     for t in (rotate_set(s), mirror_set(s)):
         again = validate([(p.x, p.y) for p in t.points])
         assert [(p.x, p.y) for p in again.points] == [(p.x, p.y) for p in t.points]
+    # The embedding operators carry every vertex to the image of its point.
+    e = Embedding(tuple(data.draw(st.permutations(range(s.n)))))
+    for set_op, point_op, emb_op in (
+        (rotate_set, rotate_point, rotate_embedding),
+        (mirror_set, mirror_point, mirror_embedding),
+    ):
+        t, f = set_op(s), emb_op(e, s)
+        for k in range(s.n):
+            assert t.points[f[k]] == point_op(s.points[e[k]])
 
 
 def _identity_pdce(s):
