@@ -26,6 +26,7 @@ from .errors import (
     DuplicateX,
     DuplicateY,
     GenerationFailed,
+    InternalCaseError,
     NotConvexPosition,
     PreconditionViolated,
 )
@@ -202,7 +203,8 @@ def validate(raw_points: Iterable) -> ConvexPointSet:
     ordered = [pts[i] for i in top_first(hull, pts)]
     for k in range(n):
         a, b, c = ordered[k], ordered[(k + 1) % n], ordered[(k + 2) % n]
-        assert orientation(a, b, c) > 0, "hull canonicalization broke convexity"
+        if orientation(a, b, c) <= 0:
+            raise InternalCaseError("hull canonicalization broke convexity")
     return ConvexPointSet(tuple(ordered))
 
 

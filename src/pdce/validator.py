@@ -40,7 +40,9 @@ def _require_well_formed(s: ConvexPointSet, e: Embedding) -> None:
         )
     seen = set()
     for idx in a:
-        if not isinstance(idx, int) or not 0 <= idx < s.n:
+        if type(idx) is not int:
+            raise InvalidEmbedding(f"point index {idx!r} is not a plain int")
+        if not 0 <= idx < s.n:
             raise InvalidEmbedding(f"point index {idx!r} out of range")
         if idx in seen:
             raise InvalidEmbedding(f"point index {idx} used twice")

@@ -1,19 +1,26 @@
+import random
+import time
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from pdce import (
+    COORD_LIMIT,
+    GENERATOR_MODES,
     DirPath,
     Embedding,
     SizeMismatch,
     brute_force_pdce,
     decide_pdce,
     dp_table,
+    edge_ok,
     generate_random_convex,
     load_counterexample,
     validate,
     validate_embedding,
 )
-from conftest import instances
+from conftest import instances, random_path
 
 UD_SET = validate([(0, 0), (2, 3), (4, 1)])
 # canonical order: (2,3),(0,0),(4,1)
@@ -112,3 +119,135 @@ def test_three_directional_always_yes():
         s = generate_random_convex(9, seed=seed)
         p = DirPath("UDRRUDRU"[: s.n - 1])
         assert decide_pdce(p, s) is not None
+
+
+# --- reference recurrence ----------------------------------------------------
+
+
+def _reference_table(p, s):
+    """Pure-Python DP straight from the DPTable docstring, every row computed.
+
+    The cell (r, j) is the arc {j, .., j+r}; its near end is j, reached from
+    the arc {j+1, .., j+r}, and its far end is j+r, reached from the arc
+    {j, .., j+r-1}. Either way the previous current vertex is one of the two
+    ends of the previous arc, and the step to the new end must respect label
+    r-1.
+    """
+    n, pts = s.n, s.points
+    near = [[True] * n] + [[False] * n for _ in range(n - 1)]
+    far = [[True] * n] + [[False] * n for _ in range(n - 1)]
+    for r in range(1, n):
+        d = p.labels[r - 1]
+        for j in range(n):
+            a = (j + 1) % n  # anchor of the arc left when j is removed
+            near[r][j] = (near[r - 1][a] and edge_ok(d, pts[a], pts[j])) or (
+                far[r - 1][a] and edge_ok(d, pts[(a + r - 1) % n], pts[j])
+            )
+            b = (j + r) % n  # the far end, added to the arc {j, .., j+r-1}
+            far[r][j] = (near[r - 1][j] and edge_ok(d, pts[j], pts[b])) or (
+                far[r - 1][j] and edge_ok(d, pts[(j + r - 1) % n], pts[b])
+            )
+    return np.array(near, dtype=bool), np.array(far, dtype=bool)
+
+
+def _assert_matches_reference(p, s) -> bool:
+    """Assert dp_table equals the reference exactly; return the answer."""
+    t = dp_table(p, s)
+    ref_near, ref_far = _reference_table(p, s)
+    assert t.near.shape == t.far.shape == (s.n, s.n)
+    assert np.array_equal(t.near, ref_near)
+    assert np.array_equal(t.far, ref_far)
+    alive = t.near.any(axis=1) | t.far.any(axis=1)
+    if not alive.all():
+        dead = int(np.argmin(alive))
+        assert not t.near[dead:].any() and not t.far[dead:].any()
+    return bool(alive[-1])
+
+
+@settings(max_examples=150)
+@given(instances(min_n=1, max_n=16))
+def test_table_matches_reference_hypothesis(inst):
+    p, s = inst
+    assert _assert_matches_reference(p, s) == (decide_pdce(p, s) is not None)
+
+
+def test_table_matches_reference_seeded_corpus():
+    rng = random.Random(0xD9)
+    answers = {True: 0, False: 0}
+    for i in range(240):
+        mode = GENERATOR_MODES[i % len(GENERATOR_MODES)]
+        s = generate_random_convex(rng.randint(1, 60), seed=f"ref-{i}", mode=mode)
+        answers[_assert_matches_reference(random_path(rng, s.n), s)] += 1
+    p, s, _ = load_counterexample()
+    answers[_assert_matches_reference(p, s)] += 1
+    print(f"reference corpus: {answers[True]} YES, {answers[False]} NO")
+    assert answers[True] and answers[False]
+
+
+def test_full_table_matches_reference_three_labels():
+    s = generate_random_convex(300, seed="ref-full-300")
+    p = random_path(random.Random(300), s.n, "UDR")
+    assert _assert_matches_reference(p, s)
+    t = dp_table(p, s)
+    assert (t.near.any(axis=1) | t.far.any(axis=1)).all()
+
+
+def _at_coordinate_limit():
+    # x holds L and L-1, y holds L and L-1: float32 keys merge them, and an
+    # int32 key difference such as L - (-L) = 2^31 overflows.
+    L = COORD_LIMIT
+    h = 1 << 15
+    return validate(
+        [(L, 0), (L - 1, -h), (1, L), (h, L - 1), (-L, 1), (-L + 1, h), (0, -L), (-h, -L + 1)]
+    )
+
+
+def _counterexample_at_coordinate_limit():
+    # The LULRDR counterexample scaled and translated so that x reaches L and
+    # y reaches -L; both keep convexity and the coordinate orders.
+    p, s, _ = load_counterexample()
+    xs = [pt.x for pt in s.points]
+    ys = [pt.y for pt in s.points]
+    k = 2 * COORD_LIMIT // max(max(xs) - min(xs), max(ys) - min(ys))
+    raw = [
+        (k * (x - max(xs)) + COORD_LIMIT, k * (y - min(ys)) - COORD_LIMIT)
+        for x, y in zip(xs, ys)
+    ]
+    return p, validate(raw)
+
+
+def test_exact_at_coordinate_limit():
+    s = _at_coordinate_limit()
+    assert s.n == 8 and max(max(abs(pt.x), abs(pt.y)) for pt in s.points) == COORD_LIMIT
+    p_no, s_no = _counterexample_at_coordinate_limit()
+    assert min(pt.y for pt in s_no.points) == -COORD_LIMIT
+    assert max(pt.x for pt in s_no.points) == COORD_LIMIT
+    rng = random.Random(0x2_30)
+    cases = [(p_no, s_no)]
+    cases += [(random_path(rng, s.n), s) for _ in range(300)]
+    cases += [(random_path(rng, s_no.n), s_no) for _ in range(300)]
+    answers = {True: 0, False: 0}
+    for p, t in cases:
+        yes = _assert_matches_reference(p, t)
+        w = decide_pdce(p, t)
+        hits = brute_force_pdce(p, t)
+        assert yes == (w is not None) == bool(hits)
+        if w is not None:
+            assert w.assignment in {h.assignment for h in hits}
+        answers[yes] += 1
+    assert answers[False] >= 1 and answers[True] >= 1
+
+
+def test_full_table_three_labels_at_n2000():
+    # Criterion 9 draws random 4-label paths whose frontier dies early; a
+    # 3-label path keeps every row alive, so this times the whole table.
+    decide_pdce(DirPath("UD"), generate_random_convex(3, seed=0))  # warm-up
+    s = generate_random_convex(2000, seed="full-2000")
+    p = random_path(random.Random(2000), s.n, "UDR")
+    t0 = time.perf_counter()
+    w = decide_pdce(p, s)
+    dt = time.perf_counter() - t0
+    assert w is not None
+    assert dt < 2.0, f"decide at n=2000 on a 3-label path took {dt:.2f}s (budget 2s)"
+    assert all(type(i) is int for i in w.assignment)
+    assert validate_embedding(p, s, w).is_pdce

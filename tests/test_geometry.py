@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +13,7 @@ from pdce import (
     DuplicateX,
     DuplicateY,
     GENERATOR_MODES,
+    InternalCaseError,
     NotConvexPosition,
     Point,
     PreconditionViolated,
@@ -84,6 +89,37 @@ def test_validate_idempotent_on_canonical():
     s = validate(S5_RAW)
     again = validate([(p.x, p.y) for p in s.points])
     assert coords(again) == coords(s)
+
+
+def test_validate_reports_broken_canonicalization(monkeypatch):
+    # The post-canonicalization convexity check raises, not asserts.
+    import pdce.geometry
+
+    monkeypatch.setattr(pdce.geometry, "orientation", lambda a, b, c: 0)
+    with pytest.raises(InternalCaseError, match="broke convexity"):
+        validate(S5_RAW)
+
+
+def test_validate_check_survives_optimize_flag():
+    import pdce
+
+    code = (
+        "import pdce.geometry as g\n"
+        "g.orientation = lambda a, b, c: 0\n"
+        "try:\n"
+        f"    g.validate({S5_RAW!r})\n"
+        "except g.InternalCaseError:\n"
+        "    print('raised')\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(pdce.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "raised\n"
 
 
 def test_validate_collinear():

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -101,6 +102,17 @@ def test_malformed_embeddings_rejected():
         validate_embedding(DirPath("URDU"), S5, Embedding((0, 1, 2, 3, 3)))
     with pytest.raises(InvalidEmbedding):
         validate_embedding(DirPath("URDU"), S5, Embedding((0, 1, 2, 3, 9)))
+
+
+def test_non_int_indices_rejected():
+    # True == 1, so this is URDU_E with its vertex 2 spelled as a bool
+    bool_e = Embedding((2, True, 3, 4, 0))
+    numpy_e = Embedding(tuple(np.array(URDU_E.assignment)))
+    for e in (bool_e, numpy_e):
+        with pytest.raises(InvalidEmbedding, match="not a plain int"):
+            validate_embedding(DirPath("URDU"), S5, e)
+        with pytest.raises(InvalidEmbedding, match="not a plain int"):
+            check_planarity_prefix(S5, e)
 
 
 def test_size_mismatch():
