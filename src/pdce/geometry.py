@@ -52,6 +52,19 @@ class Point:
         return f"({self.x}, {self.y})"
 
 
+def _trusted_point(x: int, y: int) -> Point:
+    """A Point from coordinates already known to be valid, unchecked.
+
+    For the symmetry operators: negating an in-range coordinate keeps it in
+    range. The fields land in __dict__ as Point.__init__ would put them.
+    """
+    p = object.__new__(Point)
+    d = p.__dict__
+    d["x"] = x
+    d["y"] = y
+    return p
+
+
 def as_point(obj) -> Point:
     """Coerce a Point, a pair of ints, or anything index-like into a Point."""
     if isinstance(obj, Point):

@@ -21,7 +21,9 @@ operator on sets and embeddings pure index arithmetic on an n-point set s:
 - a half turn, two rotations, maps new index k to old (k + s.bottom_index)
   mod n.
 
-No operator re-validates: a transformed valid set is valid.
+No operator re-validates: a transformed valid set is valid, and the
+rotated or mirrored points are built without re-checking coordinates that
+negation keeps in range.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionViolated
-from .geometry import ConvexPointSet, Point
+from .geometry import ConvexPointSet, Point, _trusted_point
 
 LABELS = "UDLR"
 
@@ -94,11 +96,11 @@ def mirror_path(p: DirPath) -> DirPath:
 
 
 def rotate_point(p: Point) -> Point:
-    return Point(-p.y, p.x)
+    return _trusted_point(-p.y, p.x)
 
 
 def mirror_point(p: Point) -> Point:
-    return Point(-p.x, p.y)
+    return _trusted_point(-p.x, p.y)
 
 
 def rotate_set(s: ConvexPointSet) -> ConvexPointSet:

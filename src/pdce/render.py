@@ -66,7 +66,9 @@ def render_svg(p: DirPath, s: ConvexPointSet, e: Embedding, force: bool = False)
     if len(e) != s.n:
         raise InvalidEmbedding(f"embedding has {len(e)} entries for {s.n} points")
     for idx in e.assignment:
-        if not isinstance(idx, int) or not 0 <= idx < s.n:
+        if type(idx) is not int:
+            raise InvalidEmbedding(f"point index {idx!r} is not a plain int")
+        if not 0 <= idx < s.n:
             raise InvalidEmbedding(f"vertex index {idx!r} is out of range")
     if not force:
         report = validate_embedding(p, s, e)

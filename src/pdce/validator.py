@@ -1,18 +1,23 @@
 """Checks that an embedding is direction-consistent and crossing-free.
 
 Planarity is checked along two independent routes on purpose. The segment
-route tests every non-adjacent edge pair with an exact intersection
-predicate. The prefix route checks that each prefix of the walk occupies a
-cyclically consecutive arc of hull positions, which characterizes the
-crossing-free walks on a convex point set. Both are kept side by side so
-each one guards the other; callers that need a single answer should demand
-agreement via validate_embedding().
+route tests every non-adjacent edge pair exactly, in blocks of int64 numpy
+side tests whose two cross-product terms (each at most 2^62 in magnitude at
+|coord| <= 2^30) are compared rather than subtracted; should a hand-built
+set have collinear points, it falls back to the pure-Python pair loop with
+closed-segment predicates. The prefix route checks that each prefix of the
+walk occupies a cyclically consecutive arc of hull positions, which
+characterizes the crossing-free walks on a convex point set. Both are kept
+side by side so each one guards the other; callers that need a single
+answer should demand agreement via validate_embedding().
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .errors import InternalCaseError, InvalidEmbedding, PreconditionViolated, SizeMismatch
 from .geometry import ConvexPointSet, Point, segments_intersect
@@ -87,9 +92,73 @@ def check_planarity_prefix(s: ConvexPointSet, e: Embedding) -> bool:
     return _first_prefix_failure(s, e) is None
 
 
+# Cap on the cells of each of a block's two side matrices: about 2^15 cells
+# of temporaries per block whatever n is, so there is never an n x n array.
+_BLOCK_CELLS = 1 << 14
+
+
 def check_planarity_segments(s: ConvexPointSet, e: Embedding) -> bool:
-    """Exact pairwise test of all non-adjacent edges of the drawn walk."""
+    """Exact pairwise test of all non-adjacent edges of the drawn walk.
+
+    Edge i runs from vertex i to vertex i+1 of the walk: it starts at
+    (ax_i, ay_i) and steps by (dx_i, dy_i). Vertex k is left of edge i iff
+    dx_i*(y_k - ay_i) > dy_i*(x_k - ax_i). At |coord| <= 2^30 each side is
+    at most 2^62 in magnitude, so both are exact in int64, and they are
+    compared, never subtracted. Edge i separates edge j when the endpoints
+    of j lie strictly on opposite sides of i; non-adjacent edges cross iff
+    each separates the other.
+
+    Edges are taken in row blocks of increasing i, each tested against the
+    edges j >= i+2 only, through two side matrices of about _BLOCK_CELLS
+    cells: the block's edges against all later vertices, and all later
+    edges against the block's vertices. The scan stops at the first block
+    with a crossing. Off the endpoints the two sides are equal only for
+    three collinear points (or a repeated one), which a validated set never
+    has; if a hand-built set shows one, the scalar pair loop gives the
+    verdict, so closed segments that merely touch still intersect.
+    """
     _require_well_formed(s, e)
+    n = s.n
+    m = n - 1  # edges
+    pts = [s.points[i] for i in e.assignment]
+    x = np.fromiter((pt.x for pt in pts), dtype=np.int64, count=n)
+    y = np.fromiter((pt.y for pt in pts), dtype=np.int64, count=n)
+    edges = np.stack([x[:-1], y[:-1], np.diff(x), np.diff(y)])
+    i0 = 0
+    while i0 < m - 2:
+        i1 = min(m - 2, i0 + max(1, _BLOCK_CELLS // (n - i0)))
+        # Block edges i0..i1-1 (rows) against vertices i0+2.. (columns), and
+        # the block's vertices i0..i1 (rows) against edges i0+2.. (columns).
+        left1, equal1 = _sides(edges[:, i0:i1, None], x[None, i0 + 2 :], y[None, i0 + 2 :])
+        left2, equal2 = _sides(edges[:, None, i0 + 2 :], x[i0 : i1 + 1, None], y[i0 : i1 + 1, None])
+        # The terms are equal, both 0 or both dx*dy, where the vertex is an
+        # edge's own start or end: b-2 and b-1 such cells in each matrix.
+        b = i1 - i0
+        if equal1 + equal2 != 2 * (max(b - 2, 0) + max(b - 1, 0)):
+            return _segments_scalar(s, e)
+        # Entry (r, c) pairs edge i0+r with edge i0+2+c, which is
+        # non-adjacent, so tested, iff c >= r. Edge j separates edge i where
+        # the vertices i and i+1 (rows r and r+1 of left2) differ.
+        separated = (left1[:, :-1] != left1[:, 1:]) & (left2[:-1] != left2[1:])
+        if np.triu(separated).any():
+            return False
+        i0 = i1
+    return True
+
+
+def _sides(edges, x, y):
+    """Whether vertex (x, y) is left of edge (ax, ay, dx, dy), broadcast, and
+    the number of cells where the terms dx*(y - ay) and dy*(x - ax) are equal."""
+    ax, ay, dx, dy = edges
+    lhs = y - ay
+    lhs *= dx
+    rhs = x - ax
+    rhs *= dy
+    return lhs > rhs, np.count_nonzero(lhs == rhs)
+
+
+def _segments_scalar(s: ConvexPointSet, e: Embedding) -> bool:
+    """The pair loop with exact closed-segment predicates: fallback and oracle."""
     pts = [s.points[i] for i in e.assignment]
     edges = list(zip(pts, pts[1:]))
     for i in range(len(edges)):

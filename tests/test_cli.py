@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pdce
@@ -262,6 +263,16 @@ def test_render_svg_function_errors():
     with pytest.raises(InvalidEmbedding):
         render_svg(DirPath("UD"), s, Embedding((0, 1, 2)))  # first edge points down
     assert "<svg" in render_svg(DirPath("UD"), s, Embedding((0, 1, 2)), force=True)
+
+
+def test_render_svg_rejects_non_int_indices_under_force():
+    s = validate([(0, 0), (2, 3), (4, 1)])
+    # True == 1, and np.int64(0) is in range: neither is a plain int index.
+    for idx in (True, np.int64(0)):
+        with pytest.raises(InvalidEmbedding, match="not a plain int"):
+            render_svg(DirPath("UD"), s, Embedding((idx, 2, 1)), force=True)
+    with pytest.raises(InvalidEmbedding, match="out of range"):
+        render_svg(DirPath("UD"), s, Embedding((3, 2, 1)), force=True)
 
 
 def _child_env():

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,6 +21,7 @@ from pdce import (
     validate,
     validate_embedding,
 )
+from pdce.geometry import COORD_LIMIT
 from pdce.paths import mirror_point, rotate_point
 from conftest import convex_sets, instances
 
@@ -119,6 +123,18 @@ def test_transformed_sets_stay_valid(s, data):
         t, f = set_op(s), emb_op(e, s)
         for k in range(s.n):
             assert t.points[f[k]] == point_op(s.points[e[k]])
+
+
+def test_point_operators_build_plain_points():
+    # The operators skip Point's checks; what they build must still equal,
+    # hash and pickle like a checked Point.
+    for q in (Point(3, -4), Point(COORD_LIMIT, -COORD_LIMIT)):
+        for got, want in ((rotate_point(q), Point(-q.y, q.x)), (mirror_point(q), Point(-q.x, q.y))):
+            assert type(got) is Point and got == want and hash(got) == hash(want)
+            assert vars(got) == vars(want) and repr(got) == repr(want)
+            assert pickle.dumps(got) == pickle.dumps(want)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                got.x = 0
 
 
 def _identity_pdce(s):

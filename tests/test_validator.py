@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 
 import numpy as np
 import pytest
@@ -14,11 +16,16 @@ from pdce import (
     check_planarity_prefix,
     check_planarity_segments,
     edge_ok,
+    embed_three_directional,
     generate_random_convex,
+    rotate_set,
     validate,
     validate_embedding,
 )
-from conftest import convex_sets
+from pdce import validator
+from pdce.geometry import COORD_LIMIT, ConvexPointSet, orientation
+from pdce.validator import _segments_scalar
+from conftest import ALL_MODES, convex_sets, random_path
 
 S5 = validate([(4, 0), (3, 6), (1, 5), (0, 3), (2, 1)])
 # canonical order: (3,6),(1,5),(0,3),(2,1),(4,0)
@@ -118,3 +125,141 @@ def test_non_int_indices_rejected():
 def test_size_mismatch():
     with pytest.raises(SizeMismatch):
         validate_embedding(DirPath("U"), S5, URDU_E)
+
+
+def _arc_walk(rng, n):
+    # Every prefix a cyclic arc of hull positions: a crossing-free walk.
+    lo = hi = rng.randrange(n)
+    walk = [lo]
+    for _ in range(n - 1):
+        if rng.random() < 0.5:
+            lo = (lo - 1) % n
+            walk.append(lo)
+        else:
+            hi = (hi + 1) % n
+            walk.append(hi)
+    return walk
+
+
+def _walks(rng, n, count):
+    """Crossing-free walks, each followed by a copy with two entries swapped."""
+    out = []
+    for _ in range(count):
+        walk = _arc_walk(rng, n)
+        out.append(Embedding(tuple(walk)))
+        i, j = rng.randrange(n), rng.randrange(n)
+        walk[i], walk[j] = walk[j], walk[i]
+        out.append(Embedding(tuple(walk)))
+    return out
+
+
+def _seeded_corpus():
+    rng = random.Random(0x5E6)
+    cases = []
+    for k in range(48):
+        s = generate_random_convex(rng.randint(1, 150), seed=k, mode=ALL_MODES[k % len(ALL_MODES)])
+        cases += [(s, e) for e in _walks(rng, s.n, 1)]
+    return cases
+
+
+def _at_coordinate_limit():
+    # Two chains of four points, p_i = -L + i*w + i*i*(1, 1) and its point
+    # reflection, with one end moved to (L, L-1): coordinates reach -L, L
+    # and L-1, the side terms reach about 2^62, and five triples have a
+    # cross product of 2 or 6, far below a float64 ulp of the terms.
+    L, w = COORD_LIMIT, (1 << 29, (1 << 29) - 1)
+    pts = []
+    for i in range(4):
+        pts.append((-L + i * w[0] + i * i, -L + i * w[1] + i * i))
+        pts.append((L - i * w[0] - i * i, L - i * w[1] - i * i))
+    pts[1] = (L, L - 1)
+    return validate(pts)
+
+
+@pytest.fixture
+def count_fallbacks(monkeypatch):
+    calls = []
+
+    def scalar(s, e):
+        calls.append(s.n)
+        return _segments_scalar(s, e)
+
+    monkeypatch.setattr(validator, "_segments_scalar", scalar)
+    return calls
+
+
+def _assert_matches_scalar(cases, convex=True):
+    verdicts = {True: 0, False: 0}
+    for s, e in cases:
+        want = _segments_scalar(s, e)
+        assert check_planarity_segments(s, e) == want, (s, e)
+        assert not convex or check_planarity_prefix(s, e) == want
+        verdicts[want] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+    return verdicts
+
+
+def test_segments_match_scalar_on_seeded_corpus(count_fallbacks):
+    verdicts = _assert_matches_scalar(_seeded_corpus())
+    assert not count_fallbacks
+    print(f"{verdicts[True]} planar, {verdicts[False]} crossing")
+
+
+@pytest.mark.parametrize("cells", [1, 300])
+def test_segments_match_scalar_with_tiny_blocks(monkeypatch, count_fallbacks, cells):
+    # One edge per block, then blocks of a few edges that grow toward the
+    # end of the walk: pairs straddle every block boundary.
+    monkeypatch.setattr(validator, "_BLOCK_CELLS", cells)
+    _assert_matches_scalar(_seeded_corpus())
+    assert not count_fallbacks
+
+
+def test_segments_exact_at_coordinate_limit(count_fallbacks):
+    s = _at_coordinate_limit()
+    coords = {c for pt in s.points for c in (pt.x, pt.y)}
+    assert {-COORD_LIMIT, COORD_LIMIT, COORD_LIMIT - 1} <= coords
+    rng = random.Random(0x2_30)
+    cases = [(t, e) for t in (s, rotate_set(s)) for e in _walks(rng, s.n, 150)]
+    cases += [(s, Embedding(tuple(rng.sample(range(s.n), s.n)))) for _ in range(150)]
+    _assert_matches_scalar(cases)
+    # A validated set has no collinear triple, so a fallback would mean a
+    # side test judged two unequal terms equal.
+    assert not count_fallbacks
+
+
+def test_segments_fall_back_on_collinear_points(count_fallbacks):
+    # Hand-built sets, not validated: the verdict comes from the pair loop.
+    a, b, c, d = Point(0, 0), Point(4, 0), Point(2, 0), Point(2, 5)
+    touching = ConvexPointSet((a, b, c, d))  # c lies on segment a-b
+    assert not check_planarity_segments(touching, Embedding((0, 1, 3, 2)))
+    apart = ConvexPointSet((a, Point(1, 0), Point(3, 0), d))  # collinear, disjoint
+    assert check_planarity_segments(apart, Embedding((0, 1, 3, 2)))
+    assert len(count_fallbacks) == 2
+    for t in (touching, apart):
+        for perm in itertools.permutations(range(4)):
+            e = Embedding(perm)
+            assert check_planarity_segments(t, e) == _segments_scalar(t, e)
+
+
+def test_segments_need_no_convex_position(count_fallbacks):
+    # A hand-built set in general position but not convex: a line through
+    # one edge can separate another edge that it does not cross, so each
+    # edge of a pair must separate the other.
+    pts = (Point(0, 0), Point(10, 1), Point(5, 3), Point(2, 9), Point(8, 7), Point(4, -6))
+    assert all(orientation(*tri) for tri in itertools.combinations(pts, 3))
+    s = ConvexPointSet(pts)
+    cases = [(s, Embedding(perm)) for perm in itertools.permutations(range(s.n))]
+    _assert_matches_scalar(cases, convex=False)
+    assert not count_fallbacks
+
+
+def test_segments_within_budget_at_n2000():
+    s = generate_random_convex(2000, seed="segments-2000")
+    p = random_path(random.Random(2000), s.n, "UDR")
+    e = embed_three_directional(p, s)
+    check_planarity_segments(S5, URDU_E)  # warm-up
+    t0 = time.perf_counter()
+    ok = check_planarity_segments(s, e)
+    dt = time.perf_counter() - t0
+    assert ok
+    assert dt < 1.0, f"segment check at n=2000 took {dt:.2f}s (budget 1s)"
