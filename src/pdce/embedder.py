@@ -7,15 +7,15 @@ operators, and the U/D/R case is solved by a divide-and-conquer along the
 line through the bottom and top points (plan_udr_case / execute_plan).
 
 The planner only chooses index ranges and point subsets; all actual
-coordinates are handled by three primitive embedders (left-sided,
-right-sided, strip) plus plain y-sorting for monotone runs. Transformed
-sets and plan sub-sets are built by index arithmetic, never re-validated.
+coordinates are handled by one greedy run on index pools of the canonical
+set, forwards or, for right-sided parts, backwards. Transformed sets are
+built by index arithmetic, never re-validated.
 
 Each public entry checks its preconditions, runs an unchecked private core
 and checks the answer once (direction and prefix planarity). Inside the
-cores only cheap guards run: the primitives' endpoint guarantees and the
-executor's agreement of parts on shared vertices. A planner bug therefore
-surfaces as InternalCaseError instead of a wrong drawing.
+cores only cheap guards run: the strip parts' first-vertex guarantee and
+the executor's agreement of parts on shared vertices. A planner bug
+therefore surfaces as InternalCaseError instead of a wrong drawing.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
     PreconditionViolated,
     SizeMismatch,
 )
-from .geometry import ConvexPointSet, classify, split_by_bt_line, top_first
+from .geometry import ConvexPointSet, classify, split_by_bt_line
 from .paths import (
     DirPath,
     Embedding,
@@ -46,6 +46,8 @@ from .validator import require_pdce
 UDR = frozenset("UDR")
 UR = frozenset("UR")
 
+_FLIP = str.maketrans("UDLR", "DURL")
+
 
 def _require_same_size(p: DirPath, s: ConvexPointSet) -> None:
     if p.n_vertices != s.n:
@@ -54,10 +56,55 @@ def _require_same_size(p: DirPath, s: ConvexPointSet) -> None:
         )
 
 
-def _shift(e: Embedding, k: int, n: int) -> Embedding:
-    # Carry e back from a turned copy of an n-point set whose index 0 is
-    # index k of the original.
-    return Embedding(tuple((i + k) % n for i in e.assignment))
+def _greedy(labels: str, pts, pool) -> list[int]:
+    """The backward assignment of len(pool) - 1 labels on the points pts[i],
+    i in pool. Returns the indices into pts hosting v_1, v_2, ...
+
+    Coordinates are distinct, so the pool order does not matter, and the
+    last vertex always lands on the pool's extreme point in the direction
+    of the last label: the left-sided and strip endpoint guarantee.
+    """
+    keys = {
+        "U": lambda i: -pts[i].y,
+        "D": lambda i: pts[i].y,
+        "L": lambda i: pts[i].x,
+        "R": lambda i: -pts[i].x,
+    }
+    order = {d: sorted(pool, key=keys[d]) for d in set(labels)}
+    cursor = dict.fromkeys(order, 0)
+    used = set()
+    out = [0] * len(pool)
+    for k in range(len(labels), 0, -1):
+        d = labels[k - 1]
+        lst = order[d]
+        c = cursor[d]
+        while lst[c] in used:
+            c += 1
+        cursor[d] = c
+        out[k] = lst[c]
+        used.add(lst[c])
+    out[0] = next(i for i in pool if i not in used)
+    return out
+
+
+def _right_sided(labels: str, pts, pool) -> list[int]:
+    # The greedy on the reversed path, read backwards: it places v_1, v_2,
+    # ... in turn on the extreme free point opposite the outgoing label, as
+    # the left-sided construction does after a half turn of the plane.
+    return _greedy(labels[::-1].translate(_FLIP), pts, pool)[::-1]
+
+
+def _strip(labels: str, pts, pool) -> list[int]:
+    out = _greedy(labels, pts, pool)
+    if len(pool) >= 2:
+        ends = (min(pool, key=lambda i: pts[i].y), min(pool, key=lambda i: pts[i].x))
+        if out[0] not in ends:
+            raise InternalCaseError("strip endpoint guarantee broken (first vertex)")
+    return out
+
+
+def _on_whole_set(run, p: DirPath, s: ConvexPointSet) -> Embedding:
+    return Embedding(tuple(run(p.labels, s.points, range(s.n))))
 
 
 def backward_embedding(p: DirPath, s: ConvexPointSet) -> Embedding:
@@ -69,28 +116,7 @@ def backward_embedding(p: DirPath, s: ConvexPointSet) -> Embedding:
     crossing-free under the entry conditions of the callers below.
     """
     _require_same_size(p, s)
-    n = s.n
-    used = [False] * n
-    keys = {
-        "U": lambda k: -s.points[k].y,
-        "D": lambda k: s.points[k].y,
-        "L": lambda k: s.points[k].x,
-        "R": lambda k: -s.points[k].x,
-    }
-    order = {d: sorted(range(n), key=keys[d]) for d in set(p.labels)}
-    cursor = {d: 0 for d in order}
-    out: list[Optional[int]] = [None] * n
-    for k in range(n - 1, 0, -1):
-        d = p.labels[k - 1]
-        lst = order[d]
-        c = cursor[d]
-        while used[lst[c]]:
-            c += 1
-        cursor[d] = c
-        out[k] = lst[c]
-        used[lst[c]] = True
-    out[0] = next(i for i in range(n) if not used[i])
-    return Embedding(tuple(out))
+    return _on_whole_set(_greedy, p, s)
 
 
 def embed_udr_left_sided(p: DirPath, s: ConvexPointSet) -> Embedding:
@@ -105,44 +131,24 @@ def embed_udr_left_sided(p: DirPath, s: ConvexPointSet) -> Embedding:
         raise PreconditionViolated("left-sided embedding handles U/D/R labels only")
     if not classify(s).is_left_sided:
         raise PreconditionViolated("point set is not left-sided")
-    return require_pdce(p, s, _left_sided(p, s), "left-sided")
-
-
-def _left_sided(p: DirPath, s: ConvexPointSet) -> Embedding:
-    e = backward_embedding(p, s)
-    if s.n >= 2:
-        want = {"U": s.top_index, "D": s.bottom_index, "R": s.right_index}
-        if e[s.n - 1] != want[p.labels[-1]]:
-            raise InternalCaseError("left-sided endpoint guarantee broken")
-    return e
+    return require_pdce(p, s, _on_whole_set(_greedy, p, s), "left-sided")
 
 
 def embed_udr_right_sided(p: DirPath, s: ConvexPointSet) -> Embedding:
     """Embed a U/D/R path on a right-sided set.
 
-    A half-turn of the plane maps the instance to a left-sided one and the
-    reversed path keeps its labels, so the left-sided routine applies;
-    index k of the turned set is index (k + bottom_index) mod n of s.
-    Guarantees for n >= 2: the first vertex lands on the bottom, top or
-    leftmost point when the first label is U, D or R respectively.
+    The backward assignment runs on the reversed path with every label
+    flipped and is read backwards, which is the left-sided construction
+    after a half turn of the plane. Guarantees for n >= 2: the first vertex
+    lands on the bottom, top or leftmost point when the first label is U, D
+    or R respectively.
     """
     _require_same_size(p, s)
     if not p.directions_used() <= UDR:
         raise PreconditionViolated("right-sided embedding handles U/D/R labels only")
     if not classify(s).is_right_sided:
         raise PreconditionViolated("point set is not right-sided")
-    return require_pdce(p, s, _right_sided(p, s), "right-sided")
-
-
-def _right_sided(p: DirPath, s: ConvexPointSet) -> Embedding:
-    half_turn = rotate_set(rotate_set(s))
-    turned = _left_sided(reverse_path(rotate_path(rotate_path(p))), half_turn)
-    e = _shift(reverse_embedding(turned), s.bottom_index, s.n)
-    if s.n >= 2:
-        want = {"U": s.bottom_index, "D": s.top_index, "R": s.left_index}
-        if e[0] != want[p.labels[0]]:
-            raise InternalCaseError("right-sided endpoint guarantee broken")
-    return e
+    return require_pdce(p, s, _on_whole_set(_right_sided, p, s), "right-sided")
 
 
 def embed_ur_strip(p: DirPath, s: ConvexPointSet) -> Embedding:
@@ -157,21 +163,18 @@ def embed_ur_strip(p: DirPath, s: ConvexPointSet) -> Embedding:
         raise PreconditionViolated("strip embedding handles U/R labels only")
     if not classify(s).is_strip:
         raise PreconditionViolated("point set is not strip-convex")
-    return require_pdce(p, s, _strip(p, s), "strip")
+    return require_pdce(p, s, _on_whole_set(_strip, p, s), "strip")
 
 
-def _strip(p: DirPath, s: ConvexPointSet) -> Embedding:
-    e = backward_embedding(p, s)
-    if s.n >= 2:
-        if e[0] not in (s.bottom_index, s.left_index):
-            raise InternalCaseError("strip endpoint guarantee broken (first vertex)")
-        want = s.top_index if p.labels[-1] == "U" else s.right_index
-        if e[s.n - 1] != want:
-            raise InternalCaseError("strip endpoint guarantee broken (last vertex)")
-    return e
-
-
-_PRIMITIVES = {"left_sided": _left_sided, "right_sided": _right_sided, "strip": _strip}
+# Part method -> runner. Monotone parts carry a run of U (sort_up) or D
+# (sort_down) labels, on which the greedy is the sort by y.
+_RUNNERS = {
+    "left_sided": _greedy,
+    "right_sided": _right_sided,
+    "strip": _strip,
+    "sort_up": _greedy,
+    "sort_down": _greedy,
+}
 
 
 @dataclass(frozen=True)
@@ -473,38 +476,24 @@ def execute_plan(p: DirPath, s: ConvexPointSet, plan: CasePlan) -> Embedding:
 
 
 def _execute_plan(p: DirPath, s: ConvexPointSet, plan: CasePlan) -> Embedding:
-    n = s.n
-    slots: list[Optional[int]] = [None] * n
+    slots: list[Optional[int]] = [None] * s.n
     for part in plan.parts:
-        count = part.last_vertex - part.first_vertex + 1
-        if len(part.points) != count:
+        first, last = part.first_vertex, part.last_vertex
+        if len(part.points) != last - first + 1:
             raise InternalCaseError(
-                f"part {part.name} hosts {count} vertices on {len(part.points)} points"
+                f"part {part.name} hosts {last - first + 1} vertices "
+                f"on {len(part.points)} points"
             )
-        if part.method in ("sort_up", "sort_down"):
-            local = sorted(
-                part.points,
-                key=lambda k: s.points[k].y,
-                reverse=part.method == "sort_down",
-            )
-        elif part.method in _PRIMITIVES:
-            # A subset of the hull in hull order, started at its topmost
-            # point, is already canonical; local index k is order[k] in s.
-            order = top_first(sorted(part.points), s.points)
-            sub_set = ConvexPointSet(tuple(s.points[k] for k in order))
-            sub_path = p.subpath(part.first_vertex, part.last_vertex)
-            sub_e = _PRIMITIVES[part.method](sub_path, sub_set)
-            local = [order[k] for k in sub_e.assignment]
-        else:
+        run = _RUNNERS.get(part.method)
+        if run is None:
             raise InternalCaseError(f"unknown part method {part.method!r}")
-        for off in range(count):
-            slot = part.first_vertex - 1 + off
+        placed = run(p.labels[first - 1 : last - 1], s.points, part.points)
+        for slot, k in enumerate(placed, first - 1):
             if slots[slot] is None:
-                slots[slot] = local[off]
-            elif slots[slot] != local[off]:
+                slots[slot] = k
+            elif slots[slot] != k:
                 raise InternalCaseError(
-                    f"parts disagree on vertex {slot + 1}: "
-                    f"{slots[slot]} vs {local[off]}"
+                    f"parts disagree on vertex {slot + 1}: {slots[slot]} vs {k}"
                 )
     if any(v is None for v in slots):
         raise InternalCaseError(f"plan {plan.case_tag} left vertices unassigned")
@@ -558,7 +547,7 @@ def _embed_three_directional(p: DirPath, s: ConvexPointSet) -> Embedding:
         e = reverse_embedding(_embed_udr_any(reverse_path(rotate_path(p)), rotate_set(s)))
     else:
         e = _embed_udr_any(rotate_path(p), rotate_set(s))
-    return _shift(e, s.right_index, s.n)
+    return Embedding(tuple((i + s.right_index) % s.n for i in e.assignment))
 
 
 _QUARTER_INC_COLLAPSE = {"U": "U", "D": "D", "R": "U", "L": "D"}

@@ -119,8 +119,8 @@ class ConvexPointSet:
 
     points[0] is the topmost point and the tuple proceeds counterclockwise.
     The constructor trusts its argument: outside input goes through
-    validate(), while the symmetry operators and the plan executor build
-    instances directly from an already valid set by index arithmetic.
+    validate(), while the symmetry operators build instances directly from
+    an already valid set by index arithmetic.
     """
 
     points: tuple[Point, ...]
@@ -174,12 +174,6 @@ class ConvexPointSet:
         return f"ConvexPointSet([{inner}])"
 
 
-def top_first(order: Sequence[int], pts: Sequence[Point]) -> list[int]:
-    """Rotate a counterclockwise cycle of indices into pts to start at its topmost point."""
-    start = max(range(len(order)), key=lambda k: pts[order[k]].y)
-    return list(order[start:]) + list(order[:start])
-
-
 def validate(raw_points: Iterable) -> ConvexPointSet:
     """Check convex general position and return the canonical point set.
 
@@ -213,7 +207,8 @@ def validate(raw_points: Iterable) -> ConvexPointSet:
         missing = min(i for i in range(n) if i not in members)
         raise NotConvexPosition(missing)
 
-    ordered = [pts[i] for i in top_first(hull, pts)]
+    start = max(range(n), key=lambda k: pts[hull[k]].y)
+    ordered = [pts[i] for i in hull[start:] + hull[:start]]
     for k in range(n):
         a, b, c = ordered[k], ordered[(k + 1) % n], ordered[(k + 2) % n]
         if orientation(a, b, c) <= 0:
@@ -326,18 +321,26 @@ class SplitDescriptor:
 
 
 def split_by_bt_line(s: ConvexPointSet) -> SplitDescriptor:
+    """Split s by the directed line from its bottom point to its top point.
+
+    Canonical order starts at the top (index 0) and runs counterclockwise
+    down the side left of the line to the bottom, then up the right side;
+    no three points are collinear. So indices 1 .. bottom_index - 1 lie
+    strictly left of the line, the rest past the bottom strictly right.
+    """
     if s.n < 2:
         raise PreconditionViolated("split needs at least two points")
     b = s.bottom
     t = s.top
     if t.x < b.x:
         raise PreconditionViolated("top point must lie to the right of the bottom point")
-    left = tuple(i for i, p in enumerate(s.points) if orientation(b, t, p) > 0)
-    right = tuple(i for i, p in enumerate(s.points) if orientation(b, t, p) < 0)
-    alpha = sum(1 for p in s.points if p.x < b.x)
-    beta = sum(1 for p in s.points if p.x <= t.x)
+    k = s.bottom_index
     return SplitDescriptor(
-        m=len(left), alpha=alpha, beta=beta, left_part=left, right_part=right
+        m=k - 1,
+        alpha=sum(1 for p in s.points if p.x < b.x),
+        beta=sum(1 for p in s.points if p.x <= t.x),
+        left_part=tuple(range(1, k)),
+        right_part=tuple(range(k + 1, s.n)),
     )
 
 

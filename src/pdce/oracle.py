@@ -27,9 +27,10 @@ from .errors import (
     SizeMismatch,
 )
 from .geometry import (
+    _MODE_ARC,
+    _MODE_TAG,
     ConvexPointSet,
     GENERATOR_MODES,
-    SetTag,
     classify,
     generate_random_convex,
     validate,
@@ -165,21 +166,10 @@ def certificate(p: DirPath, s: ConvexPointSet, bound: int = 16) -> dict:
     }
 
 
-_ONE_SIDED_ARC = {
-    "left_sided": (0.5 * math.pi, 1.5 * math.pi),
-    "right_sided": (-0.5 * math.pi, 0.5 * math.pi),
-}
-
-_ONE_SIDED_TAG = {
-    "left_sided": SetTag.LEFT_SIDED,
-    "right_sided": SetTag.RIGHT_SIDED,
-}
-
-
 def _sample_one_sided(rng: random.Random, n: int, mode: str) -> Optional[ConvexPointSet]:
     # Small-coordinate sampler: a semicircle inside [0, 64]^2 keeps found
     # sets easy to print and to freeze in fixtures.
-    lo, hi = _ONE_SIDED_ARC[mode]
+    lo, hi = _MODE_ARC[mode]
     for _ in range(200):
         angles = sorted(rng.uniform(lo, hi) for _ in range(n))
         coords = [
@@ -190,7 +180,7 @@ def _sample_one_sided(rng: random.Random, n: int, mode: str) -> Optional[ConvexP
             s = validate(coords)
         except PdceError:
             continue
-        if _ONE_SIDED_TAG[mode] in classify(s).tags:
+        if _MODE_TAG[mode] in classify(s).tags:
             return s
     return None
 
@@ -218,7 +208,7 @@ def search_counterexample(
     rng = random.Random(f"search:{seed}:{mode}:{n}:{p.labels}")
     seen = set()
     for k in range(budget):
-        if mode in _ONE_SIDED_ARC:
+        if mode in ("left_sided", "right_sided"):
             s = _sample_one_sided(rng, n, mode)
         else:
             s = generate_random_convex(n, seed=f"{seed}:{k}", mode=mode)

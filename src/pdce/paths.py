@@ -17,9 +17,7 @@ operator on sets and embeddings pure index arithmetic on an n-point set s:
   holds old point (k + s.right_index) mod n, and old index i becomes
   (i - s.right_index) mod n;
 - mirror: the top stays first and the cycle runs the other way, so new
-  index k holds old point (-k) mod n, and old index i becomes (-i) mod n;
-- a half turn, two rotations, maps new index k to old (k + s.bottom_index)
-  mod n.
+  index k holds old point (-k) mod n, and old index i becomes (-i) mod n.
 
 No operator re-validates: a transformed valid set is valid, and the
 rotated or mirrored points are built without re-checking coordinates that

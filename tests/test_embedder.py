@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 import sys
 from collections import Counter
@@ -27,7 +29,7 @@ from pdce import (
     validate,
     validate_embedding,
 )
-from conftest import convex_sets, instances, random_path
+from conftest import ALL_MODES, convex_sets, instances, random_path
 
 S5 = validate([(4, 0), (3, 6), (1, 5), (0, 3), (2, 1)])
 CHAIN4 = validate([(0, 0), (2, 1), (3, 3), (5, 4)])
@@ -332,34 +334,59 @@ def test_quarter_four_label_sound(inst):
 def test_validate_once_check_once(monkeypatch):
     # Transformed sets and plan parts come from index arithmetic, and only
     # the outermost public call checks its answer: no validate() call, one
-    # direction check and one prefix scan per top-level call.
+    # direction check and one prefix scan per top-level call. At most one
+    # quarter turn (U/L/R and D/L/R paths only) and one mirror (only when
+    # the reduced set's top lies left of its bottom) are built per call; the
+    # U/D/R primitives run on the set itself, without a half turn.
     general = generate_random_convex(40, seed=3, mode="general")
     turned = mirror_set(general)
     assert (general.top.x > general.bottom.x) != (turned.top.x > turned.bottom.x)
-    chain = generate_random_convex(40, seed=3, mode="quarter_inc")
+    chains = [
+        generate_random_convex(40, seed=3, mode=mode) for mode in ("quarter_inc", "quarter_dec")
+    ]
     originals = {
         "validate": pdce.geometry.validate,
         "check_direction_consistency": pdce.validator.check_direction_consistency,
         "_first_prefix_failure": pdce.validator._first_prefix_failure,
+        "rotate_set": pdce.paths.rotate_set,
+        "mirror_set": pdce.paths.mirror_set,
     }
+
+    def expected(used, s):
+        rotated = not (used <= frozenset("UDR") or used <= frozenset("UDL"))
+        reduced = originals["rotate_set"](s) if rotated else s
+        mirrored = reduced.top.x < reduced.bottom.x
+        branches.add((rotated, mirrored))
+        return +Counter(
+            check_direction_consistency=1,
+            _first_prefix_failure=1,
+            rotate_set=int(rotated),
+            mirror_set=int(mirrored),
+        )
+
     calls = Counter()
     for mod_name, mod in list(sys.modules.items()):
         if mod_name == "pdce" or mod_name.startswith("pdce."):
             for name, fn in originals.items():
                 if getattr(mod, name, None) is fn:
                     monkeypatch.setattr(mod, name, _counted(fn, name, calls))
-    once = {"check_direction_consistency": 1, "_first_prefix_failure": 1}
+    branches = set()
     rng = random.Random(5)
     for s in (general, turned):
         for subset in ("UDR", "UDL", "ULR", "DLR"):
             p = random_path(rng, s.n, subset)
+            want = expected(p.directions_used(), s)
             calls.clear()
             e = embed_three_directional(p, s)
-            assert calls == once, (subset, calls)
+            assert calls == want, (subset, calls)
             assert validate_embedding(p, s, e).is_pdce
-    calls.clear()
-    embed_quarter_convex(random_path(rng, chain.n, "UDLR"), chain)
-    assert calls == once, calls
+    for chain in chains:
+        # The label collapse leaves a U/D path on the chain itself.
+        want = expected(frozenset("UD"), chain)
+        calls.clear()
+        embed_quarter_convex(random_path(rng, chain.n, "UDLR"), chain)
+        assert calls == want, calls
+    assert branches == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def _counted(fn, name, calls):
@@ -376,3 +403,69 @@ def test_constructive_agrees_with_decider(inst):
     p, s = inst
     embed_three_directional(p, s)  # must not raise
     assert decide_pdce(p, s) is not None
+
+
+# --- frozen witnesses ----------------------------------------------------------------
+
+# SHA-256 of _witness_records(), recorded before the U/D/R construction moved
+# onto index pools of the canonical set. Any change to a witness, a plan's
+# parts or a case tag changes it.
+WITNESS_CORPUS_SHA256 = "243a8dbe71f4c47160bae822c42f699bea5b83cd823a9ef3c4f912bbcd929420"
+LABEL_SUBSETS = tuple(
+    "".join(c) for k in range(1, 5) for c in itertools.combinations("UDLR", k)
+)
+
+
+def _witness_records():
+    # Every embedder entry on every set class, n <= 60, a path drawn from each
+    # non-empty label subset, plus the plans and witnesses of FROZEN_CASES.
+    # A call that raises is recorded by its exception's name: embed_ur_strip
+    # fails its first-vertex guard on quarter_dec sets, which classify() also
+    # tags strip-convex, although the greedy answer there is a PDCE.
+    rng = random.Random("witness-corpus")
+    for mode in ALL_MODES:
+        for n in (1, 2, 3, 4, 5, 6, 8, 11, 16, 23, 32, 45, 60):
+            s = generate_random_convex(n, seed=7000 + n, mode=mode)
+            cls = classify(s)
+            for subset in LABEL_SUBSETS:
+                p = random_path(rng, n, subset)
+                used = p.directions_used()
+                calls = [("backward", backward_embedding)]
+                if len(used) < 4:
+                    calls.append(("three", embed_three_directional))
+                if cls.is_quarter_inc or cls.is_quarter_dec:
+                    calls.append(("quarter", embed_quarter_convex))
+                if used <= frozenset("UR") and cls.is_strip:
+                    calls.append(("strip", embed_ur_strip))
+                if used <= frozenset("UDR"):
+                    if cls.is_left_sided:
+                        calls.append(("left", embed_udr_left_sided))
+                    if cls.is_right_sided:
+                        calls.append(("right", embed_udr_right_sided))
+                    if n == 1 or s.top.x > s.bottom.x:
+                        calls.append(("udr", embed_udr_convex))
+                    if n >= 2 and s.top.x > s.bottom.x:
+                        calls.append(("plan", plan_udr_case))
+                for kind, fn in calls:
+                    yield f"{mode} {n} {p.labels}", kind, _outcome(fn, p, s)
+    for s, labels, _ in FROZEN_CASES:
+        p = DirPath(labels)
+        yield labels, "plan", _outcome(plan_udr_case, p, s)
+        yield labels, "udr", _outcome(embed_udr_convex, p, s)
+
+
+def _outcome(fn, p, s):
+    try:
+        return repr(fn(p, s))
+    except pdce.PdceError as exc:
+        return type(exc).__name__
+
+
+def test_witness_corpus_frozen():
+    digest = hashlib.sha256()
+    kinds = Counter()
+    for head, kind, out in _witness_records():
+        kinds[kind] += 1
+        digest.update(f"{head} {kind} {out}\n".encode("ascii"))
+    assert min(kinds.values()) >= 13 and len(kinds) == 8, kinds
+    assert digest.hexdigest() == WITNESS_CORPUS_SHA256, kinds
