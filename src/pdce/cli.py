@@ -20,7 +20,6 @@ from .errors import (
     InvalidEmbedding,
     NotFoundWithinBudget,
     PdceError,
-    SizeMismatch,
 )
 from .geometry import (
     GENERATOR_MODES,
@@ -41,7 +40,7 @@ from .oracle import (
 )
 from .paths import DirPath, Embedding
 from .render import render_svg
-from .validator import validate_embedding
+from .validator import require_same_size, validate_embedding
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +87,7 @@ def _print_embedding(e: Embedding) -> None:
 def _cmd_embed(args) -> int:
     s = _load_points(args.points)
     p = DirPath(args.path)
-    if p.n_vertices != s.n:
-        raise SizeMismatch(
-            f"path has {p.n_vertices} vertices but the set has {s.n} points"
-        )
+    require_same_size(p, s)
     if len(p.directions_used()) == 4:
         cls = classify(s)
         if not (cls.is_quarter_inc or cls.is_quarter_dec):
@@ -159,7 +155,6 @@ def _cmd_oracle_search(args) -> int:
     try:
         s = search_counterexample(
             path=p,
-            n=p.n_vertices,
             mode=args.mode,
             budget=args.budget,
             seed=args.seed,

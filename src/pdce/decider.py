@@ -24,10 +24,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InternalCaseError, SizeMismatch
+from .errors import InternalCaseError
 from .geometry import ConvexPointSet
 from .paths import DirPath, Embedding
-from .validator import edge_ok, require_pdce
+from .validator import edge_ok, require_pdce, require_same_size
 
 
 @dataclass
@@ -64,10 +64,7 @@ class DPTable:
 
 
 def dp_table(p: DirPath, s: ConvexPointSet) -> DPTable:
-    if p.n_vertices != s.n:
-        raise SizeMismatch(
-            f"path has {p.n_vertices} vertices but the set has {s.n} points"
-        )
+    require_same_size(p, s)
     n = s.n
     xs = np.array([pt.x for pt in s.points] * 2, dtype=np.int64)
     ys = np.array([pt.y for pt in s.points] * 2, dtype=np.int64)

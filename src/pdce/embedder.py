@@ -23,12 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (
-    FourDirectional,
-    InternalCaseError,
-    PreconditionViolated,
-    SizeMismatch,
-)
+from .errors import FourDirectional, InternalCaseError, PreconditionViolated
 from .geometry import ConvexPointSet, classify, split_by_bt_line
 from .paths import (
     DirPath,
@@ -41,19 +36,12 @@ from .paths import (
     rotate_path,
     rotate_set,
 )
-from .validator import require_pdce
+from .validator import require_pdce, require_same_size
 
 UDR = frozenset("UDR")
 UR = frozenset("UR")
 
 _FLIP = str.maketrans("UDLR", "DURL")
-
-
-def _require_same_size(p: DirPath, s: ConvexPointSet) -> None:
-    if p.n_vertices != s.n:
-        raise SizeMismatch(
-            f"path needs {p.n_vertices} points but the set has {s.n}"
-        )
 
 
 def _greedy(labels: str, pts, pool) -> list[int]:
@@ -115,7 +103,7 @@ def backward_embedding(p: DirPath, s: ConvexPointSet) -> Embedding:
     L, rightmost for R). The result is always direction-consistent; it is
     crossing-free under the entry conditions of the callers below.
     """
-    _require_same_size(p, s)
+    require_same_size(p, s)
     return _on_whole_set(_greedy, p, s)
 
 
@@ -126,7 +114,7 @@ def embed_udr_left_sided(p: DirPath, s: ConvexPointSet) -> Embedding:
     rightmost point when the last label is U, D or R respectively (and the
     rightmost point of a left-sided set is its top or bottom).
     """
-    _require_same_size(p, s)
+    require_same_size(p, s)
     if not p.directions_used() <= UDR:
         raise PreconditionViolated("left-sided embedding handles U/D/R labels only")
     if not classify(s).is_left_sided:
@@ -143,7 +131,7 @@ def embed_udr_right_sided(p: DirPath, s: ConvexPointSet) -> Embedding:
     lands on the bottom, top or leftmost point when the first label is U, D
     or R respectively.
     """
-    _require_same_size(p, s)
+    require_same_size(p, s)
     if not p.directions_used() <= UDR:
         raise PreconditionViolated("right-sided embedding handles U/D/R labels only")
     if not classify(s).is_right_sided:
@@ -158,7 +146,7 @@ def embed_ur_strip(p: DirPath, s: ConvexPointSet) -> Embedding:
     point, and the last vertex lands on the top (last label U) or rightmost
     point (last label R).
     """
-    _require_same_size(p, s)
+    require_same_size(p, s)
     if not p.directions_used() <= UR:
         raise PreconditionViolated("strip embedding handles U/R labels only")
     if not classify(s).is_strip:
@@ -358,13 +346,9 @@ def plan_udr_case(p: DirPath, s: ConvexPointSet) -> CasePlan:
     straddle position m and, in the mixed cases, from how the maximal U/R
     stretch around them relates to the columns of the bottom and top points.
     """
-    _require_same_size(p, s)
+    require_same_size(p, s)
     if not p.directions_used() <= UDR:
         raise PreconditionViolated("case analysis handles U/D/R labels only")
-    if s.n < 2:
-        raise PreconditionViolated("case analysis needs at least two points")
-    if s.top.x < s.bottom.x:
-        raise PreconditionViolated("top point must lie to the right of the bottom point")
     sp = split_by_bt_line(s)
     n, m, alpha, beta = s.n, sp.m, sp.alpha, sp.beta
     labels = p.labels
@@ -501,14 +485,13 @@ def _execute_plan(p: DirPath, s: ConvexPointSet, plan: CasePlan) -> Embedding:
 
 
 def embed_udr_convex(p: DirPath, s: ConvexPointSet) -> Embedding:
-    """Embed a U/D/R path on any convex set whose top is right of its bottom."""
-    _require_same_size(p, s)
-    if not p.directions_used() <= UDR:
-        raise PreconditionViolated("this construction handles U/D/R labels only")
+    """Embed a U/D/R path on any convex set whose top is right of its bottom.
+
+    plan_udr_case checks the labels and the set; a one-point set needs no plan.
+    """
+    require_same_size(p, s)
     if s.n == 1:
         return Embedding((0,))
-    if s.top.x < s.bottom.x:
-        raise PreconditionViolated("top point must lie to the right of the bottom point")
     return execute_plan(p, s, plan_udr_case(p, s))
 
 
@@ -527,7 +510,7 @@ def _embed_udr_any(p: DirPath, s: ConvexPointSet) -> Embedding:
 
 def embed_three_directional(p: DirPath, s: ConvexPointSet) -> Embedding:
     """Embed any path that avoids at least one label on any convex set."""
-    _require_same_size(p, s)
+    require_same_size(p, s)
     if len(p.directions_used()) == 4:
         raise FourDirectional(
             "path uses all four labels; an embedding may not exist on this set"
@@ -560,7 +543,7 @@ def embed_quarter_convex(p: DirPath, s: ConvexPointSet) -> Embedding:
     On such chains horizontal constraints are equivalent to vertical ones,
     so the labels collapse to a two-letter alphabet first.
     """
-    _require_same_size(p, s)
+    require_same_size(p, s)
     cls = classify(s)
     if cls.is_quarter_inc:
         table = _QUARTER_INC_COLLAPSE

@@ -293,8 +293,12 @@ def classify(s: ConvexPointSet) -> PointSetClass:
             tags.add(SetTag.LEFT_SIDED)
         if s.bottom_index == 1:
             tags.add(SetTag.RIGHT_SIDED)
-        if _hull_adjacent_or_equal(s, s.bottom_index, s.left_index) and _hull_adjacent_or_equal(
-            s, s.top_index, s.right_index
+        # Strip-convex: the top lies right of the bottom, and each is the
+        # leftmost resp. rightmost point or hull-adjacent to it.
+        if (
+            s.top.x > s.bottom.x
+            and _hull_adjacent_or_equal(s, s.bottom_index, s.left_index)
+            and _hull_adjacent_or_equal(s, s.top_index, s.right_index)
         ):
             tags.add(SetTag.STRIP_CONVEX)
     if s.x_order == s.y_order:
@@ -327,6 +331,7 @@ def split_by_bt_line(s: ConvexPointSet) -> SplitDescriptor:
     down the side left of the line to the bottom, then up the right side;
     no three points are collinear. So indices 1 .. bottom_index - 1 lie
     strictly left of the line, the rest past the bottom strictly right.
+    Requires two points or more and the top strictly right of the bottom.
     """
     if s.n < 2:
         raise PreconditionViolated("split needs at least two points")

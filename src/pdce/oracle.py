@@ -24,7 +24,6 @@ from .errors import (
     NotFoundWithinBudget,
     PdceError,
     PreconditionViolated,
-    SizeMismatch,
 )
 from .geometry import (
     _MODE_ARC,
@@ -36,7 +35,7 @@ from .geometry import (
     validate,
 )
 from .paths import DirPath, Embedding
-from .validator import check_direction_consistency, edge_ok
+from .validator import _first_bad_edge, edge_ok, require_same_size
 
 DEFAULT_COUNTEREXAMPLE_LABELS = "LULRDR"
 
@@ -76,10 +75,7 @@ def brute_force_pdce(p: DirPath, s: ConvexPointSet, bound: int = 20) -> list:
     Prunes a branch as soon as an edge label fails, so it stays usable a
     little beyond the plain enumeration bound.
     """
-    if p.n_vertices != s.n:
-        raise SizeMismatch(
-            f"path has {p.n_vertices} vertices but the set has {s.n} points"
-        )
+    require_same_size(p, s)
     n = s.n
     if n > bound:
         raise BoundExceeded(n, bound)
@@ -136,16 +132,14 @@ def certificate(p: DirPath, s: ConvexPointSet, bound: int = 16) -> dict:
     Lists every crossing-free candidate with the first edge that breaks its
     label, if any, and fingerprints the whole listing.
     """
-    if p.n_vertices != s.n:
-        raise SizeMismatch(
-            f"path has {p.n_vertices} vertices but the set has {s.n} points"
-        )
+    require_same_size(p, s)
     candidates = enumerate_planar_embeddings(s, bound=bound)
     entries = []
     pdce_count = 0
     for e in candidates:
-        ok, bad = check_direction_consistency(p, s, e)
-        if ok:
+        # Enumerated candidates are well formed: only the labels need a look.
+        bad = _first_bad_edge(p, s, e)
+        if bad is None:
             pdce_count += 1
         entries.append({"assignment": list(e.assignment), "first_bad_edge": bad})
     payload = {
@@ -187,22 +181,22 @@ def _sample_one_sided(rng: random.Random, n: int, mode: str) -> Optional[ConvexP
 
 def search_counterexample(
     path: Optional[DirPath] = None,
-    n: int = 7,
     mode: str = "left_sided",
     budget: int = 100_000,
     seed=0,
 ) -> ConvexPointSet:
     """Search point sets of the given class for one admitting no embedding.
 
-    Candidates are deduplicated by their order signature (the x-order and
-    y-order of the canonical hull sequence), since existence only depends
-    on it. A hit is certified twice: by the decision procedure and, for
-    small n, by pruned exhaustive search. Raises NotFoundWithinBudget after
-    the given number of sampled candidates.
+    The sets have one point per vertex of the path, which defaults to the
+    7-vertex path DEFAULT_COUNTEREXAMPLE_LABELS. Candidates are deduplicated
+    by their order signature (the x-order and y-order of the canonical hull
+    sequence), since existence only depends on it. A hit is certified
+    twice: by the decision procedure and, for small n, by pruned exhaustive
+    search. Raises NotFoundWithinBudget after the given number of sampled
+    candidates.
     """
     p = path if path is not None else DirPath(DEFAULT_COUNTEREXAMPLE_LABELS)
-    if p.n_vertices != n:
-        raise SizeMismatch(f"path has {p.n_vertices} vertices, requested n={n}")
+    n = p.n_vertices
     if mode not in GENERATOR_MODES:
         raise PreconditionViolated(f"unknown mode {mode!r}")
     rng = random.Random(f"search:{seed}:{mode}:{n}:{p.labels}")

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import math
 
-from .errors import InvalidEmbedding, SizeMismatch
+from .errors import InvalidEmbedding
 from .geometry import ConvexPointSet
 from .paths import DirPath, Embedding
-from .validator import validate_embedding
+from .validator import require_same_size, require_well_formed, validate_embedding
 
 CANVAS = 720
 MARGIN = 40.0
@@ -56,21 +56,14 @@ def render_svg(p: DirPath, s: ConvexPointSet, e: Embedding, force: bool = False)
     """Draw the embedding as an SVG document string.
 
     The output is a pure function of the arguments, byte for byte. Unless
-    force is given the embedding must validate as a PDCE; with force any
-    assignment of in-range indices is drawn, crossings and all.
+    force is given the embedding must validate as a PDCE. With force any
+    assignment of in-range plain-int indices is drawn, crossings, wrong
+    directions and repeated indices all.
     """
-    if p.n_vertices != s.n:
-        raise SizeMismatch(
-            f"path has {p.n_vertices} vertices but the set has {s.n} points"
-        )
-    if len(e) != s.n:
-        raise InvalidEmbedding(f"embedding has {len(e)} entries for {s.n} points")
-    for idx in e.assignment:
-        if type(idx) is not int:
-            raise InvalidEmbedding(f"point index {idx!r} is not a plain int")
-        if not 0 <= idx < s.n:
-            raise InvalidEmbedding(f"vertex index {idx!r} is out of range")
-    if not force:
+    if force:
+        require_same_size(p, s)
+        require_well_formed(s, e, distinct=False)
+    else:
         report = validate_embedding(p, s, e)
         if not report.is_pdce:
             raise InvalidEmbedding(

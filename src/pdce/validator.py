@@ -1,5 +1,13 @@
 """Checks that an embedding is direction-consistent and crossing-free.
 
+Each input rule has one owner: require_same_size (one point per path
+vertex) and require_well_formed (one plain-int index in range per point,
+none twice) live here, the U/D/R split rules in geometry.split_by_bt_line
+and the U/D/R label rule in embedder.plan_udr_case. Each public check_*
+scans the embedding once; validate_embedding scans it once, inside
+check_planarity_segments, and then runs the unchecked direction and prefix
+cores, as oracle.certificate does on its enumerated candidates.
+
 Planarity is checked along two independent routes on purpose. The segment
 route tests every non-adjacent edge pair exactly, in blocks of int64 numpy
 side tests whose two cross-product terms (each at most 2^62 in magnitude at
@@ -37,7 +45,17 @@ def edge_ok(label: str, a: Point, b: Point) -> bool:
     raise PreconditionViolated(f"unknown edge label {label!r}")
 
 
-def _require_well_formed(s: ConvexPointSet, e: Embedding) -> None:
+def require_same_size(p: DirPath, s: ConvexPointSet) -> None:
+    """The size rule: the path has exactly one vertex per point of the set."""
+    if p.n_vertices != s.n:
+        raise SizeMismatch(
+            f"path has {p.n_vertices} vertices but the set has {s.n} points"
+        )
+
+
+def require_well_formed(s: ConvexPointSet, e: Embedding, distinct: bool = True) -> None:
+    """The index rule: one plain-int index in range(s.n) per point, and,
+    when distinct, no index twice. One O(n) scan."""
     a = e.assignment
     if len(a) != s.n:
         raise InvalidEmbedding(
@@ -49,7 +67,7 @@ def _require_well_formed(s: ConvexPointSet, e: Embedding) -> None:
             raise InvalidEmbedding(f"point index {idx!r} is not a plain int")
         if not 0 <= idx < s.n:
             raise InvalidEmbedding(f"point index {idx!r} out of range")
-        if idx in seen:
+        if distinct and idx in seen:
             raise InvalidEmbedding(f"point index {idx} used twice")
         seen.add(idx)
 
@@ -58,16 +76,18 @@ def check_direction_consistency(
     p: DirPath, s: ConvexPointSet, e: Embedding
 ) -> tuple[bool, Optional[int]]:
     """Return (ok, first bad edge index) for the strict direction constraints."""
-    if p.n_vertices != s.n:
-        raise SizeMismatch(
-            f"path has {p.n_vertices} vertices but the set has {s.n} points"
-        )
-    _require_well_formed(s, e)
+    require_same_size(p, s)
+    require_well_formed(s, e)
+    bad = _first_bad_edge(p, s, e)
+    return bad is None, bad
+
+
+def _first_bad_edge(p: DirPath, s: ConvexPointSet, e: Embedding) -> Optional[int]:
     pts = s.points
     for k, label in enumerate(p.labels):
         if not edge_ok(label, pts[e[k]], pts[e[k + 1]]):
-            return False, k
-    return True, None
+            return k
+    return None
 
 
 def _first_prefix_failure(s: ConvexPointSet, e: Embedding) -> Optional[int]:
@@ -88,7 +108,7 @@ def _first_prefix_failure(s: ConvexPointSet, e: Embedding) -> Optional[int]:
 
 
 def check_planarity_prefix(s: ConvexPointSet, e: Embedding) -> bool:
-    _require_well_formed(s, e)
+    require_well_formed(s, e)
     return _first_prefix_failure(s, e) is None
 
 
@@ -117,7 +137,7 @@ def check_planarity_segments(s: ConvexPointSet, e: Embedding) -> bool:
     has; if a hand-built set shows one, the scalar pair loop gives the
     verdict, so closed segments that merely touch still intersect.
     """
-    _require_well_formed(s, e)
+    require_well_formed(s, e)
     n = s.n
     m = n - 1  # edges
     pts = [s.points[i] for i in e.assignment]
@@ -211,10 +231,11 @@ class ValidationReport:
 
 def validate_embedding(p: DirPath, s: ConvexPointSet, e: Embedding) -> ValidationReport:
     """Run every check and report the first violation, if any."""
-    ok_dir, bad_edge = check_direction_consistency(p, s, e)
-    prefix_fail = _first_prefix_failure(s, e)
+    require_same_size(p, s)
     ok_segments = check_planarity_segments(s, e)
-    if not ok_dir:
+    bad_edge = _first_bad_edge(p, s, e)
+    prefix_fail = _first_prefix_failure(s, e)
+    if bad_edge is not None:
         violation: Optional[tuple] = ("direction", bad_edge)
     elif prefix_fail is not None:
         violation = ("prefix", prefix_fail)
@@ -223,7 +244,7 @@ def validate_embedding(p: DirPath, s: ConvexPointSet, e: Embedding) -> Validatio
     else:
         violation = None
     return ValidationReport(
-        direction_consistent=ok_dir,
+        direction_consistent=bad_edge is None,
         planar_prefix=prefix_fail is None,
         planar_segments=ok_segments,
         first_violation=violation,

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import time
 
 import numpy as np
@@ -12,6 +13,7 @@ from pdce import (
     InvalidEmbedding,
     Point,
     SizeMismatch,
+    certificate,
     check_direction_consistency,
     check_planarity_prefix,
     check_planarity_segments,
@@ -23,6 +25,7 @@ from pdce import (
     validate_embedding,
 )
 from pdce import validator
+from pdce.render import render_svg
 from pdce.geometry import COORD_LIMIT, ConvexPointSet, orientation
 from pdce.validator import _segments_scalar
 from conftest import ALL_MODES, convex_sets, random_path
@@ -125,6 +128,32 @@ def test_non_int_indices_rejected():
 def test_size_mismatch():
     with pytest.raises(SizeMismatch):
         validate_embedding(DirPath("U"), S5, URDU_E)
+
+
+def test_one_index_scan_per_call(monkeypatch):
+    # Count the index scan under every name any pdce module binds it to.
+    original = validator.require_well_formed
+    scans = []
+
+    def counted(*args, **kwargs):
+        scans.append(args)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "pdce" or name.startswith("pdce.")):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    p = DirPath("URDU")
+    for call, expected in (
+        (lambda: validate_embedding(p, S5, URDU_E), 1),
+        (lambda: render_svg(p, S5, URDU_E), 1),
+        (lambda: render_svg(p, S5, URDU_E, force=True), 1),
+        (lambda: certificate(p, S5), 0),  # 5 * 2^3 enumerated candidates
+    ):
+        scans.clear()
+        call()
+        assert len(scans) == expected
 
 
 def _arc_walk(rng, n):
