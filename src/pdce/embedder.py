@@ -6,10 +6,11 @@ everything to the U/D/R case via the reversal, rotation and mirror
 operators, and the U/D/R case is solved by a divide-and-conquer along the
 line through the bottom and top points (plan_udr_case / execute_plan).
 
-The planner only chooses index ranges and point subsets; all actual
-coordinates are handled by one greedy run on index pools of the canonical
-set, forwards or, for right-sided parts, backwards. Transformed sets are
-built by index arithmetic, never re-validated.
+The planner only chooses index ranges and point subsets: its caps are hull
+arcs ending on the bottom or the top point, the middle parts what the caps
+leave. All actual coordinates are handled by one greedy run on index pools
+of the canonical set, forwards or, for right-sided parts, backwards.
+Transformed sets are built by index arithmetic, never re-validated.
 
 Each public entry checks its preconditions, runs an unchecked private core
 and checks the answer once (direction and prefix planarity). Inside the
@@ -197,27 +198,22 @@ class CasePlan:
     parts: tuple[CasePart, ...] = ()
 
 
-def _pick(pool, k: int, key, reverse: bool = False):
-    ordered = sorted(pool, key=key, reverse=reverse)
+def _arc(s, start: int, count: int) -> tuple[int, ...]:
+    # Hull positions start, start + 1, ... (mod n), count of them, sorted.
+    if not 0 <= count <= s.n:
+        raise InternalCaseError(f"asked for an arc of {count} points from a set of {s.n}")
+    return tuple(sorted((start + t) % s.n for t in range(count)))
+
+
+def _leftmost(s, pool, k, reverse=False):
+    ordered = sorted(pool, key=lambda i: s.points[i].x, reverse=reverse)
     if k > len(ordered):
         raise InternalCaseError(f"asked for {k} points from a pool of {len(ordered)}")
     return tuple(sorted(ordered[:k]))
 
 
-def _lowest(s, pool, k):
-    return _pick(pool, k, lambda i: s.points[i].y)
-
-
-def _highest(s, pool, k):
-    return _pick(pool, k, lambda i: s.points[i].y, reverse=True)
-
-
-def _leftmost(s, pool, k):
-    return _pick(pool, k, lambda i: s.points[i].x)
-
-
 def _rightmost(s, pool, k):
-    return _pick(pool, k, lambda i: s.points[i].x, reverse=True)
+    return _leftmost(s, pool, k, reverse=True)
 
 
 def _rest(n: int, taken, extra=()) -> tuple[int, ...]:
@@ -225,116 +221,88 @@ def _rest(n: int, taken, extra=()) -> tuple[int, ...]:
     return tuple(sorted(keep))
 
 
-def _d_run(labels: str, m: int) -> tuple[int, int]:
-    # Maximal run of D edges around the 1-based edge indices m, m+1.
-    a = m
-    while a > 1 and labels[a - 2] == "D":
-        a -= 1
-    b = m + 1
-    while b < len(labels) and labels[b] == "D":
-        b += 1
-    return a, b
+def _run(labels: str, lo: int, hi: int, inside: str) -> tuple[int, int]:
+    # Widen the 1-based edge range lo..hi to the maximal run of edges whose
+    # labels are all in inside.
+    while lo > 1 and labels[lo - 2] in inside:
+        lo -= 1
+    while hi < len(labels) and labels[hi] in inside:
+        hi += 1
+    return lo, hi
 
 
-def _ur_run(labels: str, m: int) -> tuple[int, int]:
-    i = m
-    while i > 1 and labels[i - 2] != "D":
-        i -= 1
-    j = m + 1
-    while j < len(labels) and labels[j] != "D":
-        j += 1
-    return i, j
-
-
-def _u_run(labels: str, k: int) -> tuple[int, int]:
-    # Maximal run of U edges around the 1-based edge index k.
-    a = k
-    while a > 1 and labels[a - 2] == "U":
-        a -= 1
-    b = k
-    while b < len(labels) and labels[b] == "U":
-        b += 1
-    return a, b
-
-
-def _strip_plan_parts(s, sp, L: int, H: int) -> tuple[CasePart, ...]:
-    # Left cap carries v_1..v_L ending on the bottom point, the strip part
-    # carries the U/R stretch v_L..v_H between bottom and top, the right cap
-    # carries v_H..v_n starting on the top point.
-    n = s.n
-    cap_l = _lowest(s, sp.left_part + (s.bottom_index,), L)
-    cap_r = _highest(s, sp.right_part + (s.top_index,), n - H + 1)
-    strip = _rest(n, set(cap_l) | set(cap_r), (s.bottom_index, s.top_index))
+def _caps(s, L: int, H: int) -> tuple[CasePart, CasePart]:
+    # The left cap hosts v_1..v_L on the lowest points of the left chain and
+    # the bottom k, positions k-L+1..k; the right cap hosts v_H..v_n on the
+    # highest points of the right chain and the top, positions H..n.
+    k = s.bottom_index
     return (
-        CasePart("left-cap", cap_l, 1, L, "left_sided"),
-        CasePart("strip", strip, L, H, "strip"),
-        CasePart("right-cap", cap_r, H, n, "right_sided"),
+        CasePart("left-cap", _arc(s, k - L + 1, L), 1, L, "left_sided"),
+        CasePart("right-cap", _arc(s, H, s.n - H + 1), H, s.n, "right_sided"),
     )
 
 
-def _run_high_plan_parts(s, sp, L: int, a: int, b: int) -> tuple[CasePart, ...]:
+def _strip_plan_parts(s, L: int, H: int) -> tuple[CasePart, ...]:
+    # The strip part carries the U/R stretch v_L..v_H from the left cap's
+    # last point, the bottom, to the right cap's first point, the top.
+    left, right = _caps(s, L, H)
+    strip = _rest(s.n, left.points + right.points, (s.bottom_index, s.top_index))
+    return left, CasePart("strip", strip, L, H, "strip"), right
+
+
+def _run_high_plan_parts(s, L: int, a: int, b: int) -> tuple[CasePart, ...]:
     # The U run v_a..v_{b+1} climbs a column that ends on the top point; a
     # strip part to its left hosts v_L..v_{a-1} when the run starts later
     # than the left cap ends.
-    n = s.n
-    cap_l = _lowest(s, sp.left_part + (s.bottom_index,), L)
-    cap_r = _highest(s, sp.right_part + (s.top_index,), n - b)
-    parts = [CasePart("left-cap", cap_l, 1, L, "left_sided")]
-    if a > L:
-        pool = _rest(n, cap_l, (s.bottom_index,))
-        strip = _leftmost(s, pool, a - L)
-        column = _rest(n, set(cap_l) | set(strip) | set(cap_r), (s.top_index,))
-        parts.append(CasePart("strip", strip, L, a - 1, "strip"))
-        parts.append(CasePart("column", column, a, b + 1, "sort_up"))
-    else:
-        column = _rest(n, set(cap_l) | set(cap_r), (s.top_index,))
-        parts.append(CasePart("column", column, a + 1, b + 1, "sort_up"))
-    parts.append(CasePart("right-cap", cap_r, b + 1, n, "right_sided"))
-    return tuple(parts)
+    left, right = _caps(s, L, b + 1)
+    if a <= L:
+        column = _rest(s.n, left.points + right.points, (s.top_index,))
+        return left, CasePart("column", column, a + 1, b + 1, "sort_up"), right
+    strip = _leftmost(s, _rest(s.n, left.points, (s.bottom_index,)), a - L)
+    column = _rest(s.n, left.points + strip + right.points, (s.top_index,))
+    strip_part = CasePart("strip", strip, L, a - 1, "strip")
+    return left, strip_part, CasePart("column", column, a, b + 1, "sort_up"), right
 
 
-def _run_low_plan_parts(s, sp, a: int, b: int, H: int) -> tuple[CasePart, ...]:
+def _run_low_plan_parts(s, a: int, b: int, H: int) -> tuple[CasePart, ...]:
     # Mirror image of the previous shape: the U run v_a..v_{b+1} climbs a
     # column out of the bottom point, and a strip part to its right hosts
     # v_{b+2}..v_H when the run ends before the right cap starts.
-    n = s.n
-    cap_l = _lowest(s, sp.left_part + (s.bottom_index,), a)
-    cap_r = _highest(s, sp.right_part + (s.top_index,), n - H + 1)
-    parts = [CasePart("left-cap", cap_l, 1, a, "left_sided")]
-    if b < H - 1:
-        pool = _rest(n, cap_r, (s.top_index,))
-        strip = _rightmost(s, pool, H - 1 - b)
-        column = _rest(n, set(cap_l) | set(strip) | set(cap_r), (s.bottom_index,))
-        parts.append(CasePart("column", column, a, b + 1, "sort_up"))
-        parts.append(CasePart("strip", strip, b + 2, H, "strip"))
-    else:
-        column = _rest(n, set(cap_l) | set(cap_r), (s.bottom_index,))
-        parts.append(CasePart("column", column, a, b, "sort_up"))
-    parts.append(CasePart("right-cap", cap_r, H, n, "right_sided"))
-    return tuple(parts)
+    left, right = _caps(s, a, H)
+    if b >= H - 1:
+        column = _rest(s.n, left.points + right.points, (s.bottom_index,))
+        return left, CasePart("column", column, a, b, "sort_up"), right
+    strip = _rightmost(s, _rest(s.n, right.points, (s.top_index,)), H - 1 - b)
+    column = _rest(s.n, left.points + strip + right.points, (s.bottom_index,))
+    strip_part = CasePart("strip", strip, b + 2, H, "strip")
+    return left, CasePart("column", column, a, b + 1, "sort_up"), strip_part, right
 
 
-def _two_runs_plan_parts(s, sp, a: int, b: int, c: int, e: int) -> tuple[CasePart, ...]:
+def _two_runs_plan_parts(s, a: int, b: int, c: int, e: int) -> tuple[CasePart, ...]:
     # Two U runs: one crossing the height of the bottom point, one crossing
     # the height of the top point, with an optional U/R stretch between.
-    n = s.n
-    cap_l = _lowest(s, sp.left_part + (s.bottom_index,), a)
-    cap_r = _highest(s, sp.right_part + (s.top_index,), n - e)
-    pool = _rest(n, set(cap_l) | set(cap_r), (s.bottom_index, s.top_index))
-    parts = [CasePart("left-cap", cap_l, 1, a, "left_sided")]
+    left, right = _caps(s, a, e + 1)
+    pool = _rest(s.n, left.points + right.points, (s.bottom_index, s.top_index))
     if a == c:
         # Both labels sit in the same U run.
-        parts.append(CasePart("column", pool, a, e + 1, "sort_up"))
-    else:
-        col_l = _leftmost(s, pool, b - a + 2)
-        col_r = _rightmost(s, pool, e - c + 2)
-        parts.append(CasePart("left-column", col_l, a, b + 1, "sort_up"))
-        if c > b + 2:
-            strip = tuple(sorted(set(pool) - set(col_l) - set(col_r)))
-            parts.append(CasePart("mid-strip", strip, b + 2, c - 1, "strip"))
-        parts.append(CasePart("right-column", col_r, c, e + 1, "sort_up"))
-    parts.append(CasePart("right-cap", cap_r, e + 1, n, "right_sided"))
+        return left, CasePart("column", pool, a, e + 1, "sort_up"), right
+    col_l = _leftmost(s, pool, b - a + 2)
+    col_r = _rightmost(s, pool, e - c + 2)
+    parts = [left, CasePart("left-column", col_l, a, b + 1, "sort_up")]
+    if c > b + 2:
+        strip = tuple(sorted(set(pool) - set(col_l) - set(col_r)))
+        parts.append(CasePart("mid-strip", strip, b + 2, c - 1, "strip"))
+    parts.append(CasePart("right-column", col_r, c, e + 1, "sort_up"))
+    parts.append(right)
     return tuple(parts)
+
+
+_STRIP_TAGS = {  # strip plan tag by (low cut, high cut) of the U/R stretch
+    (False, False): "mid-strip",
+    (True, False): "mid-strip-left-cut",
+    (False, True): "mid-strip-right-cut",
+    (True, True): "mid-strip-both-cuts",
+}
 
 
 def plan_udr_case(p: DirPath, s: ConvexPointSet) -> CasePlan:
@@ -345,6 +313,12 @@ def plan_udr_case(p: DirPath, s: ConvexPointSet) -> CasePlan:
     on its left; the plan is selected from the labels of the two edges that
     straddle position m and, in the mixed cases, from how the maximal U/R
     stretch around them relates to the columns of the bottom and top points.
+
+    Every cap is a hull arc that ends on the bottom or the top. In canonical
+    order y falls along positions 0..k (the top, the left chain, the bottom
+    k = m + 1) and rises along k..n (the right chain, the top again at n),
+    so the c lowest or highest points of a chain and its end point are the
+    c positions next to that end. The middle parts are what the caps leave.
     """
     require_same_size(p, s)
     if not p.directions_used() <= UDR:
@@ -352,106 +326,64 @@ def plan_udr_case(p: DirPath, s: ConvexPointSet) -> CasePlan:
     sp = split_by_bt_line(s)
     n, m, alpha, beta = s.n, sp.m, sp.alpha, sp.beta
     labels = p.labels
-    everything = tuple(range(n))
+    k = m + 1  # the bottom's position
+
+    def plan(tag, *parts, **runs):
+        return CasePlan(tag, m, alpha, beta, parts=parts, **runs)
 
     if m == n - 2:
-        part = CasePart("whole", everything, 1, n, "left_sided")
-        return CasePlan("left-sided", m, alpha, beta, parts=(part,))
+        return plan("left-sided", CasePart("whole", tuple(range(n)), 1, n, "left_sided"))
     if m == 0:
-        part = CasePart("whole", everything, 1, n, "right_sided")
-        return CasePlan("right-sided", m, alpha, beta, parts=(part,))
+        return plan("right-sided", CasePart("whole", tuple(range(n)), 1, n, "right_sided"))
 
     d_m, d_m1 = labels[m - 1], labels[m]
     if d_m == "D" and d_m1 != "D":
-        parts = (
-            CasePart(
-                "left-cap",
-                tuple(sorted(sp.left_part + (s.bottom_index,))),
-                1,
-                m + 1,
-                "left_sided",
-            ),
-            CasePart(
-                "right-cap",
-                tuple(sorted(sp.right_part + (s.top_index, s.bottom_index))),
-                m + 1,
-                n,
-                "right_sided",
-            ),
-        )
-        return CasePlan("down-up", m, alpha, beta, parts=parts)
+        # Both caps share v_{m+1} on the bottom: a strip plan with no strip.
+        return plan("down-up", *_caps(s, k, k))
     if d_m != "D" and d_m1 == "D":
-        parts = (
-            CasePart(
-                "left-cap",
-                tuple(sorted(sp.left_part + (s.top_index,))),
-                1,
-                m + 1,
-                "left_sided",
-            ),
-            CasePart(
-                "right-cap",
-                tuple(sorted(sp.right_part + (s.top_index, s.bottom_index))),
-                m + 1,
-                n,
-                "right_sided",
-            ),
+        # The left cap holds the top and the left chain; the right cap puts
+        # v_{m+1} on the bottom and climbs the right chain to the top.
+        return plan(
+            "up-down",
+            CasePart("left-cap", _arc(s, 0, k), 1, k, "left_sided"),
+            CasePart("right-cap", _arc(s, k, n - k + 1), k, n, "right_sided"),
         )
-        return CasePlan("up-down", m, alpha, beta, parts=parts)
     if d_m == "D" and d_m1 == "D":
-        a, b = _d_run(labels, m)
-        cap_l = _highest(s, sp.left_part + (s.top_index,), a)
-        cap_r = _lowest(s, sp.right_part + (s.bottom_index,), n - b)
-        descent = _rest(n, set(cap_l) | set(cap_r), (s.top_index, s.bottom_index))
-        parts = (
+        # The caps take the highest points left and the lowest points right.
+        a, b = _run(labels, m, m + 1, "D")
+        cap_l, cap_r = _arc(s, 0, a), _arc(s, k, n - b)
+        return plan(
+            "down-run",
             CasePart("left-cap", cap_l, 1, a, "left_sided"),
-            CasePart("descent", descent, a, b + 1, "sort_down"),
+            CasePart("descent", _rest(n, cap_l + cap_r, (0, k)), a, b + 1, "sort_down"),
             CasePart("right-cap", cap_r, b + 1, n, "right_sided"),
+            a=a,
+            b=b,
         )
-        return CasePlan("down-run", m, alpha, beta, a=a, b=b, parts=parts)
 
     # Both straddling edges are U or R: work with the maximal U/R stretch.
-    i, j = _ur_run(labels, m)
-    low_cut = i <= alpha
-    high_cut = j >= beta
-    if not low_cut and not high_cut:
-        parts = _strip_plan_parts(s, sp, i, j + 1)
-        return CasePlan("mid-strip", m, alpha, beta, i=i, j=j, parts=parts)
-    if not low_cut and high_cut:
-        if labels[beta - 1] == "R":
-            parts = _strip_plan_parts(s, sp, i, beta)
-            return CasePlan("mid-strip-right-cut", m, alpha, beta, i=i, j=j, parts=parts)
-        a, b = _u_run(labels, beta)
-        parts = _run_high_plan_parts(s, sp, i, a, b)
-        return CasePlan("up-run-high", m, alpha, beta, i=i, j=j, a=a, b=b, parts=parts)
-    if low_cut and not high_cut:
-        if labels[alpha - 1] == "R":
-            parts = _strip_plan_parts(s, sp, alpha + 1, j + 1)
-            return CasePlan("mid-strip-left-cut", m, alpha, beta, i=i, j=j, parts=parts)
-        a, b = _u_run(labels, alpha)
-        parts = _run_low_plan_parts(s, sp, a, b, j + 1)
-        return CasePlan("up-run-low", m, alpha, beta, i=i, j=j, a=a, b=b, parts=parts)
-
-    d_alpha, d_beta = labels[alpha - 1], labels[beta - 1]
-    if d_alpha == "R" and d_beta == "R":
-        parts = _strip_plan_parts(s, sp, alpha + 1, beta)
-        return CasePlan("mid-strip-both-cuts", m, alpha, beta, i=i, j=j, parts=parts)
-    if d_alpha == "R":
-        a, b = _u_run(labels, beta)
-        parts = _run_high_plan_parts(s, sp, alpha + 1, a, b)
-        return CasePlan(
-            "up-run-high-left-cut", m, alpha, beta, i=i, j=j, a=a, b=b, parts=parts
-        )
-    if d_beta == "R":
-        a, b = _u_run(labels, alpha)
-        parts = _run_low_plan_parts(s, sp, a, b, beta)
-        return CasePlan(
-            "up-run-low-right-cut", m, alpha, beta, i=i, j=j, a=a, b=b, parts=parts
-        )
-    a, b = _u_run(labels, alpha)
-    c, e = _u_run(labels, beta)
-    parts = _two_runs_plan_parts(s, sp, a, b, c, e)
-    return CasePlan("two-up-runs", m, alpha, beta, i=i, j=j, a=a, b=b, c=c, e=e, parts=parts)
+    # Where it reaches the bottom's column (low cut) or the top's (high cut),
+    # an R edge lets a strip part meet the cap and a U edge starts a U run.
+    i, j = _run(labels, m, m + 1, "UR")
+    low_cut, high_cut = i <= alpha, j >= beta
+    L = alpha + 1 if low_cut else i
+    H = beta if high_cut else j + 1
+    low_run = low_cut and labels[alpha - 1] == "U"
+    high_run = high_cut and labels[beta - 1] == "U"
+    if low_run and high_run:
+        a, b = _run(labels, alpha, alpha, "U")
+        c, e = _run(labels, beta, beta, "U")
+        parts = _two_runs_plan_parts(s, a, b, c, e)
+        return plan("two-up-runs", *parts, i=i, j=j, a=a, b=b, c=c, e=e)
+    if high_run:
+        a, b = _run(labels, beta, beta, "U")
+        tag = "up-run-high-left-cut" if low_cut else "up-run-high"
+        return plan(tag, *_run_high_plan_parts(s, L, a, b), i=i, j=j, a=a, b=b)
+    if low_run:
+        a, b = _run(labels, alpha, alpha, "U")
+        tag = "up-run-low-right-cut" if high_cut else "up-run-low"
+        return plan(tag, *_run_low_plan_parts(s, a, b, H), i=i, j=j, a=a, b=b)
+    return plan(_STRIP_TAGS[low_cut, high_cut], *_strip_plan_parts(s, L, H), i=i, j=j)
 
 
 def execute_plan(p: DirPath, s: ConvexPointSet, plan: CasePlan) -> Embedding:

@@ -57,15 +57,14 @@ def require_well_formed(s: ConvexPointSet, e: Embedding, distinct: bool = True) 
     """The index rule: one plain-int index in range(s.n) per point, and,
     when distinct, no index twice. One O(n) scan."""
     a = e.assignment
-    if len(a) != s.n:
-        raise InvalidEmbedding(
-            f"embedding lists {len(a)} vertices for {s.n} points"
-        )
+    n = s.n
+    if len(a) != n:
+        raise InvalidEmbedding(f"embedding lists {len(a)} vertices for {n} points")
     seen = set()
     for idx in a:
         if type(idx) is not int:
             raise InvalidEmbedding(f"point index {idx!r} is not a plain int")
-        if not 0 <= idx < s.n:
+        if not 0 <= idx < n:
             raise InvalidEmbedding(f"point index {idx!r} out of range")
         if distinct and idx in seen:
             raise InvalidEmbedding(f"point index {idx} used twice")
@@ -197,8 +196,13 @@ def require_pdce(p: DirPath, s: ConvexPointSet, e: Embedding, context: str) -> E
 
     The one check a library answer passes before it leaves the public entry
     that produced it; a failure is a bug, reported as InternalCaseError.
+    That includes a malformed answer: the direction and prefix cores alone
+    accept (-1, 0, 1, ..., n-2), whose -1 Python reads as the last point.
     """
-    ok, bad = check_direction_consistency(p, s, e)
+    try:
+        ok, bad = check_direction_consistency(p, s, e)
+    except InvalidEmbedding as exc:
+        raise InternalCaseError(f"{context}: {exc}") from exc
     if not ok:
         raise InternalCaseError(f"{context}: edge {bad} violates its label")
     if _first_prefix_failure(s, e) is not None:

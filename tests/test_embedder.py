@@ -230,11 +230,74 @@ def test_plan_covers_slots_and_points(inst):
         # parts either share the boundary vertex or meet across one edge
         assert nxt.first_vertex in (prev.last_vertex, prev.last_vertex + 1)
     assert sorted(set(used)) == list(range(s.n))
+    _assert_caps_are_y_picks(plan, s)
     # the emitted case obeys its own index preconditions
     if plan.case_tag.startswith("mid-strip"):
         lo = plan.parts[0].last_vertex
         hi = plan.parts[-1].first_vertex
         assert plan.alpha + 1 <= lo and hi <= plan.beta
+
+
+def _assert_caps_are_y_picks(plan, s):
+    # The caps are chosen as hull arcs; they must be the points a sort by y
+    # picks from one side of the split line plus the bottom and the top:
+    # the lowest left and highest right, or, in the down-run and up-down
+    # cases, the highest left and lowest right.
+    sp = split_by_bt_line(s)
+    ends = (s.top_index, s.bottom_index)
+    down = plan.case_tag in ("down-run", "up-down")
+    for part in plan.parts:
+        if part.name == "left-cap":
+            pool, highest = sp.left_part + ends, down
+        elif part.name == "right-cap":
+            pool, highest = sp.right_part + ends, not down
+        else:
+            continue
+        by_y = sorted(pool, key=lambda i: s.points[i].y, reverse=highest)
+        assert part.points == tuple(sorted(by_y[: len(part.points)])), (plan.case_tag, part)
+
+
+CASE_TAGS = frozenset(
+    [
+        "left-sided",
+        "right-sided",
+        "down-up",
+        "up-down",
+        "down-run",
+        "mid-strip",
+        "mid-strip-left-cut",
+        "mid-strip-right-cut",
+        "mid-strip-both-cuts",
+        "up-run-high",
+        "up-run-high-left-cut",
+        "up-run-low",
+        "up-run-low-right-cut",
+        "two-up-runs",
+    ]
+)
+
+
+def test_every_case_tag_seeded():
+    # Seeded U/D/R instances on general sets, whose split reaches every case,
+    # with paths rich in U and R runs, until each tag has 20 hits. The rarest
+    # (mid-strip, mid-strip-right-cut, up-run-high) turn up about once in
+    # 150 tries here. Every plan's caps are checked against the y-sort and
+    # every embedding is validated.
+    rng = random.Random("case-tags")
+    hits = Counter()
+    for _ in range(12000):
+        n = rng.randint(4, 15)
+        s = generate_random_convex(n, seed=rng.randrange(10**9), mode="general")
+        if s.top.x < s.bottom.x:
+            s = mirror_set(s)
+        p = random_path(rng, n, rng.choice(("UDR", "UURD", "URRD")))
+        plan = plan_udr_case(p, s)
+        hits[plan.case_tag] += 1
+        _assert_caps_are_y_picks(plan, s)
+        assert validate_embedding(p, s, embed_udr_convex(p, s)).is_pdce
+        if min(hits[tag] for tag in CASE_TAGS) >= 20:
+            break
+    assert set(hits) == CASE_TAGS and min(hits.values()) >= 20, hits
 
 
 # --- full UDR embedder -------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given
 from pdce import (
     DirPath,
     Embedding,
+    InternalCaseError,
     InvalidEmbedding,
     Point,
     SizeMismatch,
@@ -24,7 +25,7 @@ from pdce import (
     validate,
     validate_embedding,
 )
-from pdce import validator
+from pdce import embedder, validator
 from pdce.render import render_svg
 from pdce.geometry import COORD_LIMIT, ConvexPointSet, orientation
 from pdce.validator import _segments_scalar
@@ -154,6 +155,21 @@ def test_one_index_scan_per_call(monkeypatch):
         scans.clear()
         call()
         assert len(scans) == expected
+
+
+def test_require_pdce_reports_malformed_answer_as_bug(monkeypatch):
+    # -1 reads as the last point, so the direction and prefix cores accept
+    # this answer; the index scan rejects it, and a malformed library answer
+    # is a bug (InternalCaseError), not bad input (InvalidEmbedding).
+    s = generate_random_convex(9, seed=2, mode="general")
+    bad = Embedding(tuple(range(-1, s.n - 1)))
+    pts = [s.points[i] for i in bad.assignment]
+    p = DirPath("".join("U" if b.y > a.y else "D" for a, b in zip(pts, pts[1:])))
+    assert validator._first_bad_edge(p, s, bad) is None
+    assert validator._first_prefix_failure(s, bad) is None
+    monkeypatch.setattr(embedder, "_embed_three_directional", lambda p, s: bad)
+    with pytest.raises(InternalCaseError, match="three-directional: point index -1 out of range"):
+        embed_three_directional(p, s)
 
 
 def _arc_walk(rng, n):
