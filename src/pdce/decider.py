@@ -7,22 +7,35 @@ bounds the state space: for a prefix of length r+1 there are n possible
 arcs (indexed by their counterclockwise anchor) and at most two candidate
 positions for the current vertex, the two arc ends. The table therefore
 holds two booleans per (row, anchor) pair and each row is computed from
-the previous one with O(n) work, vectorized over anchors.
+the previous one with O(n) work.
 
-Each label gets one int64 key per hull position (y for U, -y for D, x for
-R, -x for L): a step a -> b respects it iff key[b] > key[a], a comparison
-that stays exact at |coord| <= 2^30. x and y values are pairwise distinct,
-so a reverse step is the negated comparison and each row is a few slice
-operations over the doubled keys. An empty row stays empty, so the loop
-stops at the first one and a NO costs only its longest embeddable prefix.
+Each label gets one key per hull position (y for U, -y for D, x for R, -x
+for L): a step a -> b respects it iff key[b] > key[a]. Keys are Python ints,
+so the test is exact at any coordinate. x and y values are pairwise
+distinct, so a reverse step is the negated comparison.
+
+A row is two Python ints used as n-bit sets, bit j for anchor j (see
+DPTable), and is computed bit-parallel over all anchors in a constant number
+of big-int operations, in the style of Myers' bit-vector DP (JACM 1999).
+With d the label of row r:
+
+    near_r = rot1(near) & DOWN_d | rot1(far) & ~C_r
+    far_r  = near & C_r | far & (UP2_d >> (r-1))
+
+rot1 moves bit j+1 to bit j cyclically; bit k of UP_d is set iff the step
+k -> k+1 respects d, DOWN_d is its complement and UP2_d is UP_d doubled to
+2n bits; C_r holds the anchors j whose step j -> j+r respects d. C_r is one
+cyclic interval whose ends move monotonically in r (_comparison_rows), so it
+costs amortized O(1) pointer moves per row. An empty row stays empty, so the
+loop stops at the first one and a NO costs only its longest embeddable
+prefix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from operator import attrgetter, lt, neg
+from typing import Callable, Optional
 
 from .errors import InternalCaseError
 from .geometry import ConvexPointSet
@@ -41,61 +54,141 @@ class DPTable:
     near[r, j] = near[r-1, j+1] & ~up[j] | far[r-1, j+1] & ~c[j] and
     far[r, j] = near[r-1, j] & c[j] | far[r-1, j] & up[j+r-1].
     Rows after the first empty one stay all False.
+
+    Row r is stored as two ints, near_bits[r] and far_bits[r], whose bit j
+    is near[r, j] and far[r, j]: at most n^2/4 bytes for the whole table. The
+    properties near and far unpack them into fresh (n, n) bool numpy arrays,
+    importing numpy on first use; cell() and max_cell_entries() read the
+    bits directly.
     """
 
     n: int
     labels: str
-    near: np.ndarray
-    far: np.ndarray
+    near_bits: list[int]
+    far_bits: list[int]
+
+    @property
+    def near(self):
+        return _unpack(self.near_bits, self.n)
+
+    @property
+    def far(self):
+        return _unpack(self.far_bits, self.n)
 
     def cell(self, r: int, j: int) -> frozenset:
         out = set()
-        if self.near[r, j]:
+        if self.near_bits[r] >> j & 1:
             out.add(j)
-        if self.far[r, j]:
+        if self.far_bits[r] >> j & 1:
             out.add((j + r) % self.n)
         return frozenset(out)
 
     def max_cell_entries(self) -> int:
-        sizes = self.near.astype(np.int8) + self.far.astype(np.int8)
-        # In row 0 both ends are the same single position.
-        sizes[0] = np.minimum(sizes[0], 1)
-        return int(sizes.max())
+        # In row 0 both ends are the same single position, and it is full.
+        both = any(a & b for a, b in zip(self.near_bits[1:], self.far_bits[1:]))
+        return 2 if both else 1
+
+
+def _unpack(rows: list[int], n: int):
+    import numpy as np
+
+    width = (n + 7) // 8
+    raw = b"".join(row.to_bytes(width, "little") for row in rows)
+    grid = np.frombuffer(raw, dtype=np.uint8).reshape(n, width)
+    return np.unpackbits(grid, axis=1, bitorder="little")[:, :n].astype(bool)
+
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _bits(flags) -> int:
+    """The int whose bit k is the k-th of the 0/1 flags."""
+    return int(bytes(flags)[::-1].translate(_DIGITS), 2)
+
+
+def _comparison_rows(key: list[int]) -> Callable[[int], int]:
+    """Return comp(r), the bitset C_r = {j : key[(j+r) % n] > key[j]}, for
+    1 <= r < n called in non-decreasing order, with O(n) pointer moves over
+    all calls.
+
+    C_r is one cyclic interval that holds lo = argmin key and not hi =
+    argmax key. The key is x, y or its negation, and x and y are cyclically
+    unimodal along a convex hull, with distinct values: the key rises
+    strictly along lo, lo+1, .., hi and falls strictly along hi, .., lo
+    (mod n). Let g(j) count the keys above key[j]; those points form one
+    hull arc next to j. On the rising side (lo <= j < hi along the cycle)
+    it is j+1, .., j+g(j), over hi and down the falling side as far as the
+    key stays above key[j]; so such a j is in C_r iff r <= g(j). On the
+    falling side (hi < j < lo) it is j-g(j), .., j-1, so j is in C_r iff
+    r >= n - g(j). g falls along lo -> hi and rises along hi -> lo: C_r is
+    a run of 1s from lo followed by 0s up to hi, then 0s followed by a run
+    of 1s back to lo. lo has g = n-1 and is in every C_r, hi has g = 0 and
+    is in none, so C_r is the interval lo-b_r, .., lo+a_r-1. As r grows the
+    rising run shrinks and the falling run grows: both ends only move
+    backwards along the cycle, so one pointer per end, never reset, finds
+    them. Neither pointer needs a bound: the rising one stops at lo at the
+    latest, the falling one at hi.
+    """
+    n = len(key)
+    lo = key.index(min(key))
+    k2 = (key[lo:] + key[:lo]) * 2  # k2[i] = key[(lo + i) % n], i < 2n
+    rising = k2.index(max(key))  # lo, .., hi-1: all of it is in C_1
+    full = (1 << n) - 1
+    a, b = rising, 0  # C_r in k2 positions: n-b, .., n-1, 0, .., a-1
+
+    def comp(r: int) -> int:
+        nonlocal a, b
+        while k2[a - 1 + r] < k2[a - 1]:
+            a -= 1
+        while k2[n - 1 - b + r] > k2[n - 1 - b]:
+            b += 1
+        start = (lo - b) % n
+        run = ((1 << (a + b)) - 1) << start
+        if start + a + b > n:
+            run = (run | run >> n) & full
+        return run
+
+    return comp
+
+
+def _key(d: str, s: ConvexPointSet) -> list[int]:
+    vals = list(map(attrgetter("y" if d in "UD" else "x"), s.points))
+    return vals if d in "UR" else list(map(neg, vals))
 
 
 def dp_table(p: DirPath, s: ConvexPointSet) -> DPTable:
     require_same_size(p, s)
     n = s.n
-    xs = np.array([pt.x for pt in s.points] * 2, dtype=np.int64)
-    ys = np.array([pt.y for pt in s.points] * 2, dtype=np.int64)
-    # label -> (doubled keys, adjacent step k -> k+1 respects it, its reverse)
-    keys = {}
-    for d, w2 in (("U", ys), ("D", -ys), ("R", xs), ("L", -xs)):
-        if d in p.labels:
-            up = w2[1:] > w2[:-1]
-            keys[d] = (w2, up, ~up)
-    near = np.zeros((n, n), dtype=bool)
-    far = np.zeros((n, n), dtype=bool)
-    near[0] = far[0] = True
-    c, tmp = np.empty((2, n), dtype=bool)
+    full = (1 << n) - 1
+    # label -> (DOWN_d, UP2_d, comp for C_r)
+    masks = {}
+    for d in set(p.labels):
+        key = _key(d, s)
+        up = _bits(map(lt, key, key[1:] + key[:1]))
+        masks[d] = (full ^ up, up | up << n, _comparison_rows(key))
+    near = [0] * n
+    far = [0] * n
+    near[0] = far[0] = nr = fr = full
+    top = n - 1
     for r in range(1, n):
-        w2, up, down = keys[p.labels[r - 1]]
-        pn, pf, nr, fr = near[r - 1], far[r - 1], near[r], far[r]
-        np.greater(w2[r : r + n], w2[:n], out=c)
-        # Extend the previous arc {j+1, .., j+r} downward to anchor j: the
-        # new vertex lands on j, coming from either end of the old arc.
-        np.logical_and(pn[1:], down[: n - 1], out=nr[:-1])
-        np.greater(pf[1:], c[:-1], out=tmp[:-1])  # pf & ~c on bools
-        np.logical_or(nr[:-1], tmp[:-1], out=nr[:-1])
-        nr[-1] = (pn[0] and down[n - 1]) or (pf[0] and not c[-1])
-        # Extend the previous arc {j, .., j+r-1} upward: the new vertex
+        down, up2, comp = masks[p.labels[r - 1]]
+        c = comp(r)
+        # near: extend the previous arc {j+1, .., j+r} downward to anchor j,
+        # the new vertex lands on j, coming from either end of the old arc.
+        # far: extend the previous arc {j, .., j+r-1} upward, the new vertex
         # lands on (j+r) mod n.
-        np.logical_and(pn, c, out=fr)
-        np.logical_and(pf, up[r - 1 : r - 1 + n], out=tmp)
-        np.logical_or(fr, tmp, out=fr)
-        if not (np.count_nonzero(fr) or np.count_nonzero(nr)):
+        rot_nr = nr >> 1 | (nr & 1) << top
+        rot_fr = fr >> 1 | (fr & 1) << top
+        nr, fr = rot_nr & down | rot_fr & (full ^ c), nr & c | fr & up2 >> (r - 1)
+        if not (nr or fr):
             break
-    return DPTable(n=n, labels=p.labels, near=near, far=far)
+        near[r] = nr
+        far[r] = fr
+    return DPTable(n=n, labels=p.labels, near_bits=near, far_bits=far)
+
+
+def _lowest_bit(x: int) -> int:
+    return (x & -x).bit_length() - 1
 
 
 def decide_pdce(p: DirPath, s: ConvexPointSet) -> Optional[Embedding]:
@@ -107,12 +200,11 @@ def decide_pdce(p: DirPath, s: ConvexPointSet) -> Optional[Embedding]:
     """
     table = dp_table(p, s)
     n = s.n
-    near_ends = np.flatnonzero(table.near[n - 1])
-    far_ends = np.flatnonzero(table.far[n - 1])
-    if near_ends.size:
-        j, at_far = int(near_ends[0]), False
-    elif far_ends.size:
-        j, at_far = int(far_ends[0]), True
+    near, far = table.near_bits, table.far_bits
+    if near[n - 1]:
+        j, at_far = _lowest_bit(near[n - 1]), False
+    elif far[n - 1]:
+        j, at_far = _lowest_bit(far[n - 1]), True
     else:
         return None
 
@@ -128,9 +220,9 @@ def decide_pdce(p: DirPath, s: ConvexPointSet) -> Optional[Embedding]:
         else:
             prev_anchor = (j + 1) % n
             from_far_pos = (j + r) % n
-        if table.near[r - 1, prev_anchor] and edge_ok(d, pts[prev_anchor], pts[pos]):
+        if near[r - 1] >> prev_anchor & 1 and edge_ok(d, pts[prev_anchor], pts[pos]):
             j, at_far = prev_anchor, False
-        elif table.far[r - 1, prev_anchor] and edge_ok(d, pts[from_far_pos], pts[pos]):
+        elif far[r - 1] >> prev_anchor & 1 and edge_ok(d, pts[from_far_pos], pts[pos]):
             j, at_far = prev_anchor, True
         else:
             raise InternalCaseError("witness reconstruction lost the trail")

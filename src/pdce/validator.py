@@ -13,19 +13,18 @@ route tests every non-adjacent edge pair exactly, in blocks of int64 numpy
 side tests whose two cross-product terms (each at most 2^62 in magnitude at
 |coord| <= 2^30) are compared rather than subtracted; should a hand-built
 set have collinear points, it falls back to the pure-Python pair loop with
-closed-segment predicates. The prefix route checks that each prefix of the
-walk occupies a cyclically consecutive arc of hull positions, which
-characterizes the crossing-free walks on a convex point set. Both are kept
-side by side so each one guards the other; callers that need a single
-answer should demand agreement via validate_embedding().
+closed-segment predicates. numpy is imported on first use, so the rest of
+the package runs without loading it. The prefix route checks that each
+prefix of the walk occupies a cyclically consecutive arc of hull positions,
+which characterizes the crossing-free walks on a convex point set. Both
+are kept side by side so each one guards the other; callers that need a
+single answer should demand agreement via validate_embedding().
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .errors import InternalCaseError, InvalidEmbedding, PreconditionViolated, SizeMismatch
 from .geometry import ConvexPointSet, Point, segments_intersect
@@ -136,6 +135,8 @@ def check_planarity_segments(s: ConvexPointSet, e: Embedding) -> bool:
     has; if a hand-built set shows one, the scalar pair loop gives the
     verdict, so closed segments that merely touch still intersect.
     """
+    import numpy as np
+
     require_well_formed(s, e)
     n = s.n
     m = n - 1  # edges
@@ -168,6 +169,8 @@ def check_planarity_segments(s: ConvexPointSet, e: Embedding) -> bool:
 def _sides(edges, x, y):
     """Whether vertex (x, y) is left of edge (ax, ay, dx, dy), broadcast, and
     the number of cells where the terms dx*(y - ay) and dy*(x - ax) are equal."""
+    import numpy as np
+
     ax, ay, dx, dy = edges
     lhs = y - ay
     lhs *= dx

@@ -1,10 +1,17 @@
+import hashlib
+import itertools
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import pdce
 from pdce import (
     COORD_LIMIT,
     GENERATOR_MODES,
@@ -20,6 +27,7 @@ from pdce import (
     validate,
     validate_embedding,
 )
+from pdce.decider import _comparison_rows, _key
 from conftest import instances, random_path
 
 UD_SET = validate([(0, 0), (2, 3), (4, 1)])
@@ -216,6 +224,49 @@ def _counterexample_at_coordinate_limit():
     return p, validate(raw)
 
 
+class _Counted(int):
+    """A key value that counts the order comparisons made on it."""
+
+    made = 0
+
+    def __lt__(self, other):
+        _Counted.made += 1
+        return int(self) < int(other)
+
+    def __gt__(self, other):
+        _Counted.made += 1
+        return int(self) > int(other)
+
+
+def test_comparison_rows_are_cyclic_intervals():
+    # Every r in order, and a sparse increasing choice of r as a path that
+    # interleaves labels asks for: each C_r equals the brute-force mask, is
+    # one cyclic run of 1s holding lo and not hi, and the pointers never
+    # reset (at most 8n key comparisons over all rows).
+    rng = random.Random(0xC7)
+    sets = [_at_coordinate_limit()]
+    for mode in GENERATOR_MODES:
+        for n in (1, 2, 3, 5, 8, 13, 30, 64, 120, 200):
+            sets.append(generate_random_convex(n, seed=f"cr-{mode}-{n}", mode=mode))
+    for s in sets:
+        n = s.n
+        for d in "UDLR":
+            key = _key(d, s)
+            lo, hi = key.index(min(key)), key.index(max(key))
+            sparse = [r for r in range(1, n) if rng.random() < 0.3]
+            for rows in (range(1, n), sparse):
+                _Counted.made = 0
+                comp = _comparison_rows([_Counted(v) for v in key])
+                for r in rows:
+                    mask = comp(r)
+                    bits = [mask >> j & 1 for j in range(n)]
+                    assert mask >> n == 0
+                    assert bits == [int(key[(j + r) % n] > key[j]) for j in range(n)], (d, r)
+                    assert bits[lo] and not bits[hi]
+                    assert sum(bits[j] > bits[j - 1] for j in range(n)) == 1
+                assert _Counted.made <= 8 * n
+
+
 def test_exact_at_coordinate_limit():
     s = _at_coordinate_limit()
     assert s.n == 8 and max(max(abs(pt.x), abs(pt.y)) for pt in s.points) == COORD_LIMIT
@@ -251,3 +302,67 @@ def test_full_table_three_labels_at_n2000():
     assert dt < 2.0, f"decide at n=2000 on a 3-label path took {dt:.2f}s (budget 2s)"
     assert all(type(i) is int for i in w.assignment)
     assert validate_embedding(p, s, w).is_pdce
+
+
+# --- frozen witnesses ---------------------------------------------------------
+
+DECIDER_CORPUS_SHA256 = "4c2ff8099a5b550167cac4af92ea054822d5e5bb642855b9b908f259ac9f6f6f"
+
+
+def _decider_corpus():
+    # The criterion-2 instances, seeded instances over every mode and the
+    # alphabets UDR, UDLR and LD at n 1..200, the packaged counterexample and
+    # two instances at n=1000, one YES and one NO. Only general sets meet NO
+    # on random 4-label paths, so they get 300 extra instances.
+    for n in (4, 5, 6):
+        s = generate_random_convex(n, seed=f"c2-exh-{n}")
+        for labels in itertools.product("UDLR", repeat=n - 1):
+            yield DirPath("".join(labels)), s
+    rng = random.Random(0xC2)
+    for i in range(2000):
+        n = rng.randint(1, 10)
+        s = generate_random_convex(n, seed=f"c2-rnd-{i}")
+        yield random_path(rng, n), s
+    rng = random.Random("decider-corpus")
+    cases = [(mode, a) for mode in GENERATOR_MODES for a in ("UDR", "UDLR", "LD")]
+    cases = cases * 30 + [("general", "UDLR")] * 300
+    for i, (mode, alphabet) in enumerate(cases):
+        s = generate_random_convex(rng.randint(1, 200), seed=f"dc-{i}", mode=mode)
+        yield random_path(rng, s.n, alphabet), s
+    p, s, _ = load_counterexample()
+    yield p, s
+    for alphabet in ("UDR", "UDLR"):
+        s = generate_random_convex(1000, seed=f"dc-1000-{alphabet}")
+        yield random_path(random.Random(alphabet), s.n, alphabet), s
+
+
+def test_decider_witness_corpus_frozen():
+    digest = hashlib.sha256()
+    answers = {True: 0, False: 0}
+    for p, s in _decider_corpus():
+        w = decide_pdce(p, s)
+        t = dp_table(p, s)
+        answers[w is not None] += 1
+        digest.update(f"{p.labels} {s.n} {w.assignment if w else 'NO'}\n".encode("ascii"))
+        digest.update(t.near.tobytes() + t.far.tobytes())
+    assert answers[False] >= 200, answers
+    assert digest.hexdigest() == DECIDER_CORPUS_SHA256, (answers, digest.hexdigest())
+
+
+def test_decide_and_embed_do_not_import_numpy():
+    # numpy serves only the segment checker and the DPTable matrix view.
+    probe = (
+        "import sys, pdce\n"
+        "s = pdce.generate_random_convex(60, seed=1)\n"
+        "pdce.decide_pdce(pdce.DirPath('UDLR' * 14 + 'UDL'), s)\n"
+        "pdce.embed_three_directional(pdce.DirPath('UDR' * 19 + 'UD'), s)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    root = str(Path(pdce.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
