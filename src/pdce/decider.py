@@ -9,10 +9,12 @@ positions for the current vertex, the two arc ends. The table therefore
 holds two booleans per (row, anchor) pair and each row is computed from
 the previous one with O(n) work.
 
-Each label gets one key per hull position (y for U, -y for D, x for R, -x
-for L): a step a -> b respects it iff key[b] > key[a]. Keys are Python ints,
-so the test is exact at any coordinate. x and y values are pairwise
-distinct, so a reverse step is the negated comparison.
+The labels lie on two axes: a step a -> b respects U iff y[b] > y[a], R
+iff x[b] > x[a], and D and L reverse those tests. Keys are Python ints, so
+the test is exact at any coordinate. Each axis the path uses gets one key
+list (y or x per hull position) and one comparison-row state, read by both
+of its labels: x and y values are pairwise distinct, so every mask of D (L)
+below is the complement of that of U (R).
 
 A row is two Python ints used as n-bit sets, bit j for anchor j (see
 DPTable), and is computed bit-parallel over all anchors in a constant number
@@ -22,11 +24,12 @@ With d the label of row r:
     near_r = rot1(near) & DOWN_d | rot1(far) & ~C_r
     far_r  = near & C_r | far & (UP2_d >> (r-1))
 
-rot1 moves bit j+1 to bit j cyclically; bit k of UP_d is set iff the step
-k -> k+1 respects d, DOWN_d is its complement and UP2_d is UP_d doubled to
-2n bits; C_r holds the anchors j whose step j -> j+r respects d. C_r is one
-cyclic interval whose ends move monotonically in r (_comparison_rows), so it
-costs amortized O(1) pointer moves per row. An empty row stays empty, so the
+rot1 moves bit j+1 to bit j cyclically; C_r holds the anchors j whose step
+j -> j+r respects d; bit k of UP_d is set iff the step k -> k+1 respects d,
+so UP_d = C_1, DOWN_d is its complement and UP2_d is UP_d doubled to 2n
+bits. For U and R, C_r is one cyclic interval whose ends move monotonically
+in r (_comparison_rows), so it costs amortized O(1) pointer moves per row;
+D and L swap C_r and ~C_r of their axis. An empty row stays empty, so the
 loop stops at the first one and a NO costs only its longest embeddable
 prefix.
 """
@@ -34,7 +37,7 @@ prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter, lt, neg
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .errors import InternalCaseError
@@ -98,21 +101,13 @@ def _unpack(rows: list[int], n: int):
     return np.unpackbits(grid, axis=1, bitorder="little")[:, :n].astype(bool)
 
 
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
-def _bits(flags) -> int:
-    """The int whose bit k is the k-th of the 0/1 flags."""
-    return int(bytes(flags)[::-1].translate(_DIGITS), 2)
-
-
 def _comparison_rows(key: list[int]) -> Callable[[int], int]:
     """Return comp(r), the bitset C_r = {j : key[(j+r) % n] > key[j]}, for
     1 <= r < n called in non-decreasing order, with O(n) pointer moves over
-    all calls.
+    all calls. The decider builds one per axis; comp(1) is its UP mask.
 
     C_r is one cyclic interval that holds lo = argmin key and not hi =
-    argmax key. The key is x, y or its negation, and x and y are cyclically
+    argmax key. The key is x or y, and both are cyclically
     unimodal along a convex hull, with distinct values: the key rises
     strictly along lo, lo+1, .., hi and falls strictly along hi, .., lo
     (mod n). Let g(j) count the keys above key[j]; those points form one
@@ -151,35 +146,39 @@ def _comparison_rows(key: list[int]) -> Callable[[int], int]:
     return comp
 
 
-def _key(d: str, s: ConvexPointSet) -> list[int]:
-    vals = list(map(attrgetter("y" if d in "UD" else "x"), s.points))
-    return vals if d in "UR" else list(map(neg, vals))
+# label -> (axis coordinate, whether the label reverses its axis)
+_AXIS = {"U": ("y", False), "D": ("y", True), "R": ("x", False), "L": ("x", True)}
 
 
 def dp_table(p: DirPath, s: ConvexPointSet) -> DPTable:
     require_same_size(p, s)
     n = s.n
     full = (1 << n) - 1
-    # label -> (DOWN_d, UP2_d, comp for C_r)
-    masks = {}
+    axes = {}  # coordinate -> (comp, C_1): one key list and state per axis
+    masks = {}  # label -> (DOWN_d, UP2_d, comp of its axis, reversed)
     for d in set(p.labels):
-        key = _key(d, s)
-        up = _bits(map(lt, key, key[1:] + key[:1]))
-        masks[d] = (full ^ up, up | up << n, _comparison_rows(key))
+        coord, rev = _AXIS[d]
+        if coord not in axes:
+            comp = _comparison_rows(list(map(attrgetter(coord), s.points)))
+            axes[coord] = comp, comp(1)
+        comp, up = axes[coord]
+        up, down = (full ^ up, up) if rev else (up, full ^ up)
+        masks[d] = (down, up | up << n, comp, rev)
     near = [0] * n
     far = [0] * n
     near[0] = far[0] = nr = fr = full
     top = n - 1
     for r in range(1, n):
-        down, up2, comp = masks[p.labels[r - 1]]
+        down, up2, comp, rev = masks[p.labels[r - 1]]
         c = comp(r)
+        c, nc = (full ^ c, c) if rev else (c, full ^ c)
         # near: extend the previous arc {j+1, .., j+r} downward to anchor j,
         # the new vertex lands on j, coming from either end of the old arc.
         # far: extend the previous arc {j, .., j+r-1} upward, the new vertex
         # lands on (j+r) mod n.
         rot_nr = nr >> 1 | (nr & 1) << top
         rot_fr = fr >> 1 | (fr & 1) << top
-        nr, fr = rot_nr & down | rot_fr & (full ^ c), nr & c | fr & up2 >> (r - 1)
+        nr, fr = rot_nr & down | rot_fr & nc, nr & c | fr & up2 >> (r - 1)
         if not (nr or fr):
             break
         near[r] = nr

@@ -27,6 +27,7 @@ from typing import Optional
 from .errors import FourDirectional, InternalCaseError, PreconditionViolated
 from .geometry import ConvexPointSet, classify, split_by_bt_line
 from .paths import (
+    _REVERSE_FLIP,
     DirPath,
     Embedding,
     mirror_embedding,
@@ -42,8 +43,6 @@ from .validator import require_pdce, require_same_size
 UDR = frozenset("UDR")
 UR = frozenset("UR")
 
-_FLIP = str.maketrans("UDLR", "DURL")
-
 
 def _greedy(labels: str, pts, pool) -> list[int]:
     """The backward assignment of len(pool) - 1 labels on the points pts[i],
@@ -51,15 +50,17 @@ def _greedy(labels: str, pts, pool) -> list[int]:
 
     Coordinates are distinct, so the pool order does not matter, and the
     last vertex always lands on the pool's extreme point in the direction
-    of the last label: the left-sided and strip endpoint guarantee.
+    of the last label: the left-sided and strip endpoint guarantee. The
+    pool is sorted once per axis the labels use: D and L take it by
+    increasing y and x, U and R read the same list reversed.
     """
-    keys = {
-        "U": lambda i: -pts[i].y,
-        "D": lambda i: pts[i].y,
-        "L": lambda i: pts[i].x,
-        "R": lambda i: -pts[i].x,
-    }
-    order = {d: sorted(pool, key=keys[d]) for d in set(labels)}
+    order = {}
+    if "U" in labels or "D" in labels:
+        order["D"] = sorted(pool, key=lambda i: pts[i].y)
+        order["U"] = order["D"][::-1]
+    if "L" in labels or "R" in labels:
+        order["L"] = sorted(pool, key=lambda i: pts[i].x)
+        order["R"] = order["L"][::-1]
     cursor = dict.fromkeys(order, 0)
     used = set()
     out = [0] * len(pool)
@@ -80,7 +81,7 @@ def _right_sided(labels: str, pts, pool) -> list[int]:
     # The greedy on the reversed path, read backwards: it places v_1, v_2,
     # ... in turn on the extreme free point opposite the outgoing label, as
     # the left-sided construction does after a half turn of the plane.
-    return _greedy(labels[::-1].translate(_FLIP), pts, pool)[::-1]
+    return _greedy(labels[::-1].translate(_REVERSE_FLIP), pts, pool)[::-1]
 
 
 def _strip(labels: str, pts, pool) -> list[int]:
@@ -465,8 +466,8 @@ def _embed_three_directional(p: DirPath, s: ConvexPointSet) -> Embedding:
     return Embedding(tuple((i + s.right_index) % s.n for i in e.assignment))
 
 
-_QUARTER_INC_COLLAPSE = {"U": "U", "D": "D", "R": "U", "L": "D"}
-_QUARTER_DEC_COLLAPSE = {"U": "U", "D": "D", "R": "D", "L": "U"}
+_QUARTER_INC_COLLAPSE = str.maketrans("RL", "UD")
+_QUARTER_DEC_COLLAPSE = str.maketrans("RL", "DU")
 
 
 def embed_quarter_convex(p: DirPath, s: ConvexPointSet) -> Embedding:
@@ -483,7 +484,7 @@ def embed_quarter_convex(p: DirPath, s: ConvexPointSet) -> Embedding:
         table = _QUARTER_DEC_COLLAPSE
     else:
         raise PreconditionViolated("point set is not an x/y-monotone chain")
-    collapsed = DirPath("".join(table[ch] for ch in p.labels))
+    collapsed = DirPath(p.labels.translate(table))
     # The collapse is reversible on these chains, but the answer is checked
     # against the original labels rather than trusting that.
     return require_pdce(p, s, _embed_three_directional(collapsed, s), "label collapse")

@@ -312,16 +312,15 @@ def classify(s: ConvexPointSet) -> PointSetClass:
 class SplitDescriptor:
     """How the directed bottom-to-top line partitions a point set.
 
-    m counts points strictly left of the directed line; alpha counts points
-    with x strictly below x(bottom); beta counts points with x at most
-    x(top), including the top point itself.
+    m counts points strictly left of the directed line, positions 1..m in
+    canonical order; the bottom is position m+1 and the points strictly
+    right are m+2..n-1. alpha counts points with x strictly below x(bottom);
+    beta counts points with x at most x(top), including the top point itself.
     """
 
     m: int
     alpha: int
     beta: int
-    left_part: tuple[int, ...]
-    right_part: tuple[int, ...]
 
 
 def split_by_bt_line(s: ConvexPointSet) -> SplitDescriptor:
@@ -339,13 +338,10 @@ def split_by_bt_line(s: ConvexPointSet) -> SplitDescriptor:
     t = s.top
     if t.x < b.x:
         raise PreconditionViolated("top point must lie to the right of the bottom point")
-    k = s.bottom_index
     return SplitDescriptor(
-        m=k - 1,
+        m=s.bottom_index - 1,
         alpha=sum(1 for p in s.points if p.x < b.x),
         beta=sum(1 for p in s.points if p.x <= t.x),
-        left_part=tuple(range(1, k)),
-        right_part=tuple(range(k + 1, s.n)),
     )
 
 

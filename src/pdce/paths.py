@@ -33,9 +33,9 @@ from .geometry import ConvexPointSet, Point, _trusted_point
 
 LABELS = "UDLR"
 
-_REVERSE_FLIP = {"U": "D", "D": "U", "L": "R", "R": "L"}
-_ROTATE_LABEL = {"U": "L", "L": "D", "D": "R", "R": "U"}
-_MIRROR_LABEL = {"U": "U", "D": "D", "L": "R", "R": "L"}
+_REVERSE_FLIP = str.maketrans("UDLR", "DURL")
+_ROTATE_LABEL = str.maketrans("ULDR", "LDRU")
+_MIRROR_LABEL = str.maketrans("LR", "RL")
 
 
 @dataclass(frozen=True)
@@ -82,15 +82,15 @@ class Embedding:
 
 
 def reverse_path(p: DirPath) -> DirPath:
-    return DirPath("".join(_REVERSE_FLIP[c] for c in reversed(p.labels)))
+    return DirPath(p.labels[::-1].translate(_REVERSE_FLIP))
 
 
 def rotate_path(p: DirPath) -> DirPath:
-    return DirPath("".join(_ROTATE_LABEL[c] for c in p.labels))
+    return DirPath(p.labels.translate(_ROTATE_LABEL))
 
 
 def mirror_path(p: DirPath) -> DirPath:
-    return DirPath("".join(_MIRROR_LABEL[c] for c in p.labels))
+    return DirPath(p.labels.translate(_MIRROR_LABEL))
 
 
 def rotate_point(p: Point) -> Point:

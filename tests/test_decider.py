@@ -27,7 +27,7 @@ from pdce import (
     validate,
     validate_embedding,
 )
-from pdce.decider import _comparison_rows, _key
+from pdce.decider import _comparison_rows
 from conftest import instances, random_path
 
 UD_SET = validate([(0, 0), (2, 3), (4, 1)])
@@ -238,33 +238,58 @@ class _Counted(int):
         return int(self) > int(other)
 
 
+def _label_key(d, s):
+    # A step a -> b respects label d iff key[b] > key[a].
+    vals = [pt.y if d in "UD" else pt.x for pt in s.points]
+    return vals if d in "UR" else [-v for v in vals]
+
+
 def test_comparison_rows_are_cyclic_intervals():
     # Every r in order, and a sparse increasing choice of r as a path that
     # interleaves labels asks for: each C_r equals the brute-force mask, is
     # one cyclic run of 1s holding lo and not hi, and the pointers never
-    # reset (at most 8n key comparisons over all rows).
+    # reset (at most 8n key comparisons over all rows). The decider reads D
+    # and L off the states of U and R: C_r of the negated key is the
+    # complement of C_r, and the up mask {k : key[k+1] > key[k]} is C_1.
     rng = random.Random(0xC7)
     sets = [_at_coordinate_limit()]
     for mode in GENERATOR_MODES:
         for n in (1, 2, 3, 5, 8, 13, 30, 64, 120, 200):
             sets.append(generate_random_convex(n, seed=f"cr-{mode}-{n}", mode=mode))
     for s in sets:
-        n = s.n
+        n, full = s.n, (1 << s.n) - 1
         for d in "UDLR":
-            key = _key(d, s)
+            key = _label_key(d, s)
             lo, hi = key.index(min(key)), key.index(max(key))
             sparse = [r for r in range(1, n) if rng.random() < 0.3]
             for rows in (range(1, n), sparse):
                 _Counted.made = 0
                 comp = _comparison_rows([_Counted(v) for v in key])
+                comp_neg = _comparison_rows([-v for v in key])
                 for r in rows:
                     mask = comp(r)
+                    assert comp_neg(r) == full ^ mask, (d, r)
+                    if r == 1:
+                        up = sum(1 << k for k in range(n) if key[(k + 1) % n] > key[k])
+                        assert mask == up, d
                     bits = [mask >> j & 1 for j in range(n)]
                     assert mask >> n == 0
                     assert bits == [int(key[(j + r) % n] > key[j]) for j in range(n)], (d, r)
                     assert bits[lo] and not bits[hi]
                     assert sum(bits[j] > bits[j - 1] for j in range(n)) == 1
                 assert _Counted.made <= 8 * n
+
+
+def test_one_comparison_row_state_per_axis(monkeypatch):
+    # A UDLR path builds one state for y (U, D) and one for x (L, R).
+    made = []
+    real = pdce.decider._comparison_rows
+    monkeypatch.setattr(
+        pdce.decider, "_comparison_rows", lambda key: made.append(key) or real(key)
+    )
+    s = generate_random_convex(40, seed="axes")
+    dp_table(DirPath(("UDLR" * 10)[:39]), s)
+    assert len(made) <= 2
 
 
 def test_exact_at_coordinate_limit():

@@ -248,9 +248,9 @@ def _assert_caps_are_y_picks(plan, s):
     down = plan.case_tag in ("down-run", "up-down")
     for part in plan.parts:
         if part.name == "left-cap":
-            pool, highest = sp.left_part + ends, down
+            pool, highest = tuple(range(1, sp.m + 1)) + ends, down
         elif part.name == "right-cap":
-            pool, highest = sp.right_part + ends, not down
+            pool, highest = tuple(range(sp.m + 2, s.n)) + ends, not down
         else:
             continue
         by_y = sorted(pool, key=lambda i: s.points[i].y, reverse=highest)

@@ -200,14 +200,12 @@ def test_split_s6_frozen():
     assert sp.alpha == 1
     # beta counts x <= x(t), including t itself: points x = 1, -1, 0, 4, 5
     assert sp.beta == 5
-    assert sp.left_part == (1, 2)
-    assert sp.right_part == (4,)
 
 
 def test_split_two_points():
     s = validate([(0, 0), (5, 6)])
     sp = split_by_bt_line(s)
-    assert sp.m == 0 and sp.left_part == () and sp.right_part == ()
+    assert sp.m == 0
 
 
 def test_split_requires_t_right_of_b():
@@ -223,13 +221,14 @@ def test_split_partition_property(s):
             split_by_bt_line(s)
         return
     sp = split_by_bt_line(s)
-    assert len(sp.left_part) + len(sp.right_part) + 2 == s.n
-    assert sp.m == len(sp.left_part)
+    assert sp.m + 1 == s.bottom_index
     assert sp.alpha <= sp.beta
     b, t = s.bottom, s.top
-    for idx in sp.left_part:
+    # positions 1..m lie strictly left of the bottom -> top line, m+2..n-1
+    # strictly right
+    for idx in range(1, sp.m + 1):
         assert orientation(b, t, s.points[idx]) > 0
-    for idx in sp.right_part:
+    for idx in range(sp.m + 2, s.n):
         assert orientation(b, t, s.points[idx]) < 0
 
 
