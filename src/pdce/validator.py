@@ -9,16 +9,18 @@ check_planarity_segments, and then runs the unchecked direction and prefix
 cores, as oracle.certificate does on its enumerated candidates.
 
 Planarity is checked along two independent routes on purpose. The segment
-route tests every non-adjacent edge pair exactly, in blocks of int64 numpy
-side tests whose two cross-product terms (each at most 2^62 in magnitude at
-|coord| <= 2^30) are compared rather than subtracted; should a hand-built
-set have collinear points, it falls back to the pure-Python pair loop with
-closed-segment predicates. numpy is imported on first use, so the rest of
-the package runs without loading it. The prefix route checks that each
-prefix of the walk occupies a cyclically consecutive arc of hull positions,
-which characterizes the crossing-free walks on a convex point set. Both
-are kept side by side so each one guards the other; callers that need a
-single answer should demand agreement via validate_embedding().
+route is an exact Shamos-Hoey sweep over the walk's edges in x order, with
+Python-int orientation tests and no knowledge of hull order: O(n log n)
+predicates, each pair of non-adjacent edges that becomes adjacent on the
+sweep line tested once. Should a hand-built set have two equal x values,
+or should the sweep meet a zero orientation (three collinear points, which
+a validated set never has), the verdict comes from the scalar pair loop
+with closed-segment predicates, which is also the route's test oracle. The
+prefix route checks that each prefix of the walk occupies a cyclically
+consecutive arc of hull positions, which characterizes the crossing-free
+walks on a convex point set. Both are kept side by side so each one guards
+the other; callers that need a single answer should demand agreement via
+validate_embedding(). Neither needs numpy.
 """
 
 from __future__ import annotations
@@ -110,73 +112,98 @@ def check_planarity_prefix(s: ConvexPointSet, e: Embedding) -> bool:
     return _first_prefix_failure(s, e) is None
 
 
-# Cap on the cells of each of a block's two side matrices: about 2^15 cells
-# of temporaries per block whatever n is, so there is never an n x n array.
-_BLOCK_CELLS = 1 << 14
-
-
 def check_planarity_segments(s: ConvexPointSet, e: Embedding) -> bool:
-    """Exact pairwise test of all non-adjacent edges of the drawn walk.
+    """Exact test that no two non-adjacent edges of the drawn walk meet.
 
-    Edge i runs from vertex i to vertex i+1 of the walk: it starts at
-    (ax_i, ay_i) and steps by (dx_i, dy_i). Vertex k is left of edge i iff
-    dx_i*(y_k - ay_i) > dy_i*(x_k - ax_i). At |coord| <= 2^30 each side is
-    at most 2^62 in magnitude, so both are exact in int64, and they are
-    compared, never subtracted. Edge i separates edge j when the endpoints
-    of j lie strictly on opposite sides of i; non-adjacent edges cross iff
-    each separates the other.
+    A Shamos-Hoey sweep (Shamos and Hoey, FOCS 1976). The events are the
+    walk's vertices in x order; the status lists, bottom to top, the edges
+    that span the sweep line, as indices into the walk. Edge i is stored by
+    its left endpoint and its step to the right one, (lx, ly, dx, dy) with
+    dx > 0, and vertex (x, y) lies above it iff dx*(y - ly) - dy*(x - lx) > 0,
+    exact in Python ints. An event finds its slot by binary search, where
+    the edges that end at the vertex sit; the edges that start there take
+    their place, the lower one first by the cross product of their steps.
+    Only the pairs the event makes adjacent are tested: two non-adjacent
+    edges cross iff the ends of each lie strictly on opposite sides of the
+    other; edges i and i+1 share a vertex and are never tested. The two
+    edges of the leftmost crossing are adjacent in the status after the
+    last event before it, so the sweep finds it.
 
-    Edges are taken in row blocks of increasing i, each tested against the
-    edges j >= i+2 only, through two side matrices of about _BLOCK_CELLS
-    cells: the block's edges against all later vertices, and all later
-    edges against the block's vertices. The scan stops at the first block
-    with a crossing. Off the endpoints the two sides are equal only for
-    three collinear points (or a repeated one), which a validated set never
-    has; if a hand-built set shows one, the scalar pair loop gives the
-    verdict, so closed segments that merely touch still intersect.
+    Unless it has found a crossing first, the sweep meets a vertex that lies
+    on an edge it does not end as a zero side, at or before that vertex's
+    event. Equal x values, or any zero side met, leave the verdict to the
+    scalar pair loop, so closed segments that merely touch still meet; a
+    validated set has neither.
     """
-    import numpy as np
-
     require_well_formed(s, e)
     n = s.n
-    m = n - 1  # edges
+    if n < 4:
+        return True  # no two edges are non-adjacent
     pts = [s.points[i] for i in e.assignment]
-    x = np.fromiter((pt.x for pt in pts), dtype=np.int64, count=n)
-    y = np.fromiter((pt.y for pt in pts), dtype=np.int64, count=n)
-    edges = np.stack([x[:-1], y[:-1], np.diff(x), np.diff(y)])
-    i0 = 0
-    while i0 < m - 2:
-        i1 = min(m - 2, i0 + max(1, _BLOCK_CELLS // (n - i0)))
-        # Block edges i0..i1-1 (rows) against vertices i0+2.. (columns), and
-        # the block's vertices i0..i1 (rows) against edges i0+2.. (columns).
-        left1, equal1 = _sides(edges[:, i0:i1, None], x[None, i0 + 2 :], y[None, i0 + 2 :])
-        left2, equal2 = _sides(edges[:, None, i0 + 2 :], x[i0 : i1 + 1, None], y[i0 : i1 + 1, None])
-        # The terms are equal, both 0 or both dx*dy, where the vertex is an
-        # edge's own start or end: b-2 and b-1 such cells in each matrix.
-        b = i1 - i0
-        if equal1 + equal2 != 2 * (max(b - 2, 0) + max(b - 1, 0)):
-            return _segments_scalar(s, e)
-        # Entry (r, c) pairs edge i0+r with edge i0+2+c, which is
-        # non-adjacent, so tested, iff c >= r. Edge j separates edge i where
-        # the vertices i and i+1 (rows r and r+1 of left2) differ.
-        separated = (left1[:, :-1] != left1[:, 1:]) & (left2[:-1] != left2[1:])
-        if np.triu(separated).any():
-            return False
-        i0 = i1
+    xs = [pt.x for pt in pts]
+    ys = [pt.y for pt in pts]
+    if len(set(xs)) < n:
+        return _segments_scalar(s, e)
+    m = n - 1  # edges
+    edges = [
+        (ax, ay, bx - ax, by - ay) if ax < bx else (bx, by, ax - bx, ay - by)
+        for ax, ay, bx, by in zip(xs, ys, xs[1:], ys[1:])
+    ]
+    status: list[int] = []
+    for k in sorted(range(n), key=xs.__getitem__):
+        x, y = xs[k], ys[k]
+        lo, hi = 0, len(status)
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            j = status[mid]
+            lx, ly, dx, dy = edges[j]
+            side = dx * (y - ly) - dy * (x - lx)
+            if side > 0:
+                lo = mid + 1
+            elif side or j == k or j == k - 1:  # the vertex is below j, or j ends there
+                hi = mid
+            else:
+                return _segments_scalar(s, e)
+        # Edge k-1 runs to the previous vertex, edge k to the next one.
+        prev_ends = k > 0 and xs[k - 1] < x
+        next_ends = k < m and xs[k + 1] < x
+        if k == 0 or prev_ends:
+            starts = () if k == m or next_ends else (k,)
+        elif k == m or next_ends:
+            starts = (k - 1,)
+        else:
+            # Both edges start here: the one with the smaller slope is lower.
+            _, _, dx, dy = edges[k - 1]
+            _, _, ex, ey = edges[k]
+            turn = dx * ey - dy * ex
+            if not turn:
+                return _segments_scalar(s, e)
+            starts = (k - 1, k) if turn > 0 else (k, k - 1)
+        # With no crossing and no zero side met so far, the edges that end
+        # here are the ones at the slot: the new edges replace them.
+        status[lo : lo + prev_ends + next_ends] = starts
+        # The pairs this event made adjacent: below the new edges and above
+        # them, or across the gap the deleted edges left.
+        for p in (lo - 1, lo + len(starts) - 1) if starts else (lo - 1,):
+            if p < 0 or p + 1 >= len(status):
+                continue
+            i, j = status[p], status[p + 1]
+            if -1 <= i - j <= 1:
+                continue
+            ax, ay, adx, ady = edges[i]
+            bx, by, bdx, bdy = edges[j]
+            u, w = bx - ax, by - ay
+            # Sides of j's ends about i (a1, a2) and of i's ends about j (b1, b2).
+            a1 = adx * w - ady * u
+            b1 = bdy * u - bdx * w
+            turn = adx * bdy - ady * bdx
+            a2 = a1 + turn
+            b2 = b1 - turn
+            if not (a1 and a2 and b1 and b2):
+                return _segments_scalar(s, e)
+            if (a1 > 0) != (a2 > 0) and (b1 > 0) != (b2 > 0):
+                return False
     return True
-
-
-def _sides(edges, x, y):
-    """Whether vertex (x, y) is left of edge (ax, ay, dx, dy), broadcast, and
-    the number of cells where the terms dx*(y - ay) and dy*(x - ax) are equal."""
-    import numpy as np
-
-    ax, ay, dx, dy = edges
-    lhs = y - ay
-    lhs *= dx
-    rhs = x - ax
-    rhs *= dy
-    return lhs > rhs, np.count_nonzero(lhs == rhs)
 
 
 def _segments_scalar(s: ConvexPointSet, e: Embedding) -> bool:

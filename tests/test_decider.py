@@ -375,12 +375,16 @@ def test_decider_witness_corpus_frozen():
 
 
 def test_decide_and_embed_do_not_import_numpy():
-    # numpy serves only the segment checker and the DPTable matrix view.
+    # numpy serves only the DPTable matrix view.
     probe = (
         "import sys, pdce\n"
+        "from pdce.render import render_svg\n"
         "s = pdce.generate_random_convex(60, seed=1)\n"
         "pdce.decide_pdce(pdce.DirPath('UDLR' * 14 + 'UDL'), s)\n"
-        "pdce.embed_three_directional(pdce.DirPath('UDR' * 19 + 'UD'), s)\n"
+        "p = pdce.DirPath('UDR' * 19 + 'UD')\n"
+        "e = pdce.embed_three_directional(p, s)\n"
+        "assert pdce.validate_embedding(p, s, e).is_pdce\n"
+        "render_svg(p, s, e)\n"
         "print('numpy' in sys.modules)\n"
     )
     env = dict(os.environ)

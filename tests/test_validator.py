@@ -250,12 +250,79 @@ def test_segments_match_scalar_on_seeded_corpus(count_fallbacks):
     print(f"{verdicts[True]} planar, {verdicts[False]} crossing")
 
 
-@pytest.mark.parametrize("cells", [1, 300])
-def test_segments_match_scalar_with_tiny_blocks(monkeypatch, count_fallbacks, cells):
-    # One edge per block, then blocks of a few edges that grow toward the
-    # end of the walk: pairs straddle every block boundary.
-    monkeypatch.setattr(validator, "_BLOCK_CELLS", cells)
-    _assert_matches_scalar(_seeded_corpus())
+def _zigzag_walk(n, start=0):
+    # The arc grows at its two ends in turn, so the walk goes back and forth
+    # across the set and about n/2 of its edges span the sweep line at once.
+    walk = [start]
+    for i in range(1, n):
+        walk.append((start + (i + 1) // 2 * (1 if i % 2 else -1)) % n)
+    return walk
+
+
+def test_sweep_zigzag_walks_match_scalar(count_fallbacks):
+    rng = random.Random(0x2162)
+    cases = []
+    for k, n in enumerate((4, 5, 9, 30, 101)):
+        s = generate_random_convex(n, seed=k, mode=ALL_MODES[k % len(ALL_MODES)])
+        for start in (0, n // 3):
+            walk = _zigzag_walk(n, start)
+            cases.append((s, Embedding(tuple(walk))))
+            for _ in range(3):
+                i, j = rng.sample(range(n), 2)
+                bent = walk[:]
+                bent[i], bent[j] = bent[j], bent[i]
+                cases.append((s, Embedding(tuple(bent))))
+    _assert_matches_scalar(cases)
+    assert not count_fallbacks
+
+
+# Hand-built points in general position, not in convex position. Edge
+# t = (12,9)-(1,0) crosses edge s = (10,0)-(0,10) at x = 119/20, and up to
+# x = 4 the edges (-1,4)-(4,5) and (4,5)-(3,5) run between them.
+_SWEEP_POINTS = (
+    Point(12, 9), Point(1, 0), Point(10, 0), Point(0, 10), Point(-1, 4), Point(4, 5), Point(3, 5)
+)
+
+
+@pytest.mark.parametrize(
+    "n, walk, planar",
+    [
+        # (-1,4) starts two edges and (4,5) ends two.
+        (7, (0, 2, 1, 4, 3, 5, 6), True),
+        # t and s become adjacent, and are found to cross, only when the
+        # walk's last vertex (4,5) deletes the one edge between them.
+        (6, (0, 1, 2, 3, 4, 5), False),
+        # The same, with (4,5) deleting both edges between them.
+        (7, (0, 1, 2, 3, 4, 5, 6), False),
+        # (1,0) starts t and (1,0)-(10,0); the crossing is met on that insertion.
+        (7, (0, 1, 2, 4, 3, 5, 6), False),
+        # The crossing is met where (4,5) ends one edge and starts the next.
+        (7, (0, 1, 2, 5, 3, 4, 6), False),
+    ],
+)
+def test_sweep_events_match_scalar(count_fallbacks, n, walk, planar):
+    s = ConvexPointSet(_SWEEP_POINTS[:n])
+    e = Embedding(walk)
+    assert check_planarity_segments(s, e) == planar == _segments_scalar(s, e)
+    assert not count_fallbacks
+
+
+def test_sweep_every_walk_on_the_hand_built_set(count_fallbacks):
+    s = ConvexPointSet(_SWEEP_POINTS)
+    assert all(orientation(*tri) for tri in itertools.combinations(s.points, 3))
+    assert len({pt.x for pt in s.points}) == s.n
+    cases = [(s, Embedding(perm)) for perm in itertools.permutations(range(s.n))]
+    _assert_matches_scalar(cases, convex=False)
+    assert not count_fallbacks
+
+
+def test_segments_match_scalar_exhaustive_n_le_7(count_fallbacks):
+    for seed in range(3):
+        for n in range(2, 8):
+            s = generate_random_convex(n, seed=seed, mode="general")
+            for perm in itertools.permutations(range(n)):
+                e = Embedding(perm)
+                assert check_planarity_segments(s, e) == _segments_scalar(s, e), (s, e)
     assert not count_fallbacks
 
 
@@ -273,17 +340,43 @@ def test_segments_exact_at_coordinate_limit(count_fallbacks):
 
 
 def test_segments_fall_back_on_collinear_points(count_fallbacks):
-    # Hand-built sets, not validated: the verdict comes from the pair loop.
+    # Hand-built sets, not validated. c and d share an x value, so the pair
+    # loop gives the verdict; the x values of apart are distinct and the
+    # sweep meets no zero side on this walk, so it gives the verdict itself.
     a, b, c, d = Point(0, 0), Point(4, 0), Point(2, 0), Point(2, 5)
     touching = ConvexPointSet((a, b, c, d))  # c lies on segment a-b
     assert not check_planarity_segments(touching, Embedding((0, 1, 3, 2)))
+    assert count_fallbacks == [4]
     apart = ConvexPointSet((a, Point(1, 0), Point(3, 0), d))  # collinear, disjoint
     assert check_planarity_segments(apart, Embedding((0, 1, 3, 2)))
-    assert len(count_fallbacks) == 2
+    assert count_fallbacks == [4]
     for t in (touching, apart):
         for perm in itertools.permutations(range(4)):
             e = Embedding(perm)
             assert check_planarity_segments(t, e) == _segments_scalar(t, e)
+
+
+def test_segments_match_scalar_on_grid_sets(count_fallbacks):
+    # Hand-built sets of 3-6 points on a 5x5 grid, with collinear triples and
+    # touching edges; every second set has distinct x values, so the sweep
+    # runs on it until it meets a zero side. Every walk agrees with the pair
+    # loop, and the sweep gives some of the verdicts itself.
+    rng = random.Random(0x5A5)
+    grid = [Point(x, y) for x in range(5) for y in range(5)]
+    verdicts = {True: 0, False: 0}
+    for k in range(60):
+        if k % 2:
+            pts = rng.sample(grid, rng.randint(3, 6))
+        else:
+            pts = [Point(x, rng.randrange(5)) for x in rng.sample(range(5), rng.randint(3, 5))]
+        s = ConvexPointSet(tuple(pts))
+        for perm in itertools.permutations(range(s.n)):
+            e = Embedding(perm)
+            want = _segments_scalar(s, e)
+            assert check_planarity_segments(s, e) == want, (s, e)
+            verdicts[want] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+    assert 0 < len(count_fallbacks) < verdicts[True] + verdicts[False]
 
 
 def test_segments_need_no_convex_position(count_fallbacks):
@@ -301,10 +394,12 @@ def test_segments_need_no_convex_position(count_fallbacks):
 def test_segments_within_budget_at_n2000():
     s = generate_random_convex(2000, seed="segments-2000")
     p = random_path(random.Random(2000), s.n, "UDR")
-    e = embed_three_directional(p, s)
+    embedded = embed_three_directional(p, s)
+    zigzag = Embedding(tuple(_zigzag_walk(s.n)))  # about n/2 edges on the sweep line
     check_planarity_segments(S5, URDU_E)  # warm-up
-    t0 = time.perf_counter()
-    ok = check_planarity_segments(s, e)
-    dt = time.perf_counter() - t0
-    assert ok
-    assert dt < 1.0, f"segment check at n=2000 took {dt:.2f}s (budget 1s)"
+    for name, e in (("embedder output", embedded), ("zig-zag walk", zigzag)):
+        t0 = time.perf_counter()
+        ok = check_planarity_segments(s, e)
+        dt = time.perf_counter() - t0
+        assert ok, name
+        assert dt < 1.0, f"segment check of the {name} at n=2000 took {dt:.2f}s (budget 1s)"
