@@ -11,10 +11,11 @@ the previous one with O(n) work.
 
 The labels lie on two axes: a step a -> b respects U iff y[b] > y[a], R
 iff x[b] > x[a], and D and L reverse those tests. Keys are Python ints, so
-the test is exact at any coordinate. Each axis the path uses gets one key
-list (y or x per hull position) and one comparison-row state, read by both
-of its labels: x and y values are pairwise distinct, so every mask of D (L)
-below is the complement of that of U (R).
+the test is exact at any coordinate. Each axis the path uses takes the
+set's coordinate column (ys or xs, one key per hull position) and one
+comparison-row state, read by both of its labels: x and y values are
+pairwise distinct, so every mask of D (L) below is the complement of that
+of U (R).
 
 A row is two Python ints used as n-bit sets, bit j for anchor j (see
 DPTable), and is computed bit-parallel over all anchors in a constant number
@@ -37,13 +38,12 @@ prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .errors import InternalCaseError
 from .geometry import ConvexPointSet
 from .paths import DirPath, Embedding
-from .validator import edge_ok, require_pdce, require_same_size
+from .validator import require_pdce, require_same_size
 
 
 @dataclass
@@ -101,7 +101,7 @@ def _unpack(rows: list[int], n: int):
     return np.unpackbits(grid, axis=1, bitorder="little")[:, :n].astype(bool)
 
 
-def _comparison_rows(key: list[int]) -> Callable[[int], int]:
+def _comparison_rows(key: Sequence[int]) -> Callable[[int], int]:
     """Return comp(r), the bitset C_r = {j : key[(j+r) % n] > key[j]}, for
     1 <= r < n called in non-decreasing order, with O(n) pointer moves over
     all calls. The decider builds one per axis; comp(1) is its UP mask.
@@ -146,20 +146,20 @@ def _comparison_rows(key: list[int]) -> Callable[[int], int]:
     return comp
 
 
-# label -> (axis coordinate, whether the label reverses its axis)
-_AXIS = {"U": ("y", False), "D": ("y", True), "R": ("x", False), "L": ("x", True)}
+# label -> (coordinate column, whether the label reverses its axis)
+_AXIS = {"U": ("ys", False), "D": ("ys", True), "R": ("xs", False), "L": ("xs", True)}
 
 
 def dp_table(p: DirPath, s: ConvexPointSet) -> DPTable:
     require_same_size(p, s)
     n = s.n
     full = (1 << n) - 1
-    axes = {}  # coordinate -> (comp, C_1): one key list and state per axis
+    axes = {}  # column -> (comp, C_1): one state per axis
     masks = {}  # label -> (DOWN_d, UP2_d, comp of its axis, reversed)
     for d in set(p.labels):
         coord, rev = _AXIS[d]
         if coord not in axes:
-            comp = _comparison_rows(list(map(attrgetter(coord), s.points)))
+            comp = _comparison_rows(getattr(s, coord))
             axes[coord] = comp, comp(1)
         comp, up = axes[coord]
         up, down = (full ^ up, up) if rev else (up, full ^ up)
@@ -208,20 +208,22 @@ def decide_pdce(p: DirPath, s: ConvexPointSet) -> Optional[Embedding]:
         return None
 
     assignment = [0] * n
-    pts = s.points
+    # label -> (column, sign): the step a -> b respects the label iff
+    # sign * (col[b] - col[a]) > 0.
+    steps = {d: (getattr(s, coord), -1 if rev else 1) for d, (coord, rev) in _AXIS.items()}
     for r in range(n - 1, 0, -1):
         pos = (j + r) % n if at_far else j
         assignment[r] = pos
-        d = p.labels[r - 1]
+        col, sign = steps[p.labels[r - 1]]
         if at_far:
             prev_anchor = j
             from_far_pos = (j + r - 1) % n
         else:
             prev_anchor = (j + 1) % n
             from_far_pos = (j + r) % n
-        if near[r - 1] >> prev_anchor & 1 and edge_ok(d, pts[prev_anchor], pts[pos]):
+        if near[r - 1] >> prev_anchor & 1 and sign * (col[pos] - col[prev_anchor]) > 0:
             j, at_far = prev_anchor, False
-        elif far[r - 1] >> prev_anchor & 1 and edge_ok(d, pts[from_far_pos], pts[pos]):
+        elif far[r - 1] >> prev_anchor & 1 and sign * (col[pos] - col[from_far_pos]) > 0:
             j, at_far = prev_anchor, True
         else:
             raise InternalCaseError("witness reconstruction lost the trail")

@@ -10,10 +10,14 @@ The planner only chooses index ranges and point subsets: its caps are hull
 arcs ending on the bottom or the top point, the middle parts what the caps
 leave. All actual coordinates are handled by one greedy run on index pools
 of the canonical set, forwards or, for right-sided parts, backwards.
-Transformed sets are built by index arithmetic, never re-validated.
+Transformed sets are column frames (paths._Frame): the coordinate columns
+and extreme indices, built by index arithmetic, never re-validated and
+with no Point in them. Planner, executor and greedy read only n, xs, ys and
+the extreme indices, so they run on a frame or a ConvexPointSet alike.
 
 Each public entry checks its preconditions, runs an unchecked private core
-and checks the answer once (direction and prefix planarity). Inside the
+and checks the answer once (indices, direction and prefix planarity, in one
+pass over the columns: validator.require_pdce). Inside the
 cores only cheap guards run: the strip parts' first-vertex guarantee and
 the executor's agreement of parts on shared vertices. A planner bug
 therefore surfaces as InternalCaseError instead of a wrong drawing.
@@ -30,13 +34,13 @@ from .paths import (
     _REVERSE_FLIP,
     DirPath,
     Embedding,
+    _mirrored,
+    _rotated,
     mirror_embedding,
     mirror_path,
-    mirror_set,
     reverse_embedding,
     reverse_path,
     rotate_path,
-    rotate_set,
 )
 from .validator import require_pdce, require_same_size
 
@@ -44,9 +48,9 @@ UDR = frozenset("UDR")
 UR = frozenset("UR")
 
 
-def _greedy(labels: str, pts, pool) -> list[int]:
-    """The backward assignment of len(pool) - 1 labels on the points pts[i],
-    i in pool. Returns the indices into pts hosting v_1, v_2, ...
+def _greedy(labels: str, s, pool) -> list[int]:
+    """The backward assignment of len(pool) - 1 labels on the points of s
+    at the indices in pool. Returns the indices hosting v_1, v_2, ...
 
     Coordinates are distinct, so the pool order does not matter, and the
     last vertex always lands on the pool's extreme point in the direction
@@ -56,45 +60,47 @@ def _greedy(labels: str, pts, pool) -> list[int]:
     """
     order = {}
     if "U" in labels or "D" in labels:
-        order["D"] = sorted(pool, key=lambda i: pts[i].y)
+        order["D"] = sorted(pool, key=s.ys.__getitem__)
         order["U"] = order["D"][::-1]
     if "L" in labels or "R" in labels:
-        order["L"] = sorted(pool, key=lambda i: pts[i].x)
+        order["L"] = sorted(pool, key=s.xs.__getitem__)
         order["R"] = order["L"][::-1]
     cursor = dict.fromkeys(order, 0)
     used = set()
-    out = [0] * len(pool)
-    for k in range(len(labels), 0, -1):
-        d = labels[k - 1]
+    out = []
+    for d in reversed(labels):
         lst = order[d]
         c = cursor[d]
-        while lst[c] in used:
+        i = lst[c]
+        while i in used:
             c += 1
-        cursor[d] = c
-        out[k] = lst[c]
-        used.add(lst[c])
-    out[0] = next(i for i in pool if i not in used)
+            i = lst[c]
+        cursor[d] = c + 1
+        out.append(i)
+        used.add(i)
+    out.append((set(pool) - used).pop())  # the one point left over hosts v_1
+    out.reverse()
     return out
 
 
-def _right_sided(labels: str, pts, pool) -> list[int]:
+def _right_sided(labels: str, s, pool) -> list[int]:
     # The greedy on the reversed path, read backwards: it places v_1, v_2,
     # ... in turn on the extreme free point opposite the outgoing label, as
     # the left-sided construction does after a half turn of the plane.
-    return _greedy(labels[::-1].translate(_REVERSE_FLIP), pts, pool)[::-1]
+    return _greedy(labels[::-1].translate(_REVERSE_FLIP), s, pool)[::-1]
 
 
-def _strip(labels: str, pts, pool) -> list[int]:
-    out = _greedy(labels, pts, pool)
+def _strip(labels: str, s, pool) -> list[int]:
+    out = _greedy(labels, s, pool)
     if len(pool) >= 2:
-        ends = (min(pool, key=lambda i: pts[i].y), min(pool, key=lambda i: pts[i].x))
+        ends = (min(pool, key=s.ys.__getitem__), min(pool, key=s.xs.__getitem__))
         if out[0] not in ends:
             raise InternalCaseError("strip endpoint guarantee broken (first vertex)")
     return out
 
 
 def _on_whole_set(run, p: DirPath, s: ConvexPointSet) -> Embedding:
-    return Embedding(tuple(run(p.labels, s.points, range(s.n))))
+    return Embedding(tuple(run(p.labels, s, range(s.n))))
 
 
 def backward_embedding(p: DirPath, s: ConvexPointSet) -> Embedding:
@@ -201,13 +207,18 @@ class CasePlan:
 
 def _arc(s, start: int, count: int) -> tuple[int, ...]:
     # Hull positions start, start + 1, ... (mod n), count of them, sorted.
-    if not 0 <= count <= s.n:
-        raise InternalCaseError(f"asked for an arc of {count} points from a set of {s.n}")
-    return tuple(sorted((start + t) % s.n for t in range(count)))
+    n = s.n
+    if not 0 <= count <= n:
+        raise InternalCaseError(f"asked for an arc of {count} points from a set of {n}")
+    start %= n
+    wrap = start + count - n
+    if wrap <= 0:
+        return tuple(range(start, start + count))
+    return tuple(range(wrap)) + tuple(range(start, n))
 
 
 def _leftmost(s, pool, k, reverse=False):
-    ordered = sorted(pool, key=lambda i: s.points[i].x, reverse=reverse)
+    ordered = sorted(pool, key=s.xs.__getitem__, reverse=reverse)
     if k > len(ordered):
         raise InternalCaseError(f"asked for {k} points from a pool of {len(ordered)}")
     return tuple(sorted(ordered[:k]))
@@ -404,7 +415,7 @@ def _execute_plan(p: DirPath, s: ConvexPointSet, plan: CasePlan) -> Embedding:
         run = _RUNNERS.get(part.method)
         if run is None:
             raise InternalCaseError(f"unknown part method {part.method!r}")
-        placed = run(p.labels[first - 1 : last - 1], s.points, part.points)
+        placed = run(p.labels[first - 1 : last - 1], s, part.points)
         for slot, k in enumerate(placed, first - 1):
             if slots[slot] is None:
                 slots[slot] = k
@@ -412,7 +423,7 @@ def _execute_plan(p: DirPath, s: ConvexPointSet, plan: CasePlan) -> Embedding:
                 raise InternalCaseError(
                     f"parts disagree on vertex {slot + 1}: {slots[slot]} vs {k}"
                 )
-    if any(v is None for v in slots):
+    if None in slots:
         raise InternalCaseError(f"plan {plan.case_tag} left vertices unassigned")
     return Embedding(tuple(slots))
 
@@ -428,14 +439,14 @@ def embed_udr_convex(p: DirPath, s: ConvexPointSet) -> Embedding:
     return execute_plan(p, s, plan_udr_case(p, s))
 
 
-def _embed_udr_any(p: DirPath, s: ConvexPointSet) -> Embedding:
+def _embed_udr_any(p: DirPath, s) -> Embedding:
     if s.n == 1:
         return Embedding((0,))
-    if s.top.x > s.bottom.x:
+    if s.xs[s.top_index] > s.xs[s.bottom_index]:
         return _execute_plan(p, s, plan_udr_case(p, s))
     # Mirroring puts the top right of the bottom; reversing first keeps the
     # label set inside U/D/R. Mirroring sm gives s back, by index (-i) mod n.
-    sm = mirror_set(s)
+    sm = _mirrored(s)
     pm = mirror_path(reverse_path(p))
     em = _execute_plan(pm, sm, plan_udr_case(pm, sm))
     return reverse_embedding(mirror_embedding(em, sm))
@@ -460,10 +471,11 @@ def _embed_three_directional(p: DirPath, s: ConvexPointSet) -> Embedding:
     # A quarter turn takes U/L/R to L/D/U and D/L/R to R/D/U; index k of the
     # turned set is index (k + right_index) mod n of s.
     if used <= frozenset("ULR"):
-        e = reverse_embedding(_embed_udr_any(reverse_path(rotate_path(p)), rotate_set(s)))
+        e = reverse_embedding(_embed_udr_any(reverse_path(rotate_path(p)), _rotated(s)))
     else:
-        e = _embed_udr_any(rotate_path(p), rotate_set(s))
-    return Embedding(tuple((i + s.right_index) % s.n for i in e.assignment))
+        e = _embed_udr_any(rotate_path(p), _rotated(s))
+    r, n = s.right_index, s.n
+    return Embedding(tuple((i + r) % n for i in e.assignment))
 
 
 _QUARTER_INC_COLLAPSE = str.maketrans("RL", "UD")

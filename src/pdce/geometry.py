@@ -6,7 +6,11 @@ set is accepted only when it is in strictly convex, general position:
 pairwise distinct x, pairwise distinct y, and no three collinear points.
 Accepted sets are stored in a canonical order (counterclockwise around the
 hull, starting at the topmost point), which makes equality, hashing and all
-downstream index arithmetic independent of the input order.
+downstream index arithmetic independent of the input order. Each set caches
+its coordinate columns xs and ys, which the extreme indices, the orders, the
+split and the engines read instead of Point attributes. Transformed sets
+are column frames (paths._Frame) with the same columns and extreme indices,
+so split_by_bt_line takes either.
 """
 
 from __future__ import annotations
@@ -121,6 +125,9 @@ class ConvexPointSet:
     The constructor trusts its argument: outside input goes through
     validate(), while the symmetry operators build instances directly from
     an already valid set by index arithmetic.
+
+    xs and ys are the coordinate columns, cached tuples sharing the points'
+    int objects; the extreme indices and the x and y orders read them.
     """
 
     points: tuple[Point, ...]
@@ -130,20 +137,28 @@ class ConvexPointSet:
         return len(self.points)
 
     @cached_property
+    def xs(self) -> tuple[int, ...]:
+        return tuple(map(operator.attrgetter("x"), self.points))
+
+    @cached_property
+    def ys(self) -> tuple[int, ...]:
+        return tuple(map(operator.attrgetter("y"), self.points))
+
+    @cached_property
     def top_index(self) -> int:
-        return max(range(self.n), key=lambda i: self.points[i].y)
+        return self.ys.index(max(self.ys))
 
     @cached_property
     def bottom_index(self) -> int:
-        return min(range(self.n), key=lambda i: self.points[i].y)
+        return self.ys.index(min(self.ys))
 
     @cached_property
     def left_index(self) -> int:
-        return min(range(self.n), key=lambda i: self.points[i].x)
+        return self.xs.index(min(self.xs))
 
     @cached_property
     def right_index(self) -> int:
-        return max(range(self.n), key=lambda i: self.points[i].x)
+        return self.xs.index(max(self.xs))
 
     @property
     def top(self) -> Point:
@@ -163,11 +178,11 @@ class ConvexPointSet:
 
     @cached_property
     def x_order(self) -> tuple[int, ...]:
-        return tuple(sorted(range(self.n), key=lambda i: self.points[i].x))
+        return tuple(sorted(range(self.n), key=self.xs.__getitem__))
 
     @cached_property
     def y_order(self) -> tuple[int, ...]:
-        return tuple(sorted(range(self.n), key=lambda i: self.points[i].y))
+        return tuple(sorted(range(self.n), key=self.ys.__getitem__))
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(p) for p in self.points)
@@ -296,7 +311,7 @@ def classify(s: ConvexPointSet) -> PointSetClass:
         # Strip-convex: the top lies right of the bottom, and each is the
         # leftmost resp. rightmost point or hull-adjacent to it.
         if (
-            s.top.x > s.bottom.x
+            s.xs[s.top_index] > s.xs[s.bottom_index]
             and _hull_adjacent_or_equal(s, s.bottom_index, s.left_index)
             and _hull_adjacent_or_equal(s, s.top_index, s.right_index)
         ):
@@ -331,17 +346,20 @@ def split_by_bt_line(s: ConvexPointSet) -> SplitDescriptor:
     no three points are collinear. So indices 1 .. bottom_index - 1 lie
     strictly left of the line, the rest past the bottom strictly right.
     Requires two points or more and the top strictly right of the bottom.
+    s is a ConvexPointSet or a column frame of one (paths._Frame): only n,
+    xs, top_index and bottom_index are read.
     """
     if s.n < 2:
         raise PreconditionViolated("split needs at least two points")
-    b = s.bottom
-    t = s.top
-    if t.x < b.x:
+    xs = s.xs
+    bx = xs[s.bottom_index]
+    tx = xs[s.top_index]
+    if tx < bx:
         raise PreconditionViolated("top point must lie to the right of the bottom point")
     return SplitDescriptor(
         m=s.bottom_index - 1,
-        alpha=sum(1 for p in s.points if p.x < b.x),
-        beta=sum(1 for p in s.points if p.x <= t.x),
+        alpha=len([x for x in xs if x < bx]),
+        beta=len([x for x in xs if x <= tx]),
     )
 
 

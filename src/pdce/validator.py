@@ -6,7 +6,10 @@ none twice) live here, the U/D/R split rules in geometry.split_by_bt_line
 and the U/D/R label rule in embedder.plan_udr_case. Each public check_*
 scans the embedding once; validate_embedding scans it once, inside
 check_planarity_segments, and then runs the unchecked direction and prefix
-cores, as oracle.certificate does on its enumerated candidates.
+cores, as oracle.certificate does on its enumerated candidates. A library
+answer passes require_pdce: one fused pass over the set's coordinate
+columns that checks indices, labels and prefix arcs together, falling back
+to the per-rule checks only to name the rule a bad answer breaks.
 
 Planarity is checked along two independent routes on purpose. The segment
 route is an exact Shamos-Hoey sweep over the walk's edges in x order, with
@@ -83,10 +86,41 @@ def check_direction_consistency(
 
 
 def _first_bad_edge(p: DirPath, s: ConvexPointSet, e: Embedding) -> Optional[int]:
-    pts = s.points
-    for k, label in enumerate(p.labels):
-        if not edge_ok(label, pts[e[k]], pts[e[k + 1]]):
+    return _first_bad_step(p.labels, s.xs, s.ys, e.assignment, arcs=False)
+
+
+def _first_bad_step(labels: str, xs, ys, a, arcs: bool) -> Optional[int]:
+    """The column core of the answer checks: the first k whose step a[k] ->
+    a[k+1] breaks labels[k] or, with arcs, does not extend the prefix arc of
+    a[0..k] at one of its ends; None if no step does. Reads the coordinates
+    from the columns xs and ys. Needs plain-int entries, a[0] in range and,
+    without arcs, every entry in range; with arcs each later entry is
+    compared with the arc's two in-range neighbours before it is read."""
+    n = len(xs)
+    i = a[0]
+    below, above = (i - 1) % n, (i + 1) % n
+    k = 0
+    for d, j in zip(labels, a[1:]):
+        if arcs:
+            if j == below:
+                below = (j - 1) % n
+            elif j == above:
+                above = (j + 1) % n
+            else:
+                return k
+        if d == "U":
+            if ys[j] <= ys[i]:
+                return k
+        elif d == "D":
+            if ys[j] >= ys[i]:
+                return k
+        elif d == "R":
+            if xs[j] <= xs[i]:
+                return k
+        elif xs[j] >= xs[i]:
             return k
+        i = j
+        k += 1
     return None
 
 
@@ -221,6 +255,21 @@ def _segments_scalar(s: ConvexPointSet, e: Embedding) -> bool:
     return True
 
 
+def _is_pdce(p: DirPath, s: ConvexPointSet, e: Embedding) -> bool:
+    """One pass: exactly when the size, index, direction and prefix checks
+    of require_pdce all pass. Every entry a plain int, a[0] in range, and
+    each later entry extending the prefix arc at one end: then the n entries
+    are n distinct in-range positions, a permutation."""
+    a = e.assignment
+    n = s.n
+    return (
+        len(a) == n == p.n_vertices
+        and set(map(type, a)) == {int}
+        and 0 <= a[0] < n
+        and _first_bad_step(p.labels, s.xs, s.ys, a, arcs=True) is None
+    )
+
+
 def require_pdce(p: DirPath, s: ConvexPointSet, e: Embedding, context: str) -> Embedding:
     """Return e if it is direction-consistent and prefix-planar.
 
@@ -228,7 +277,11 @@ def require_pdce(p: DirPath, s: ConvexPointSet, e: Embedding, context: str) -> E
     that produced it; a failure is a bug, reported as InternalCaseError.
     That includes a malformed answer: the direction and prefix cores alone
     accept (-1, 0, 1, ..., n-2), whose -1 Python reads as the last point.
+    The fused pass _is_pdce decides; only when it fails do the per-rule
+    checks run, to name the rule.
     """
+    if _is_pdce(p, s, e):
+        return e
     try:
         ok, bad = check_direction_consistency(p, s, e)
     except InvalidEmbedding as exc:

@@ -213,11 +213,13 @@ def test_one_sided_splits_short_circuit():
         assert plan_udr_case(DirPath("UUDDRU"), ls).case_tag == "left-sided"
 
 
-@given(instances(min_n=2, max_n=24, alphabet="UDR"))
+@given(instances(min_n=2, max_n=24, alphabet="UDR", modes=("general",)))
 def test_plan_covers_slots_and_points(inst):
+    # Only general sets reach plans other than the one-sided ones; a set
+    # whose top lies left of its bottom is mirrored, not skipped.
     p, s = inst
     if s.top.x < s.bottom.x:
-        return
+        s = mirror_set(s)
     plan = plan_udr_case(p, s)
     parts = plan.parts
     assert parts[0].first_vertex == 1
@@ -321,11 +323,11 @@ def test_udr_requires_t_right_of_b():
         embed_udr_convex(DirPath("UUUU"), S5)  # t=(3,6) left of b=(4,0)
 
 
-@given(instances(min_n=1, max_n=28, alphabet="UDR"))
+@given(instances(min_n=1, max_n=28, alphabet="UDR", modes=("general",)))
 def test_udr_convex_sound(inst):
     p, s = inst
-    if s.n > 1 and s.top.x < s.bottom.x:
-        return
+    if s.top.x < s.bottom.x:
+        s = mirror_set(s)
     e = embed_udr_convex(p, s)
     assert validate_embedding(p, s, e).is_pdce
 
@@ -410,12 +412,14 @@ def test_quarter_four_label_sound(inst):
 
 
 def test_validate_once_check_once(monkeypatch):
-    # Transformed sets and plan parts come from index arithmetic, and only
-    # the outermost public call checks its answer: no validate() call, one
-    # direction check and one prefix scan per top-level call. At most one
-    # quarter turn (U/L/R and D/L/R paths only) and one mirror (only when
-    # the reduced set's top lies left of its bottom) are built per call; the
-    # U/D/R primitives run on the set itself, without a half turn.
+    # Transformed sets are column frames and plan parts come from index
+    # arithmetic, and only the outermost public call checks its answer: no
+    # validate() call and one fused answer check per top-level call, which
+    # passes, so the per-rule direction and prefix checks never run. At most
+    # one rotated frame (U/L/R and D/L/R paths only) and one mirrored frame
+    # (only when the reduced set's top lies left of its bottom) are built
+    # per call; the U/D/R primitives run on the set itself, without a half
+    # turn. No transformed ConvexPointSet and no Point is built.
     general = generate_random_convex(40, seed=3, mode="general")
     turned = mirror_set(general)
     assert (general.top.x > general.bottom.x) != (turned.top.x > turned.bottom.x)
@@ -424,10 +428,14 @@ def test_validate_once_check_once(monkeypatch):
     ]
     originals = {
         "validate": pdce.geometry.validate,
+        "_is_pdce": pdce.validator._is_pdce,
         "check_direction_consistency": pdce.validator.check_direction_consistency,
         "_first_prefix_failure": pdce.validator._first_prefix_failure,
+        "_rotated": pdce.paths._rotated,
+        "_mirrored": pdce.paths._mirrored,
         "rotate_set": pdce.paths.rotate_set,
         "mirror_set": pdce.paths.mirror_set,
+        "_trusted_point": pdce.geometry._trusted_point,
     }
 
     def expected(used, s):
@@ -435,12 +443,7 @@ def test_validate_once_check_once(monkeypatch):
         reduced = originals["rotate_set"](s) if rotated else s
         mirrored = reduced.top.x < reduced.bottom.x
         branches.add((rotated, mirrored))
-        return +Counter(
-            check_direction_consistency=1,
-            _first_prefix_failure=1,
-            rotate_set=int(rotated),
-            mirror_set=int(mirrored),
-        )
+        return +Counter(_is_pdce=1, _rotated=int(rotated), _mirrored=int(mirrored))
 
     calls = Counter()
     for mod_name, mod in list(sys.modules.items()):
@@ -448,6 +451,9 @@ def test_validate_once_check_once(monkeypatch):
             for name, fn in originals.items():
                 if getattr(mod, name, None) is fn:
                     monkeypatch.setattr(mod, name, _counted(fn, name, calls))
+    monkeypatch.setattr(
+        pdce.Point, "__post_init__", _counted(pdce.Point.__post_init__, "Point", calls)
+    )
     branches = set()
     rng = random.Random(5)
     for s in (general, turned):

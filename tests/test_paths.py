@@ -10,6 +10,7 @@ from pdce import (
     Point,
     PreconditionViolated,
     classify,
+    generate_random_convex,
     mirror_embedding,
     mirror_path,
     mirror_set,
@@ -21,9 +22,9 @@ from pdce import (
     validate,
     validate_embedding,
 )
-from pdce.geometry import COORD_LIMIT
-from pdce.paths import mirror_point, rotate_point
-from conftest import convex_sets, instances
+from pdce.geometry import COORD_LIMIT, _trusted_point
+from pdce.paths import _mirrored, _rotated
+from conftest import ALL_MODES, convex_sets, instances
 
 paths = st.text(alphabet="UDLR", max_size=12).map(DirPath)
 
@@ -117,19 +118,39 @@ def test_transformed_sets_stay_valid(s, data):
     # The embedding operators carry every vertex to the image of its point.
     e = Embedding(tuple(data.draw(st.permutations(range(s.n)))))
     for set_op, point_op, emb_op in (
-        (rotate_set, rotate_point, rotate_embedding),
-        (mirror_set, mirror_point, mirror_embedding),
+        (rotate_set, lambda q: Point(-q.y, q.x), rotate_embedding),
+        (mirror_set, lambda q: Point(-q.x, q.y), mirror_embedding),
     ):
         t, f = set_op(s), emb_op(e, s)
         for k in range(s.n):
             assert t.points[f[k]] == point_op(s.points[e[k]])
 
 
+def _columns(t):
+    return (t.n, t.xs, t.ys, t.top_index, t.bottom_index, t.left_index, t.right_index)
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_frames_match_transformed_sets(mode):
+    # The embedder's column frames carry the same columns and extreme
+    # indices as the sets rotate_set and mirror_set build, computed afresh
+    # from their points; so do the frame compositions the reductions use.
+    for n in (1, 2, 3, 4, 7, 16, 45):
+        s = generate_random_convex(n, seed=n, mode=mode)
+        rotated, mirrored = rotate_set(s), mirror_set(s)
+        assert _columns(_rotated(s)) == _columns(rotated)
+        assert _columns(_mirrored(s)) == _columns(mirrored)
+        assert _columns(_mirrored(_rotated(s))) == _columns(mirror_set(rotated))
+        assert rotated.top_index == mirrored.top_index == 0
+
+
 def test_point_operators_build_plain_points():
-    # The operators skip Point's checks; what they build must still equal,
-    # hash and pickle like a checked Point.
+    # rotate_set and mirror_set build their points with _trusted_point,
+    # skipping Point's checks; what it builds must still equal, hash and
+    # pickle like a checked Point.
     for q in (Point(3, -4), Point(COORD_LIMIT, -COORD_LIMIT)):
-        for got, want in ((rotate_point(q), Point(-q.y, q.x)), (mirror_point(q), Point(-q.x, q.y))):
+        for x, y in ((-q.y, q.x), (-q.x, q.y)):
+            got, want = _trusted_point(x, y), Point(x, y)
             assert type(got) is Point and got == want and hash(got) == hash(want)
             assert vars(got) == vars(want) and repr(got) == repr(want)
             assert pickle.dumps(got) == pickle.dumps(want)

@@ -172,6 +172,79 @@ def test_require_pdce_reports_malformed_answer_as_bug(monkeypatch):
         embed_three_directional(p, s)
 
 
+def _composite_verdict(p, s, e):
+    # The per-rule checks that decided require_pdce before the fused pass:
+    # size and index scan, each edge through edge_ok on Points, prefix arcs.
+    # None for a valid answer, else the message require_pdce must give.
+    try:
+        validator.require_same_size(p, s)
+        validator.require_well_formed(s, e)
+    except InvalidEmbedding as exc:
+        return str(exc)
+    pts = s.points
+    for k, label in enumerate(p.labels):
+        if not edge_ok(label, pts[e[k]], pts[e[k + 1]]):
+            return f"edge {k} violates its label"
+    if validator._first_prefix_failure(s, e) is not None:
+        return "the drawing has a crossing"
+    return None
+
+
+def _mutants(rng, a, n):
+    # Each kind of damage the fused check must catch exactly as the
+    # per-rule checks do; a mutant may happen to stay valid.
+    out = []
+    if n >= 2:
+        i, j = rng.sample(range(n), 2)
+        b = list(a)
+        b[i], b[j] = b[j], b[i]
+        out.append(b)
+        b = list(a)
+        b[j] = b[i]
+        out.append(b)  # one entry twice
+    for value in (-1, n, True, 1.0):
+        b = list(a)
+        b[rng.randrange(n)] = value
+        out.append(b)
+    out.append(list(a[:-1]))
+    out.append(list(a) + [rng.randrange(n)])
+    return [tuple(b) for b in out]
+
+
+def test_fused_answer_check_matches_per_rule_checks():
+    rng = random.Random("fused-check")
+    answers = 0
+    rules = set()  # last word of each rejection message
+    for mode in ALL_MODES:
+        for n in (1, 2, 3, 4, 5, 6, 8, 11, 16, 23, 32, 45, 60):
+            s = generate_random_convex(n, seed=rng.randrange(10**9), mode=mode)
+            for subset in ("UDR", "UDL", "ULR", "DLR"):
+                p = random_path(rng, n, subset)
+                e = embed_three_directional(p, s)
+                answers += 1
+                for a in [e.assignment] + _mutants(rng, e.assignment, n):
+                    emb = Embedding(a)
+                    want = _composite_verdict(p, s, emb)
+                    assert validator._is_pdce(p, s, emb) == (want is None), (mode, n, a)
+                    if want is None:
+                        assert validator.require_pdce(p, s, emb, "ctx") is emb
+                        continue
+                    rules.add(want.rsplit(" ", 1)[-1])
+                    with pytest.raises(InternalCaseError) as info:
+                        validator.require_pdce(p, s, emb, "ctx")
+                    assert str(info.value) == f"ctx: {want}", (mode, n, a)
+                    if set(map(type, a)) == {int} and sorted(a) == list(range(n)):
+                        # The column core still names the first bad edge.
+                        bad = next(
+                            (k for k, d in enumerate(p.labels)
+                             if not edge_ok(d, s.points[a[k]], s.points[a[k + 1]])),
+                            None,
+                        )
+                        assert validator._first_bad_edge(p, s, emb) == bad
+    assert answers == 6 * 13 * 4
+    assert rules == {"range", "int", "points", "twice", "label", "crossing"}
+
+
 def _arc_walk(rng, n):
     # Every prefix a cyclic arc of hull positions: a crossing-free walk.
     lo = hi = rng.randrange(n)
