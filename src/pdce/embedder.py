@@ -10,10 +10,10 @@ The planner only chooses index ranges and point subsets: its caps are hull
 arcs ending on the bottom or the top point, the middle parts what the caps
 leave. All actual coordinates are handled by one greedy run on index pools
 of the canonical set, forwards or, for right-sided parts, backwards.
-Transformed sets are column frames (paths._Frame): the coordinate columns
-and extreme indices, built by index arithmetic, never re-validated and
-with no Point in them. Planner, executor and greedy read only n, xs, ys and
-the extreme indices, so they run on a frame or a ConvexPointSet alike.
+Transformed sets come from rotate_set and mirror_set, by index arithmetic
+on the coordinate columns, never re-validated; planner, executor and greedy
+read only n, xs, ys and the extreme indices, so the embed path builds no
+Point.
 
 Each public entry checks its preconditions, runs an unchecked private core
 and checks the answer once (indices, direction and prefix planarity, in one
@@ -34,13 +34,13 @@ from .paths import (
     _REVERSE_FLIP,
     DirPath,
     Embedding,
-    _mirrored,
-    _rotated,
     mirror_embedding,
     mirror_path,
+    mirror_set,
     reverse_embedding,
     reverse_path,
     rotate_path,
+    rotate_set,
 )
 from .validator import require_pdce, require_same_size
 
@@ -404,7 +404,10 @@ def execute_plan(p: DirPath, s: ConvexPointSet, plan: CasePlan) -> Embedding:
 
 
 def _execute_plan(p: DirPath, s: ConvexPointSet, plan: CasePlan) -> Embedding:
-    slots: list[Optional[int]] = [None] * s.n
+    # Parts come in vertex order, each starting on the vertex the part before
+    # ends on or on the one after it, so the placements are joined slice by
+    # slice and only that one shared vertex is compared.
+    out: list[int] = []
     for part in plan.parts:
         first, last = part.first_vertex, part.last_vertex
         if len(part.points) != last - first + 1:
@@ -415,17 +418,25 @@ def _execute_plan(p: DirPath, s: ConvexPointSet, plan: CasePlan) -> Embedding:
         run = _RUNNERS.get(part.method)
         if run is None:
             raise InternalCaseError(f"unknown part method {part.method!r}")
+        shared = len(out) + 1 - first  # vertices already placed from first on
+        if shared < 0:
+            raise InternalCaseError(
+                f"plan {plan.case_tag} leaves vertices {len(out) + 1}..{first - 1} unassigned"
+            )
+        if shared > (1 if out else 0):
+            raise InternalCaseError(
+                f"part {part.name} starts at vertex {first}, "
+                f"inside the {len(out)} vertices placed before it"
+            )
         placed = run(p.labels[first - 1 : last - 1], s, part.points)
-        for slot, k in enumerate(placed, first - 1):
-            if slots[slot] is None:
-                slots[slot] = k
-            elif slots[slot] != k:
-                raise InternalCaseError(
-                    f"parts disagree on vertex {slot + 1}: {slots[slot]} vs {k}"
-                )
-    if None in slots:
-        raise InternalCaseError(f"plan {plan.case_tag} left vertices unassigned")
-    return Embedding(tuple(slots))
+        if shared and out[-1] != placed[0]:
+            raise InternalCaseError(
+                f"parts disagree on vertex {first}: {out[-1]} vs {placed[0]}"
+            )
+        out += placed[shared:]
+    if len(out) != s.n:
+        raise InternalCaseError(f"plan {plan.case_tag} ends at vertex {len(out)} of {s.n}")
+    return Embedding(tuple(out))
 
 
 def embed_udr_convex(p: DirPath, s: ConvexPointSet) -> Embedding:
@@ -439,14 +450,14 @@ def embed_udr_convex(p: DirPath, s: ConvexPointSet) -> Embedding:
     return execute_plan(p, s, plan_udr_case(p, s))
 
 
-def _embed_udr_any(p: DirPath, s) -> Embedding:
+def _embed_udr_any(p: DirPath, s: ConvexPointSet) -> Embedding:
     if s.n == 1:
         return Embedding((0,))
     if s.xs[s.top_index] > s.xs[s.bottom_index]:
         return _execute_plan(p, s, plan_udr_case(p, s))
     # Mirroring puts the top right of the bottom; reversing first keeps the
     # label set inside U/D/R. Mirroring sm gives s back, by index (-i) mod n.
-    sm = _mirrored(s)
+    sm = mirror_set(s)
     pm = mirror_path(reverse_path(p))
     em = _execute_plan(pm, sm, plan_udr_case(pm, sm))
     return reverse_embedding(mirror_embedding(em, sm))
@@ -471,9 +482,9 @@ def _embed_three_directional(p: DirPath, s: ConvexPointSet) -> Embedding:
     # A quarter turn takes U/L/R to L/D/U and D/L/R to R/D/U; index k of the
     # turned set is index (k + right_index) mod n of s.
     if used <= frozenset("ULR"):
-        e = reverse_embedding(_embed_udr_any(reverse_path(rotate_path(p)), _rotated(s)))
+        e = reverse_embedding(_embed_udr_any(reverse_path(rotate_path(p)), rotate_set(s)))
     else:
-        e = _embed_udr_any(rotate_path(p), _rotated(s))
+        e = _embed_udr_any(rotate_path(p), rotate_set(s))
     r, n = s.right_index, s.n
     return Embedding(tuple((i + r) % n for i in e.assignment))
 

@@ -6,11 +6,9 @@ set is accepted only when it is in strictly convex, general position:
 pairwise distinct x, pairwise distinct y, and no three collinear points.
 Accepted sets are stored in a canonical order (counterclockwise around the
 hull, starting at the topmost point), which makes equality, hashing and all
-downstream index arithmetic independent of the input order. Each set caches
-its coordinate columns xs and ys, which the extreme indices, the orders, the
-split and the engines read instead of Point attributes. Transformed sets
-are column frames (paths._Frame) with the same columns and extreme indices,
-so split_by_bt_line takes either.
+downstream index arithmetic independent of the input order. A set is its
+integer coordinate columns xs and ys, which the extreme indices, the orders,
+the split and the engines read; its Points are built only when asked for.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ import json
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -54,19 +52,6 @@ class Point:
 
     def __repr__(self) -> str:
         return f"({self.x}, {self.y})"
-
-
-def _trusted_point(x: int, y: int) -> Point:
-    """A Point from coordinates already known to be valid, unchecked.
-
-    For the symmetry operators: negating an in-range coordinate keeps it in
-    range. The fields land in __dict__ as Point.__init__ would put them.
-    """
-    p = object.__new__(Point)
-    d = p.__dict__
-    d["x"] = x
-    d["y"] = y
-    return p
 
 
 def as_point(obj) -> Point:
@@ -121,44 +106,39 @@ def segments_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
 class ConvexPointSet:
     """Strictly convex general-position points in canonical hull order.
 
-    points[0] is the topmost point and the tuple proceeds counterclockwise.
-    The constructor trusts its argument: outside input goes through
-    validate(), while the symmetry operators build instances directly from
-    an already valid set by index arithmetic.
+    Point k is (xs[k], ys[k]); point 0 is the topmost and the order runs
+    counterclockwise. Equality and hashing go by the two columns. The
+    constructor trusts its arguments, two equally long tuples of plain ints:
+    outside input goes through validate(), while the symmetry operators
+    build instances directly from an already valid set by index arithmetic.
 
-    xs and ys are the coordinate columns, cached tuples sharing the points'
-    int objects; the extreme indices and the x and y orders read them.
+    The four extreme indices are read from the columns unless the caller
+    passes all four, as the symmetry operators do. points is built on first
+    read, as checked Points; validate() hands over the ones it has checked.
     """
 
-    points: tuple[Point, ...]
+    xs: tuple[int, ...]
+    ys: tuple[int, ...]
+    top_index: int = field(default=None, compare=False)
+    bottom_index: int = field(default=None, compare=False)
+    left_index: int = field(default=None, compare=False)
+    right_index: int = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        if None in (self.top_index, self.bottom_index, self.left_index, self.right_index):
+            xs, ys = self.xs, self.ys
+            object.__setattr__(self, "top_index", ys.index(max(ys)))
+            object.__setattr__(self, "bottom_index", ys.index(min(ys)))
+            object.__setattr__(self, "left_index", xs.index(min(xs)))
+            object.__setattr__(self, "right_index", xs.index(max(xs)))
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self.xs)
 
     @cached_property
-    def xs(self) -> tuple[int, ...]:
-        return tuple(map(operator.attrgetter("x"), self.points))
-
-    @cached_property
-    def ys(self) -> tuple[int, ...]:
-        return tuple(map(operator.attrgetter("y"), self.points))
-
-    @cached_property
-    def top_index(self) -> int:
-        return self.ys.index(max(self.ys))
-
-    @cached_property
-    def bottom_index(self) -> int:
-        return self.ys.index(min(self.ys))
-
-    @cached_property
-    def left_index(self) -> int:
-        return self.xs.index(min(self.xs))
-
-    @cached_property
-    def right_index(self) -> int:
-        return self.xs.index(max(self.xs))
+    def points(self) -> tuple[Point, ...]:
+        return tuple(map(Point, self.xs, self.ys))
 
     @property
     def top(self) -> Point:
@@ -185,8 +165,18 @@ class ConvexPointSet:
         return tuple(sorted(range(self.n), key=self.ys.__getitem__))
 
     def __repr__(self) -> str:
-        inner = ", ".join(repr(p) for p in self.points)
+        inner = ", ".join(f"({x}, {y})" for x, y in zip(self.xs, self.ys))
         return f"ConvexPointSet([{inner}])"
+
+
+def _from_points(pts: Sequence[Point]) -> ConvexPointSet:
+    # The set of already checked Points, in canonical order; they become the
+    # cache of its points property.
+    s = ConvexPointSet(
+        tuple(map(operator.attrgetter("x"), pts)), tuple(map(operator.attrgetter("y"), pts))
+    )
+    s.__dict__["points"] = tuple(pts)
+    return s
 
 
 def validate(raw_points: Iterable) -> ConvexPointSet:
@@ -211,10 +201,9 @@ def validate(raw_points: Iterable) -> ConvexPointSet:
             raise DuplicateY(*sorted((a, b)))
 
     if n == 1:
-        return ConvexPointSet((pts[0],))
+        return _from_points(pts)
     if n == 2:
-        hi, lo = (pts[0], pts[1]) if pts[0].y > pts[1].y else (pts[1], pts[0])
-        return ConvexPointSet((hi, lo))
+        return _from_points(pts if pts[0].y > pts[1].y else pts[::-1])
 
     hull = _strict_hull(pts, by_x)
     if len(hull) < n:
@@ -228,7 +217,7 @@ def validate(raw_points: Iterable) -> ConvexPointSet:
         a, b, c = ordered[k], ordered[(k + 1) % n], ordered[(k + 2) % n]
         if orientation(a, b, c) <= 0:
             raise InternalCaseError("hull canonicalization broke convexity")
-    return ConvexPointSet(tuple(ordered))
+    return _from_points(ordered)
 
 
 def _strict_hull(pts: list[Point], by_x: list[int]) -> list[int]:
@@ -346,8 +335,6 @@ def split_by_bt_line(s: ConvexPointSet) -> SplitDescriptor:
     no three points are collinear. So indices 1 .. bottom_index - 1 lie
     strictly left of the line, the rest past the bottom strictly right.
     Requires two points or more and the top strictly right of the bottom.
-    s is a ConvexPointSet or a column frame of one (paths._Frame): only n,
-    xs, top_index and bottom_index are read.
     """
     if s.n < 2:
         raise PreconditionViolated("split needs at least two points")

@@ -142,9 +142,10 @@ def certificate(p: DirPath, s: ConvexPointSet, bound: int = 16) -> dict:
         if bad is None:
             pdce_count += 1
         entries.append({"assignment": list(e.assignment), "first_bad_edge": bad})
+    points = [list(pt) for pt in zip(s.xs, s.ys)]
     payload = {
         "path": p.labels,
-        "points": [[pt.x, pt.y] for pt in s.points],
+        "points": points,
         "candidates": entries,
     }
     digest = hashlib.sha256(
@@ -152,7 +153,7 @@ def certificate(p: DirPath, s: ConvexPointSet, bound: int = 16) -> dict:
     ).hexdigest()
     return {
         "path": p.labels,
-        "points": [[pt.x, pt.y] for pt in s.points],
+        "points": points,
         "planar_count": len(candidates),
         "pdce_count": pdce_count,
         "candidates": entries,

@@ -19,13 +19,9 @@ operator on sets and embeddings pure index arithmetic on an n-point set s:
 - mirror: the top stays first and the cycle runs the other way, so new
   index k holds old point (-k) mod n, and old index i becomes (-i) mod n.
 
-No operator re-validates: a transformed valid set is valid. Transformed
-sets are column frames (_Frame): the coordinate columns xs and ys, cut and
-negated from the source's columns, and the extreme indices, carried over by
-the same index arithmetic. The embedder's reductions run on frames and
-build no Point; rotate_set and mirror_set build the public ConvexPointSet
-from the same frame, without re-checking coordinates that negation keeps in
-range.
+No operator re-validates: a transformed valid set is valid. rotate_set and
+mirror_set cut and negate the source's coordinate columns and carry its
+extreme indices over by the same index arithmetic; they build no Point.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ from dataclasses import dataclass
 from operator import neg
 
 from .errors import PreconditionViolated
-from .geometry import ConvexPointSet, _trusted_point
+from .geometry import ConvexPointSet
 
 LABELS = "UDLR"
 
@@ -50,9 +46,11 @@ class DirPath:
     labels: str
 
     def __post_init__(self) -> None:
-        if type(self.labels) is str and not self.labels.strip(LABELS):
-            return  # every character is a label
-        for ch in self.labels:
+        if not isinstance(self.labels, str):
+            raise PreconditionViolated(
+                f"path labels must be a str, got {type(self.labels).__name__}"
+            )
+        for ch in self.labels.strip(LABELS):  # from the first non-label on
             if ch not in LABELS:
                 raise PreconditionViolated(
                     f"path labels must be drawn from {LABELS}, got {ch!r}"
@@ -100,60 +98,31 @@ def mirror_path(p: DirPath) -> DirPath:
     return DirPath(p.labels.translate(_MIRROR_LABEL))
 
 
-class _Frame:
-    """A transformed set as coordinate columns in its canonical order, with
-    its extreme indices: all that the embedder's planner, executor and greedy
-    read of a set, so they take a frame or a ConvexPointSet alike."""
-
-    __slots__ = ("n", "xs", "ys", "top_index", "bottom_index", "left_index", "right_index")
-
-    def __init__(self, xs, ys, top, bottom, left, right) -> None:
-        self.n = len(xs)
-        self.xs = xs
-        self.ys = ys
-        self.top_index = top
-        self.bottom_index = bottom
-        self.left_index = left
-        self.right_index = right
-
-
-def _rotated(s) -> _Frame:
+def rotate_set(s: ConvexPointSet) -> ConvexPointSet:
     # (x, y) -> (-y, x): the old right, left, bottom and top points become
     # the new top, bottom, right and left.
     r, n, xs, ys = s.right_index, s.n, s.xs, s.ys
-    return _Frame(
+    return ConvexPointSet(
         tuple(map(neg, ys[r:] + ys[:r])),
         xs[r:] + xs[:r],
-        top=0,
-        bottom=(s.left_index - r) % n,
-        left=(s.top_index - r) % n,
-        right=(s.bottom_index - r) % n,
+        top_index=0,
+        bottom_index=(s.left_index - r) % n,
+        left_index=(s.top_index - r) % n,
+        right_index=(s.bottom_index - r) % n,
     )
-
-
-def _mirrored(s) -> _Frame:
-    # (x, y) -> (-x, y): top and bottom stay, left and right swap.
-    n, xs, ys = s.n, s.xs, s.ys
-    return _Frame(
-        tuple(map(neg, xs[:1] + xs[:0:-1])),
-        ys[:1] + ys[:0:-1],
-        top=-s.top_index % n,
-        bottom=-s.bottom_index % n,
-        left=-s.right_index % n,
-        right=-s.left_index % n,
-    )
-
-
-def _as_set(f: _Frame) -> ConvexPointSet:
-    return ConvexPointSet(tuple(map(_trusted_point, f.xs, f.ys)))
-
-
-def rotate_set(s: ConvexPointSet) -> ConvexPointSet:
-    return _as_set(_rotated(s))
 
 
 def mirror_set(s: ConvexPointSet) -> ConvexPointSet:
-    return _as_set(_mirrored(s))
+    # (x, y) -> (-x, y): top and bottom stay, left and right swap.
+    n, xs, ys = s.n, s.xs, s.ys
+    return ConvexPointSet(
+        tuple(map(neg, xs[:1] + xs[:0:-1])),
+        ys[:1] + ys[:0:-1],
+        top_index=-s.top_index % n,
+        bottom_index=-s.bottom_index % n,
+        left_index=-s.right_index % n,
+        right_index=-s.left_index % n,
+    )
 
 
 def reverse_embedding(e: Embedding) -> Embedding:

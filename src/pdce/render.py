@@ -22,16 +22,14 @@ EDGE_COLORS = {
 
 
 def _screen_transform(s: ConvexPointSet):
-    xs = [pt.x for pt in s.points]
-    ys = [pt.y for pt in s.points]
-    minx, maxx = min(xs), max(xs)
-    miny, maxy = min(ys), max(ys)
+    minx, maxx = min(s.xs), max(s.xs)
+    miny, maxy = min(s.ys), max(s.ys)
     span = max(maxx - minx, maxy - miny, 1)
     scale = (CANVAS - 2.0 * MARGIN) / span
 
-    def to_screen(pt):
+    def to_screen(x, y):
         # SVG y grows downward; flip so an Up edge points up on screen.
-        return MARGIN + (pt.x - minx) * scale, MARGIN + (maxy - pt.y) * scale
+        return MARGIN + (x - minx) * scale, MARGIN + (maxy - y) * scale
 
     return to_screen
 
@@ -87,12 +85,12 @@ def render_svg(p: DirPath, s: ConvexPointSet, e: Embedding, force: bool = False)
         )
     out.append("</defs>")
     out.append(f'<rect width="{CANVAS}" height="{CANVAS}" fill="#ffffff"/>')
-    hull = " ".join(f"{x:.2f},{y:.2f}" for x, y in map(to_screen, s.points))
+    hull = " ".join(f"{x:.2f},{y:.2f}" for x, y in map(to_screen, s.xs, s.ys))
     out.append(
         f'<polygon class="hull" points="{hull}" fill="none" stroke="#bbbbbb" '
         f'stroke-width="1" stroke-dasharray="5 4"/>'
     )
-    screen = [to_screen(s.points[idx]) for idx in e.assignment]
+    screen = [to_screen(s.xs[idx], s.ys[idx]) for idx in e.assignment]
     for k, label in enumerate(p.labels):
         out.append(_edge_element(*screen[k], *screen[k + 1], label))
     for k, (x, y) in enumerate(screen):

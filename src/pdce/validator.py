@@ -173,9 +173,9 @@ def check_planarity_segments(s: ConvexPointSet, e: Embedding) -> bool:
     n = s.n
     if n < 4:
         return True  # no two edges are non-adjacent
-    pts = [s.points[i] for i in e.assignment]
-    xs = [pt.x for pt in pts]
-    ys = [pt.y for pt in pts]
+    sx, sy = s.xs, s.ys
+    xs = [sx[i] for i in e.assignment]
+    ys = [sy[i] for i in e.assignment]
     if len(set(xs)) < n:
         return _segments_scalar(s, e)
     m = n - 1  # edges

@@ -11,6 +11,7 @@ import pdce
 from pdce import (
     DirPath,
     FourDirectional,
+    InternalCaseError,
     PreconditionViolated,
     SizeMismatch,
     backward_embedding,
@@ -29,6 +30,7 @@ from pdce import (
     validate,
     validate_embedding,
 )
+from pdce.embedder import CasePart, CasePlan, execute_plan
 from conftest import ALL_MODES, convex_sets, instances, random_path
 
 S5 = validate([(4, 0), (3, 6), (1, 5), (0, 3), (2, 1)])
@@ -302,6 +304,36 @@ def test_every_case_tag_seeded():
     assert set(hits) == CASE_TAGS and min(hits.values()) >= 20, hits
 
 
+def test_execute_plan_guards():
+    # Hand-built plans for an all-U path, whose parts each sort their points
+    # by y. The executor joins parts that come in vertex order and share at
+    # most one boundary vertex; anything else is a planner bug.
+    s = generate_random_convex(6, seed=1)
+    p, o = DirPath("UUUUU"), s.y_order
+
+    def run(*spans):
+        parts = tuple(
+            CasePart(f"part{k}", tuple(sorted(pts)), first, last, "sort_up")
+            for k, (pts, first, last) in enumerate(spans)
+        )
+        return execute_plan(p, s, CasePlan("hand-built", 0, 0, 0, parts=parts))
+
+    assert run((o[:3], 1, 3), (o[2:], 3, 6)).assignment == o  # shared vertex
+    assert run((o[:3], 1, 3), (o[3:], 4, 6)).assignment == o  # joining edge
+    with pytest.raises(InternalCaseError, match="disagree on vertex 3"):
+        run((o[:3], 1, 3), (o[1:2] + o[3:], 3, 6))
+    with pytest.raises(InternalCaseError, match="leaves vertices 4..4 unassigned"):
+        run((o[:3], 1, 3), (o[4:], 5, 6))
+    with pytest.raises(InternalCaseError, match="leaves vertices 1..2 unassigned"):
+        run((o[2:], 3, 6), (o[:3], 1, 3))  # out of order
+    with pytest.raises(InternalCaseError, match="starts at vertex 1"):
+        run((o[:3], 1, 3), (o[3:], 4, 6), (o[:2], 1, 2))  # out of order
+    with pytest.raises(InternalCaseError, match="starts at vertex 2"):
+        run((o[:3], 1, 3), (o[1:], 2, 6))  # two vertices overlap
+    with pytest.raises(InternalCaseError, match="ends at vertex 5 of 6"):
+        run((o[:3], 1, 3), (o[2:5], 3, 5))
+
+
 # --- full UDR embedder -------------------------------------------------------------
 
 
@@ -412,14 +444,13 @@ def test_quarter_four_label_sound(inst):
 
 
 def test_validate_once_check_once(monkeypatch):
-    # Transformed sets are column frames and plan parts come from index
-    # arithmetic, and only the outermost public call checks its answer: no
-    # validate() call and one fused answer check per top-level call, which
-    # passes, so the per-rule direction and prefix checks never run. At most
-    # one rotated frame (U/L/R and D/L/R paths only) and one mirrored frame
-    # (only when the reduced set's top lies left of its bottom) are built
-    # per call; the U/D/R primitives run on the set itself, without a half
-    # turn. No transformed ConvexPointSet and no Point is built.
+    # Transformed sets and plan parts come from index arithmetic, and only
+    # the outermost public call checks its answer: no validate() call and
+    # one fused answer check per top-level call, which passes, so the
+    # per-rule direction and prefix checks never run. At most one rotate_set
+    # (U/L/R and D/L/R paths only) and one mirror_set (only when the reduced
+    # set's top lies left of its bottom) runs per call; the U/D/R primitives
+    # run on the set itself, without a half turn. No Point is built.
     general = generate_random_convex(40, seed=3, mode="general")
     turned = mirror_set(general)
     assert (general.top.x > general.bottom.x) != (turned.top.x > turned.bottom.x)
@@ -431,11 +462,8 @@ def test_validate_once_check_once(monkeypatch):
         "_is_pdce": pdce.validator._is_pdce,
         "check_direction_consistency": pdce.validator.check_direction_consistency,
         "_first_prefix_failure": pdce.validator._first_prefix_failure,
-        "_rotated": pdce.paths._rotated,
-        "_mirrored": pdce.paths._mirrored,
         "rotate_set": pdce.paths.rotate_set,
         "mirror_set": pdce.paths.mirror_set,
-        "_trusted_point": pdce.geometry._trusted_point,
     }
 
     def expected(used, s):
@@ -443,7 +471,7 @@ def test_validate_once_check_once(monkeypatch):
         reduced = originals["rotate_set"](s) if rotated else s
         mirrored = reduced.top.x < reduced.bottom.x
         branches.add((rotated, mirrored))
-        return +Counter(_is_pdce=1, _rotated=int(rotated), _mirrored=int(mirrored))
+        return +Counter(_is_pdce=1, rotate_set=int(rotated), mirror_set=int(mirrored))
 
     calls = Counter()
     for mod_name, mod in list(sys.modules.items()):

@@ -1,10 +1,10 @@
-import dataclasses
 import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
 from pdce import (
+    ConvexPointSet,
     DirPath,
     Embedding,
     Point,
@@ -22,8 +22,6 @@ from pdce import (
     validate,
     validate_embedding,
 )
-from pdce.geometry import COORD_LIMIT, _trusted_point
-from pdce.paths import _mirrored, _rotated
 from conftest import ALL_MODES, convex_sets, instances
 
 paths = st.text(alphabet="UDLR", max_size=12).map(DirPath)
@@ -34,6 +32,12 @@ def test_dirpath_validation():
     assert DirPath("LULRDR").n_vertices == 7
     with pytest.raises(PreconditionViolated):
         DirPath("UDX")
+
+
+@pytest.mark.parametrize("labels", [["U", "R"], ("U", "R"), 123, None])
+def test_dirpath_rejects_non_str_labels(labels):
+    with pytest.raises(PreconditionViolated, match="must be a str"):
+        DirPath(labels)
 
 
 def test_directions_used():
@@ -126,36 +130,49 @@ def test_transformed_sets_stay_valid(s, data):
             assert t.points[f[k]] == point_op(s.points[e[k]])
 
 
-def _columns(t):
-    return (t.n, t.xs, t.ys, t.top_index, t.bottom_index, t.left_index, t.right_index)
+def _extremes(t):
+    return (t.top_index, t.bottom_index, t.left_index, t.right_index)
 
 
 @pytest.mark.parametrize("mode", ALL_MODES)
 def test_frames_match_transformed_sets(mode):
-    # The embedder's column frames carry the same columns and extreme
-    # indices as the sets rotate_set and mirror_set build, computed afresh
-    # from their points; so do the frame compositions the reductions use.
+    # The frame of a transformed set, its extreme indices, is carried over
+    # by rotate_set and mirror_set with index arithmetic; it must equal the
+    # one read afresh from the columns, also for the composition the
+    # reductions use.
     for n in (1, 2, 3, 4, 7, 16, 45):
         s = generate_random_convex(n, seed=n, mode=mode)
         rotated, mirrored = rotate_set(s), mirror_set(s)
-        assert _columns(_rotated(s)) == _columns(rotated)
-        assert _columns(_mirrored(s)) == _columns(mirrored)
-        assert _columns(_mirrored(_rotated(s))) == _columns(mirror_set(rotated))
+        for t in (rotated, mirrored, mirror_set(rotated)):
+            assert t.n == n
+            assert _extremes(t) == _extremes(ConvexPointSet(t.xs, t.ys))
         assert rotated.top_index == mirrored.top_index == 0
 
 
-def test_point_operators_build_plain_points():
-    # rotate_set and mirror_set build their points with _trusted_point,
-    # skipping Point's checks; what it builds must still equal, hash and
-    # pickle like a checked Point.
-    for q in (Point(3, -4), Point(COORD_LIMIT, -COORD_LIMIT)):
-        for x, y in ((-q.y, q.x), (-q.x, q.y)):
-            got, want = _trusted_point(x, y), Point(x, y)
-            assert type(got) is Point and got == want and hash(got) == hash(want)
-            assert vars(got) == vars(want) and repr(got) == repr(want)
-            assert pickle.dumps(got) == pickle.dumps(want)
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                got.x = 0
+def test_sets_equal_hash_and_pickle_by_columns(monkeypatch):
+    s = generate_random_convex(9, seed=4)
+    # validate() hands over the Points it checked: reading them builds none.
+    built = []
+    monkeypatch.setattr(Point, "__post_init__", lambda q: built.append(q))
+    points = s.points
+    monkeypatch.undo()
+    assert not built and points == tuple(map(Point, s.xs, s.ys))
+    fresh = ConvexPointSet(s.xs, s.ys)
+    assert fresh == s and hash(fresh) == hash(s)
+    assert fresh.points == s.points and repr(fresh) == repr(s)
+    # The extreme indices do not take part in equality.
+    assert ConvexPointSet(s.xs, s.ys, 0, 0, 0, 0) == s
+    assert mirror_set(s) != s and rotate_set(s) != s
+    assert mirror_set(mirror_set(s)) == s
+    t = s
+    for _ in range(4):
+        t = rotate_set(t)
+    assert t == s and hash(t) == hash(s)
+    for t in (s, fresh, rotate_set(s), mirror_set(s)):
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t and hash(back) == hash(t)
+        assert (back.xs, back.ys, _extremes(back)) == (t.xs, t.ys, _extremes(t))
+        assert back.points == t.points
 
 
 def _identity_pdce(s):

@@ -357,6 +357,11 @@ _SWEEP_POINTS = (
 )
 
 
+def _hand_built(pts):
+    # An unvalidated set, straight from the coordinate columns of pts.
+    return ConvexPointSet(tuple(q.x for q in pts), tuple(q.y for q in pts))
+
+
 @pytest.mark.parametrize(
     "n, walk, planar",
     [
@@ -374,14 +379,14 @@ _SWEEP_POINTS = (
     ],
 )
 def test_sweep_events_match_scalar(count_fallbacks, n, walk, planar):
-    s = ConvexPointSet(_SWEEP_POINTS[:n])
+    s = _hand_built(_SWEEP_POINTS[:n])
     e = Embedding(walk)
     assert check_planarity_segments(s, e) == planar == _segments_scalar(s, e)
     assert not count_fallbacks
 
 
 def test_sweep_every_walk_on_the_hand_built_set(count_fallbacks):
-    s = ConvexPointSet(_SWEEP_POINTS)
+    s = _hand_built(_SWEEP_POINTS)
     assert all(orientation(*tri) for tri in itertools.combinations(s.points, 3))
     assert len({pt.x for pt in s.points}) == s.n
     cases = [(s, Embedding(perm)) for perm in itertools.permutations(range(s.n))]
@@ -417,10 +422,10 @@ def test_segments_fall_back_on_collinear_points(count_fallbacks):
     # loop gives the verdict; the x values of apart are distinct and the
     # sweep meets no zero side on this walk, so it gives the verdict itself.
     a, b, c, d = Point(0, 0), Point(4, 0), Point(2, 0), Point(2, 5)
-    touching = ConvexPointSet((a, b, c, d))  # c lies on segment a-b
+    touching = _hand_built((a, b, c, d))  # c lies on segment a-b
     assert not check_planarity_segments(touching, Embedding((0, 1, 3, 2)))
     assert count_fallbacks == [4]
-    apart = ConvexPointSet((a, Point(1, 0), Point(3, 0), d))  # collinear, disjoint
+    apart = _hand_built((a, Point(1, 0), Point(3, 0), d))  # collinear, disjoint
     assert check_planarity_segments(apart, Embedding((0, 1, 3, 2)))
     assert count_fallbacks == [4]
     for t in (touching, apart):
@@ -442,7 +447,7 @@ def test_segments_match_scalar_on_grid_sets(count_fallbacks):
             pts = rng.sample(grid, rng.randint(3, 6))
         else:
             pts = [Point(x, rng.randrange(5)) for x in rng.sample(range(5), rng.randint(3, 5))]
-        s = ConvexPointSet(tuple(pts))
+        s = _hand_built(pts)
         for perm in itertools.permutations(range(s.n)):
             e = Embedding(perm)
             want = _segments_scalar(s, e)
@@ -458,7 +463,7 @@ def test_segments_need_no_convex_position(count_fallbacks):
     # edge of a pair must separate the other.
     pts = (Point(0, 0), Point(10, 1), Point(5, 3), Point(2, 9), Point(8, 7), Point(4, -6))
     assert all(orientation(*tri) for tri in itertools.combinations(pts, 3))
-    s = ConvexPointSet(pts)
+    s = _hand_built(pts)
     cases = [(s, Embedding(perm)) for perm in itertools.permutations(range(s.n))]
     _assert_matches_scalar(cases, convex=False)
     assert not count_fallbacks
