@@ -18,7 +18,7 @@ import json
 import math
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -112,25 +112,15 @@ class ConvexPointSet:
     outside input goes through validate(), while the symmetry operators
     build instances directly from an already valid set by index arithmetic.
 
-    The four extreme indices are read from the columns unless the caller
-    passes all four, as the symmetry operators do. points is built on first
-    read, as checked Points; validate() hands over the ones it has checked.
+    Everything else is read from the columns on first use and cached: the
+    four extreme indices, which the symmetry operators find by index
+    arithmetic instead and seed through _with_extremes, and points, as checked Points, which validate()
+    seeds with the ones it has checked. So a set built from columns, also
+    by dataclasses.replace, never carries another set's extremes.
     """
 
     xs: tuple[int, ...]
     ys: tuple[int, ...]
-    top_index: int = field(default=None, compare=False)
-    bottom_index: int = field(default=None, compare=False)
-    left_index: int = field(default=None, compare=False)
-    right_index: int = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        if None in (self.top_index, self.bottom_index, self.left_index, self.right_index):
-            xs, ys = self.xs, self.ys
-            object.__setattr__(self, "top_index", ys.index(max(ys)))
-            object.__setattr__(self, "bottom_index", ys.index(min(ys)))
-            object.__setattr__(self, "left_index", xs.index(min(xs)))
-            object.__setattr__(self, "right_index", xs.index(max(xs)))
 
     @property
     def n(self) -> int:
@@ -139,6 +129,22 @@ class ConvexPointSet:
     @cached_property
     def points(self) -> tuple[Point, ...]:
         return tuple(map(Point, self.xs, self.ys))
+
+    @cached_property
+    def top_index(self) -> int:
+        return self.ys.index(max(self.ys))
+
+    @cached_property
+    def bottom_index(self) -> int:
+        return self.ys.index(min(self.ys))
+
+    @cached_property
+    def left_index(self) -> int:
+        return self.xs.index(min(self.xs))
+
+    @cached_property
+    def right_index(self) -> int:
+        return self.xs.index(max(self.xs))
 
     @property
     def top(self) -> Point:
@@ -176,6 +182,16 @@ def _from_points(pts: Sequence[Point]) -> ConvexPointSet:
         tuple(map(operator.attrgetter("x"), pts)), tuple(map(operator.attrgetter("y"), pts))
     )
     s.__dict__["points"] = tuple(pts)
+    return s
+
+
+def _with_extremes(
+    xs: tuple[int, ...], ys: tuple[int, ...], top: int, bottom: int, left: int, right: int
+) -> ConvexPointSet:
+    # The set of already valid columns whose extreme indices the caller
+    # knows; they become the cache of the four index properties.
+    s = ConvexPointSet(xs, ys)
+    s.__dict__.update(top_index=top, bottom_index=bottom, left_index=left, right_index=right)
     return s
 
 

@@ -20,8 +20,9 @@ operator on sets and embeddings pure index arithmetic on an n-point set s:
   index k holds old point (-k) mod n, and old index i becomes (-i) mod n.
 
 No operator re-validates: a transformed valid set is valid. rotate_set and
-mirror_set cut and negate the source's coordinate columns and carry its
-extreme indices over by the same index arithmetic; they build no Point.
+mirror_set cut and negate the source's coordinate columns and hand
+geometry._with_extremes the new extreme indices, found by the same index
+arithmetic; they build no Point and scan no column.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from operator import neg
 
 from .errors import PreconditionViolated
-from .geometry import ConvexPointSet
+from .geometry import ConvexPointSet, _with_extremes
 
 LABELS = "UDLR"
 
@@ -102,26 +103,26 @@ def rotate_set(s: ConvexPointSet) -> ConvexPointSet:
     # (x, y) -> (-y, x): the old right, left, bottom and top points become
     # the new top, bottom, right and left.
     r, n, xs, ys = s.right_index, s.n, s.xs, s.ys
-    return ConvexPointSet(
+    return _with_extremes(
         tuple(map(neg, ys[r:] + ys[:r])),
         xs[r:] + xs[:r],
-        top_index=0,
-        bottom_index=(s.left_index - r) % n,
-        left_index=(s.top_index - r) % n,
-        right_index=(s.bottom_index - r) % n,
+        top=0,
+        bottom=(s.left_index - r) % n,
+        left=(s.top_index - r) % n,
+        right=(s.bottom_index - r) % n,
     )
 
 
 def mirror_set(s: ConvexPointSet) -> ConvexPointSet:
     # (x, y) -> (-x, y): top and bottom stay, left and right swap.
     n, xs, ys = s.n, s.xs, s.ys
-    return ConvexPointSet(
+    return _with_extremes(
         tuple(map(neg, xs[:1] + xs[:0:-1])),
         ys[:1] + ys[:0:-1],
-        top_index=-s.top_index % n,
-        bottom_index=-s.bottom_index % n,
-        left_index=-s.right_index % n,
-        right_index=-s.left_index % n,
+        top=-s.top_index % n,
+        bottom=-s.bottom_index % n,
+        left=-s.right_index % n,
+        right=-s.left_index % n,
     )
 
 

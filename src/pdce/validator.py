@@ -5,30 +5,37 @@ vertex) and require_well_formed (one plain-int index in range per point,
 none twice) live here, the U/D/R split rules in geometry.split_by_bt_line
 and the U/D/R label rule in embedder.plan_udr_case. Each public check_*
 scans the embedding once; validate_embedding scans it once, inside
-check_planarity_segments, and then runs the unchecked direction and prefix
-cores, as oracle.certificate does on its enumerated candidates. A library
-answer passes require_pdce: one fused pass over the set's coordinate
-columns that checks indices, labels and prefix arcs together, falling back
-to the per-rule checks only to name the rule a bad answer breaks.
+check_planarity_segments, and then decides the direction and prefix
+verdicts in one fused pass of their column core, running the unchecked
+per-rule cores only when that pass finds a bad step (oracle.certificate
+runs the direction core unchecked on its enumerated candidates too). A
+library answer passes require_pdce: the same fused pass, with the index
+checks in front, falling back to the per-rule checks only to name the
+rule a bad answer breaks.
 
 Planarity is checked along two independent routes on purpose. The segment
-route is an exact Shamos-Hoey sweep over the walk's edges in x order, with
-Python-int orientation tests and no knowledge of hull order: O(n log n)
-predicates, each pair of non-adjacent edges that becomes adjacent on the
-sweep line tested once. Should a hand-built set have two equal x values,
-or should the sweep meet a zero orientation (three collinear points, which
-a validated set never has), the verdict comes from the scalar pair loop
-with closed-segment predicates, which is also the route's test oracle. The
-prefix route checks that each prefix of the walk occupies a cyclically
-consecutive arc of hull positions, which characterizes the crossing-free
-walks on a convex point set. Both are kept side by side so each one guards
-the other; callers that need a single answer should demand agreement via
-validate_embedding(). Neither needs numpy.
+route is an exact Shamos-Hoey sweep over the walk's edges, with Python-int
+orientation tests and no knowledge of hull order: O(n log n) predicates,
+each pair of non-adjacent edges that becomes adjacent on the sweep line
+tested once. It sweeps along the axis a sample of the walk's edges travels
+less, so that fewer edges span the sweep line; along y it sweeps the
+transposed columns (x, y) -> (y, x), on which the same edges meet. Should
+the chosen axis have two equal coordinates the sweep takes the other one;
+should both have, or should the sweep meet a zero orientation (three
+collinear points, which a validated set never has), the verdict comes from
+the scalar pair loop with closed-segment predicates, which is also the
+route's test oracle. The prefix route checks that each prefix of the walk
+occupies a cyclically consecutive arc of hull positions, which
+characterizes the crossing-free walks on a convex point set. Both are kept
+side by side so each one guards the other; callers that need a single
+answer should demand agreement via validate_embedding(). Neither needs
+numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Optional
 
 from .errors import InternalCaseError, InvalidEmbedding, PreconditionViolated, SizeMismatch
@@ -149,25 +156,17 @@ def check_planarity_prefix(s: ConvexPointSet, e: Embedding) -> bool:
 def check_planarity_segments(s: ConvexPointSet, e: Embedding) -> bool:
     """Exact test that no two non-adjacent edges of the drawn walk meet.
 
-    A Shamos-Hoey sweep (Shamos and Hoey, FOCS 1976). The events are the
-    walk's vertices in x order; the status lists, bottom to top, the edges
-    that span the sweep line, as indices into the walk. Edge i is stored by
-    its left endpoint and its step to the right one, (lx, ly, dx, dy) with
-    dx > 0, and vertex (x, y) lies above it iff dx*(y - ly) - dy*(x - lx) > 0,
-    exact in Python ints. An event finds its slot by binary search, where
-    the edges that end at the vertex sit; the edges that start there take
-    their place, the lower one first by the cross product of their steps.
-    Only the pairs the event makes adjacent are tested: two non-adjacent
-    edges cross iff the ends of each lie strictly on opposite sides of the
-    other; edges i and i+1 share a vertex and are never tested. The two
-    edges of the leftmost crossing are adjacent in the status after the
-    last event before it, so the sweep finds it.
-
-    Unless it has found a crossing first, the sweep meets a vertex that lies
-    on an edge it does not end as a zero side, at or before that vertex's
-    event. Equal x values, or any zero side met, leave the verdict to the
-    scalar pair loop, so closed segments that merely touch still meet; a
-    validated set has neither.
+    A Shamos-Hoey sweep (Shamos and Hoey, FOCS 1976), see _sweep, along the
+    axis the walk travels less, so that fewer edges span the sweep line.
+    The travel along each axis is summed over a fixed-stride sample of at
+    most 32 walk edges; a tie goes to x. To sweep along y, the sweep runs on
+    the transposed columns (x, y) -> (y, x): a linear bijection, so two
+    edges meet, and three points are collinear, exactly when their images
+    are. Should the chosen axis have two equal
+    coordinates, the sweep runs along the other one; should both have, or
+    should the sweep meet a zero side, the verdict comes from the scalar
+    pair loop, so closed segments that merely touch still meet. A validated
+    set has neither.
     """
     require_well_formed(s, e)
     n = s.n
@@ -176,8 +175,39 @@ def check_planarity_segments(s: ConvexPointSet, e: Embedding) -> bool:
     sx, sy = s.xs, s.ys
     xs = [sx[i] for i in e.assignment]
     ys = [sy[i] for i in e.assignment]
-    if len(set(xs)) < n:
-        return _segments_scalar(s, e)
+    step = -(-(n - 1) // 32)  # edges 0, step, 2 * step, ...: at most 32
+    x_travel = sum(map(abs, map(sub, xs[1::step], xs[::step])))
+    y_travel = sum(map(abs, map(sub, ys[1::step], ys[::step])))
+    along_x = x_travel <= y_travel
+    if len(set(xs if along_x else ys)) < n:
+        along_x = not along_x
+        if len(set(xs if along_x else ys)) < n:
+            return _segments_scalar(s, e)
+    verdict = _sweep(xs, ys) if along_x else _sweep(ys, xs)
+    return _segments_scalar(s, e) if verdict is None else verdict
+
+
+def _sweep(xs: list, ys: list) -> Optional[bool]:
+    """The sweep core: whether the walk through the points (xs[k], ys[k]),
+    whose x values are distinct, is crossing-free; None on a zero side.
+
+    The events are the walk's vertices in x order; the status lists, bottom
+    to top, the edges that span the sweep line, as indices into the walk.
+    Edge i is stored by its left endpoint and its step to the right one,
+    (lx, ly, dx, dy) with dx > 0, and vertex (x, y) lies above it iff
+    dx*(y - ly) - dy*(x - lx) > 0, exact in Python ints. An event finds its
+    slot by binary search, where the edges that end at the vertex sit; the
+    edges that start there take their place, the lower one first by the
+    cross product of their steps. Only the pairs the event makes adjacent
+    are tested: two non-adjacent edges cross iff the ends of each lie
+    strictly on opposite sides of the other; edges i and i+1 share a vertex
+    and are never tested. The two edges of the leftmost crossing are
+    adjacent in the status after the last event before it, so the sweep
+    finds it. Unless it has found a crossing first, the sweep meets a vertex
+    that lies on an edge it does not end as a zero side, at or before that
+    vertex's event.
+    """
+    n = len(xs)
     m = n - 1  # edges
     edges = [
         (ax, ay, bx - ax, by - ay) if ax < bx else (bx, by, ax - bx, ay - by)
@@ -197,7 +227,7 @@ def check_planarity_segments(s: ConvexPointSet, e: Embedding) -> bool:
             elif side or j == k or j == k - 1:  # the vertex is below j, or j ends there
                 hi = mid
             else:
-                return _segments_scalar(s, e)
+                return None
         # Edge k-1 runs to the previous vertex, edge k to the next one.
         prev_ends = k > 0 and xs[k - 1] < x
         next_ends = k < m and xs[k + 1] < x
@@ -211,7 +241,7 @@ def check_planarity_segments(s: ConvexPointSet, e: Embedding) -> bool:
             _, _, ex, ey = edges[k]
             turn = dx * ey - dy * ex
             if not turn:
-                return _segments_scalar(s, e)
+                return None
             starts = (k - 1, k) if turn > 0 else (k, k - 1)
         # With no crossing and no zero side met so far, the edges that end
         # here are the ones at the slot: the new edges replace them.
@@ -234,7 +264,7 @@ def check_planarity_segments(s: ConvexPointSet, e: Embedding) -> bool:
             a2 = a1 + turn
             b2 = b1 - turn
             if not (a1 and a2 and b1 and b2):
-                return _segments_scalar(s, e)
+                return None
             if (a1 > 0) != (a2 > 0) and (b1 > 0) != (b2 > 0):
                 return False
     return True
@@ -317,11 +347,19 @@ class ValidationReport:
 
 
 def validate_embedding(p: DirPath, s: ConvexPointSet, e: Embedding) -> ValidationReport:
-    """Run every check and report the first violation, if any."""
+    """Run every check and report the first violation, if any.
+
+    One fused pass over the columns decides the direction and prefix
+    verdicts together; only when it finds a bad step do the per-rule cores
+    run, to give each verdict and its index.
+    """
     require_same_size(p, s)
     ok_segments = check_planarity_segments(s, e)
-    bad_edge = _first_bad_edge(p, s, e)
-    prefix_fail = _first_prefix_failure(s, e)
+    if _first_bad_step(p.labels, s.xs, s.ys, e.assignment, arcs=True) is None:
+        bad_edge = prefix_fail = None
+    else:
+        bad_edge = _first_bad_edge(p, s, e)
+        prefix_fail = _first_prefix_failure(s, e)
     if bad_edge is not None:
         violation: Optional[tuple] = ("direction", bad_edge)
     elif prefix_fail is not None:

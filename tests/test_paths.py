@@ -1,8 +1,10 @@
+import dataclasses
 import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
+from pdce import geometry
 from pdce import (
     ConvexPointSet,
     DirPath,
@@ -19,6 +21,7 @@ from pdce import (
     rotate_embedding,
     rotate_path,
     rotate_set,
+    split_by_bt_line,
     validate,
     validate_embedding,
 )
@@ -149,6 +152,57 @@ def test_frames_match_transformed_sets(mode):
         assert rotated.top_index == mirrored.top_index == 0
 
 
+def _split_or_error(t):
+    try:
+        return split_by_bt_line(t)
+    except PreconditionViolated:
+        return "top left of bottom"
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_replace_reads_extremes_from_columns(mode):
+    # A set made by dataclasses.replace from another set's columns is a
+    # fresh set: it reads its extremes from its own columns, not the source's.
+    for n in (2, 3, 4, 9, 16, 45):
+        s = generate_random_convex(n, seed=2, mode=mode)
+        _extremes(s)  # fill the source's cache first
+        for t in (rotate_set(s), mirror_set(s), mirror_set(rotate_set(s))):
+            fresh = ConvexPointSet(t.xs, t.ys)
+            replaced = dataclasses.replace(s, xs=t.xs, ys=t.ys)
+            assert replaced == fresh == t and hash(replaced) == hash(fresh)
+            assert _extremes(replaced) == _extremes(fresh) == _extremes(t)
+            assert _split_or_error(replaced) == _split_or_error(fresh)
+    # The case where the extremes used to go stale: (0, 5, 3, 8) against
+    # (0, 4, 1, 6), and a split with m = 4 against m = 3.
+    s = generate_random_convex(9, seed=2)
+    t = rotate_set(s)
+    replaced = dataclasses.replace(s, xs=t.xs, ys=t.ys)
+    assert _extremes(replaced) == (0, 4, 1, 6)
+    assert split_by_bt_line(replaced).m == 3
+
+
+def test_set_operators_scan_no_column(monkeypatch):
+    # rotate_set and mirror_set seed the extremes of the set they build by
+    # index arithmetic: reading them afterwards runs no max or min.
+    s = generate_random_convex(16, seed=5)
+    _extremes(s)
+
+    def scan(*args):
+        raise AssertionError("a column was scanned")
+
+    monkeypatch.setattr(geometry, "max", scan, raising=False)
+    monkeypatch.setattr(geometry, "min", scan, raising=False)
+    rotated, mirrored = rotate_set(s), mirror_set(s)
+    turned_back = mirror_set(rotated)
+    seen = [_extremes(t) for t in (rotated, mirrored, turned_back)]
+    with pytest.raises(AssertionError, match="scanned"):
+        ConvexPointSet(s.xs, s.ys).top_index
+    monkeypatch.undo()
+    assert seen == [
+        _extremes(ConvexPointSet(t.xs, t.ys)) for t in (rotated, mirrored, turned_back)
+    ]
+
+
 def test_sets_equal_hash_and_pickle_by_columns(monkeypatch):
     s = generate_random_convex(9, seed=4)
     # validate() hands over the Points it checked: reading them builds none.
@@ -160,8 +214,9 @@ def test_sets_equal_hash_and_pickle_by_columns(monkeypatch):
     fresh = ConvexPointSet(s.xs, s.ys)
     assert fresh == s and hash(fresh) == hash(s)
     assert fresh.points == s.points and repr(fresh) == repr(s)
-    # The extreme indices do not take part in equality.
-    assert ConvexPointSet(s.xs, s.ys, 0, 0, 0, 0) == s
+    # The columns are the only fields: the extreme indices, like the points,
+    # are a cache and take no part in equality, hashing or the constructor.
+    assert [f.name for f in dataclasses.fields(s)] == ["xs", "ys"]
     assert mirror_set(s) != s and rotate_set(s) != s
     assert mirror_set(mirror_set(s)) == s
     t = s

@@ -21,6 +21,7 @@ from pdce import (
     edge_ok,
     embed_three_directional,
     generate_random_convex,
+    rotate_embedding,
     rotate_set,
     validate,
     validate_embedding,
@@ -245,6 +246,93 @@ def test_fused_answer_check_matches_per_rule_checks():
     assert rules == {"range", "int", "points", "twice", "label", "crossing"}
 
 
+def _first_non_arc_prefix(n, a):
+    # The first i for which a[0..i] is not a cyclic run of hull positions:
+    # a run of k < n positions has exactly one member whose predecessor is
+    # not in it.
+    for i in range(1, len(a)):
+        prefix = set(a[: i + 1])
+        if len(prefix) < n and sum((j - 1) % n not in prefix for j in prefix) != 1:
+            return i
+    return None
+
+
+def _reference_report(p, s, e):
+    # The report from the public checks, one rule at a time.
+    ok_direction, bad_edge = check_direction_consistency(p, s, e)
+    ok_prefix = check_planarity_prefix(s, e)
+    prefix_fail = _first_non_arc_prefix(s.n, e.assignment)
+    assert ok_prefix == (prefix_fail is None)
+    ok_segments = check_planarity_segments(s, e)
+    if not ok_direction:
+        violation = ("direction", bad_edge)
+    elif not ok_prefix:
+        violation = ("prefix", prefix_fail)
+    elif not ok_segments:
+        violation = ("segments",)
+    else:
+        violation = None
+    return validator.ValidationReport(ok_direction, ok_prefix, ok_segments, violation)
+
+
+def _labels_along(s, walk, subset):
+    # A path over subset that the walk follows: each step up or down where
+    # subset has that label, else left or right; with three labels one of
+    # the two always fits, as coordinates are distinct.
+    out = []
+    for i, j in zip(walk, walk[1:]):
+        vertical = "U" if s.ys[j] > s.ys[i] else "D"
+        out.append(vertical if vertical in subset else "R" if s.xs[j] > s.xs[i] else "L")
+    return DirPath("".join(out))
+
+
+def test_fused_verdicts_match_per_rule_checks():
+    # Valid embeddings and three kinds of damage: a flipped label breaks the
+    # direction only, a walk off the arcs with labels it follows breaks the
+    # prefix only, and a swap usually breaks both.
+    flip = str.maketrans("UDLR", "DURL")
+    rng = random.Random("fused-verdicts")
+    kinds = set()
+    for mode in ALL_MODES:
+        for n in (1, 2, 3, 4, 5, 7, 12, 30, 61):
+            s = generate_random_convex(n, seed=rng.randrange(10**9), mode=mode)
+            for subset in ("UDR", "UDL", "ULR", "DLR"):
+                p = random_path(rng, n, subset)
+                e = embed_three_directional(p, s)
+                cases = [(p, e)]
+                if n >= 2:
+                    k = rng.randrange(n - 1)
+                    labels = p.labels
+                    cases.append((DirPath(labels[:k] + labels[k].translate(flip) + labels[k + 1:]), e))
+                    walk = rng.sample(range(n), n)
+                    cases.append((_labels_along(s, walk, subset), Embedding(tuple(walk))))
+                    i, j = rng.sample(range(n), 2)
+                    swapped = list(e.assignment)
+                    swapped[i], swapped[j] = swapped[j], swapped[i]
+                    cases.append((p, Embedding(tuple(swapped))))
+                for q, f in cases:
+                    report = validate_embedding(q, s, f)
+                    assert report == _reference_report(q, s, f), (mode, n, q, f)
+                    kinds.add((report.direction_consistent, report.planar_prefix))
+    assert kinds == {(True, True), (False, True), (True, False), (False, False)}
+
+
+def test_valid_embedding_runs_no_per_rule_core(monkeypatch):
+    def core(*args):
+        raise AssertionError("a per-rule core ran")
+
+    s = generate_random_convex(40, seed=3)
+    for subset in ("UDR", "UDL", "ULR", "DLR"):
+        p = random_path(random.Random(subset), s.n, subset)
+        e = embed_three_directional(p, s)
+        with monkeypatch.context() as m:
+            m.setattr(validator, "_first_bad_edge", core)
+            m.setattr(validator, "_first_prefix_failure", core)
+            assert validate_embedding(p, s, e).is_pdce
+            with pytest.raises(AssertionError, match="per-rule core"):
+                validate_embedding(p, s, Embedding(e.assignment[::-1]))
+
+
 def _arc_walk(rng, n):
     # Every prefix a cyclic arc of hull positions: a crossing-free walk.
     lo = hi = rng.randrange(n)
@@ -332,7 +420,9 @@ def _zigzag_walk(n, start=0):
     return walk
 
 
-def test_sweep_zigzag_walks_match_scalar(count_fallbacks):
+def test_sweep_zigzag_walks_match_scalar(monkeypatch, count_fallbacks):
+    # Each walk also on the quarter-turned set, where it travels along the
+    # other axis, so the sweep runs along each axis.
     rng = random.Random(0x2162)
     cases = []
     for k, n in enumerate((4, 5, 9, 30, 101)):
@@ -345,8 +435,11 @@ def test_sweep_zigzag_walks_match_scalar(count_fallbacks):
                 bent = walk[:]
                 bent[i], bent[j] = bent[j], bent[i]
                 cases.append((s, Embedding(tuple(bent))))
+    cases += [(rotate_set(s), rotate_embedding(e, s)) for s, e in cases]
     _assert_matches_scalar(cases)
     assert not count_fallbacks
+    axes = {axis for s, e in cases for axis in _swept(monkeypatch, s, e)[1]}
+    assert axes == {"x", "y"}
 
 
 # Hand-built points in general position, not in convex position. Edge
@@ -357,9 +450,29 @@ _SWEEP_POINTS = (
 )
 
 
-def _hand_built(pts):
-    # An unvalidated set, straight from the coordinate columns of pts.
+def _hand_built(pts, turned=False):
+    # An unvalidated set, straight from the coordinate columns of pts, or of
+    # pts turned a quarter counterclockwise, (x, y) -> (-y, x), index by index.
+    if turned:
+        pts = [Point(-q.y, q.x) for q in pts]
     return ConvexPointSet(tuple(q.x for q in pts), tuple(q.y for q in pts))
+
+
+def _swept(monkeypatch, s, e):
+    """check_planarity_segments(s, e), and the axis of each sweep it ran,
+    read from the column the sweep core orders its events by."""
+    axes = []
+    core = validator._sweep
+    columns = {"x": [s.xs[i] for i in e.assignment], "y": [s.ys[i] for i in e.assignment]}
+
+    def sweep(xs, ys):
+        axes.extend(axis for axis, column in columns.items() if column == xs)
+        return core(xs, ys)
+
+    with monkeypatch.context() as m:
+        m.setattr(validator, "_sweep", sweep)
+        verdict = check_planarity_segments(s, e)
+    return verdict, axes
 
 
 @pytest.mark.parametrize(
@@ -378,29 +491,76 @@ def _hand_built(pts):
         (7, (0, 1, 2, 5, 3, 4, 6), False),
     ],
 )
-def test_sweep_events_match_scalar(count_fallbacks, n, walk, planar):
-    s = _hand_built(_SWEEP_POINTS[:n])
+def test_sweep_events_match_scalar(monkeypatch, count_fallbacks, n, walk, planar):
+    # The points have two pairs of equal y values, so the sweep runs along
+    # x; on the quarter-turned points those are x values, so it runs along
+    # y, through the same events.
     e = Embedding(walk)
-    assert check_planarity_segments(s, e) == planar == _segments_scalar(s, e)
+    for turned, axis in ((False, "x"), (True, "y")):
+        s = _hand_built(_SWEEP_POINTS[:n], turned)
+        assert _swept(monkeypatch, s, e) == (planar, [axis])
+        assert _segments_scalar(s, e) == planar
     assert not count_fallbacks
 
 
 def test_sweep_every_walk_on_the_hand_built_set(count_fallbacks):
-    s = _hand_built(_SWEEP_POINTS)
-    assert all(orientation(*tri) for tri in itertools.combinations(s.points, 3))
-    assert len({pt.x for pt in s.points}) == s.n
-    cases = [(s, Embedding(perm)) for perm in itertools.permutations(range(s.n))]
-    _assert_matches_scalar(cases, convex=False)
+    for turned in (False, True):
+        s = _hand_built(_SWEEP_POINTS, turned)
+        assert all(orientation(*tri) for tri in itertools.combinations(s.points, 3))
+        assert len({pt.y if turned else pt.x for pt in s.points}) == s.n
+        cases = [(s, Embedding(perm)) for perm in itertools.permutations(range(s.n))]
+        _assert_matches_scalar(cases, convex=False)
     assert not count_fallbacks
+
+
+def test_sweep_takes_the_other_axis_on_ties(monkeypatch, count_fallbacks):
+    # Two equal x values and none equal in y: every walk is swept along y,
+    # also the ones that travel more along y, for which the sweep would
+    # otherwise run along x.
+    pts = (Point(0, 0), Point(4, 1), Point(1, 10), Point(4, 20), Point(2, 25))
+    s = _hand_built(pts)
+    assert all(orientation(*tri) for tri in itertools.combinations(pts, 3))
+    verdicts, x_preferred = set(), 0
+    for perm in itertools.permutations(range(s.n)):
+        e = Embedding(perm)
+        walk = [pts[i] for i in perm]
+        x_travel = sum(abs(b.x - a.x) for a, b in zip(walk, walk[1:]))
+        y_travel = sum(abs(b.y - a.y) for a, b in zip(walk, walk[1:]))
+        x_preferred += x_travel <= y_travel
+        verdict, axes = _swept(monkeypatch, s, e)
+        assert axes == ["y"] and verdict == _segments_scalar(s, e), perm
+        verdicts.add(verdict)
+    assert x_preferred and verdicts == {True, False}
+    assert not count_fallbacks
+
+
+@pytest.mark.parametrize("subset, axis", [("ULR", "y"), ("DLR", "y"), ("UDR", "x"), ("UDL", "x")])
+def test_sweep_axis_of_embedder_outputs(monkeypatch, subset, axis):
+    # L/R-heavy walks travel mostly along x, so they are swept along y.
+    for seed in range(3):
+        s = generate_random_convex(300, seed=seed)
+        p = random_path(random.Random(seed), s.n, subset)
+        e = embed_three_directional(p, s)
+        assert _swept(monkeypatch, s, e) == (True, [axis])
+
+
+def test_sweep_axis_of_zigzag_walks(monkeypatch):
+    # From the top the zig-zag walk goes back and forth along x; from a
+    # quarter or a third of the way round, nearer the leftmost point, along y.
+    s = generate_random_convex(2000, seed="segments-2000")
+    for start, axis in ((0, "y"), (s.n // 4, "x"), (666, "x")):
+        e = Embedding(tuple(_zigzag_walk(s.n, start)))
+        assert _swept(monkeypatch, s, e) == (True, [axis])
 
 
 def test_segments_match_scalar_exhaustive_n_le_7(count_fallbacks):
     for seed in range(3):
         for n in range(2, 8):
             s = generate_random_convex(n, seed=seed, mode="general")
-            for perm in itertools.permutations(range(n)):
-                e = Embedding(perm)
-                assert check_planarity_segments(s, e) == _segments_scalar(s, e), (s, e)
+            for t in (s, rotate_set(s)):
+                for perm in itertools.permutations(range(n)):
+                    e = Embedding(perm)
+                    assert check_planarity_segments(t, e) == _segments_scalar(t, e), (t, e)
     assert not count_fallbacks
 
 
@@ -471,11 +631,13 @@ def test_segments_need_no_convex_position(count_fallbacks):
 
 def test_segments_within_budget_at_n2000():
     s = generate_random_convex(2000, seed="segments-2000")
-    p = random_path(random.Random(2000), s.n, "UDR")
-    embedded = embed_three_directional(p, s)
+    rng = random.Random(2000)
+    udr = embed_three_directional(random_path(rng, s.n, "UDR"), s)
+    ulr = embed_three_directional(random_path(rng, s.n, "ULR"), s)
     zigzag = Embedding(tuple(_zigzag_walk(s.n)))  # about n/2 edges on the sweep line
     check_planarity_segments(S5, URDU_E)  # warm-up
-    for name, e in (("embedder output", embedded), ("zig-zag walk", zigzag)):
+    for name, e in (("U/D/R embedder output", udr), ("U/L/R embedder output", ulr),
+                    ("zig-zag walk", zigzag)):
         t0 = time.perf_counter()
         ok = check_planarity_segments(s, e)
         dt = time.perf_counter() - t0
