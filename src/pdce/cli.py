@@ -20,6 +20,7 @@ from .errors import (
     InvalidEmbedding,
     NotFoundWithinBudget,
     PdceError,
+    PreconditionViolated,
 )
 from .geometry import (
     GENERATOR_MODES,
@@ -49,7 +50,10 @@ from .validator import require_same_size, validate_embedding
 
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise PreconditionViolated(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _load_points(path: str) -> ConvexPointSet:

@@ -16,11 +16,12 @@ read only n, xs, ys and the extreme indices, so the embed path builds no
 Point.
 
 Each public entry checks its preconditions, runs an unchecked private core
-and checks the answer once (indices, direction and prefix planarity, in one
-pass over the columns: validator.require_pdce). Inside the
-cores only cheap guards run: the strip parts' first-vertex guarantee and
-the executor's agreement of parts on shared vertices. A planner bug
-therefore surfaces as InternalCaseError instead of a wrong drawing.
+and checks the answer once with validator.require_pdce: a type check of
+the indices, then one pass over the columns for both the labels and the
+prefix arcs. Inside the cores only cheap guards run: the strip parts'
+first-vertex guarantee and the executor's agreement of parts on shared
+vertices. A planner bug therefore surfaces as InternalCaseError instead of
+a wrong drawing.
 """
 
 from __future__ import annotations

@@ -489,7 +489,7 @@ def parse_points_json(text: str) -> list[Point]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PreconditionViolated(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict) or "points" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("points"), list):
         raise PreconditionViolated('expected an object with a "points" array')
     return [as_point(entry) for entry in doc["points"]]
 

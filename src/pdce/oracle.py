@@ -35,7 +35,7 @@ from .geometry import (
     validate,
 )
 from .paths import DirPath, Embedding
-from .validator import _first_bad_edge, edge_ok, require_same_size
+from .validator import _verdicts, edge_ok, require_same_size
 
 DEFAULT_COUNTEREXAMPLE_LABELS = "LULRDR"
 
@@ -138,7 +138,7 @@ def certificate(p: DirPath, s: ConvexPointSet, bound: int = 16) -> dict:
     pdce_count = 0
     for e in candidates:
         # Enumerated candidates are well formed: only the labels need a look.
-        bad = _first_bad_edge(p, s, e)
+        bad = _verdicts(p.labels, s.xs, s.ys, e.assignment)[0]
         if bad is None:
             pdce_count += 1
         entries.append({"assignment": list(e.assignment), "first_bad_edge": bad})

@@ -4,14 +4,10 @@ Each input rule has one owner: require_same_size (one point per path
 vertex) and require_well_formed (one plain-int index in range per point,
 none twice) live here, the U/D/R split rules in geometry.split_by_bt_line
 and the U/D/R label rule in embedder.plan_udr_case. Each public check_*
-scans the embedding once; validate_embedding scans it once, inside
-check_planarity_segments, and then decides the direction and prefix
-verdicts in one fused pass of their column core, running the unchecked
-per-rule cores only when that pass finds a bad step (oracle.certificate
-runs the direction core unchecked on its enumerated candidates too). A
-library answer passes require_pdce: the same fused pass, with the index
-checks in front, falling back to the per-rule checks only to name the
-rule a bad answer breaks.
+scans the embedding once. One pass over the walk's columns, _verdicts,
+finds both the first edge that breaks its label and the first vertex off
+the prefix arc; validate_embedding, require_pdce (the check every library
+answer passes) and oracle.certificate all read their verdicts from it.
 
 Planarity is checked along two independent routes on purpose. The segment
 route is an exact Shamos-Hoey sweep over the walk's edges, with Python-int
@@ -88,47 +84,44 @@ def check_direction_consistency(
     """Return (ok, first bad edge index) for the strict direction constraints."""
     require_same_size(p, s)
     require_well_formed(s, e)
-    bad = _first_bad_edge(p, s, e)
+    bad = _verdicts(p.labels, s.xs, s.ys, e.assignment)[0]
     return bad is None, bad
 
 
-def _first_bad_edge(p: DirPath, s: ConvexPointSet, e: Embedding) -> Optional[int]:
-    return _first_bad_step(p.labels, s.xs, s.ys, e.assignment, arcs=False)
-
-
-def _first_bad_step(labels: str, xs, ys, a, arcs: bool) -> Optional[int]:
-    """The column core of the answer checks: the first k whose step a[k] ->
-    a[k+1] breaks labels[k] or, with arcs, does not extend the prefix arc of
-    a[0..k] at one of its ends; None if no step does. Reads the coordinates
-    from the columns xs and ys. Needs plain-int entries, a[0] in range and,
-    without arcs, every entry in range; with arcs each later entry is
-    compared with the arc's two in-range neighbours before it is read."""
+def _verdicts(labels: str, xs, ys, a) -> tuple[Optional[int], Optional[int]]:
+    """The column core of the answer checks, one pass over the walk a:
+    (first k whose step a[k] -> a[k+1] breaks labels[k], first i whose a[i]
+    does not extend the prefix arc of a[0..i-1] at one of its ends), each
+    None if there is none. Needs plain-int entries and a[0] in range; an
+    entry at or above len(xs) raises IndexError. Each entry is compared with
+    the arc's two in-range ends before its coordinates are read, so an
+    out-of-range one breaks the arc first."""
     n = len(xs)
     i = a[0]
     below, above = (i - 1) % n, (i + 1) % n
+    bad_edge = off_arc = None
     k = 0
     for d, j in zip(labels, a[1:]):
-        if arcs:
-            if j == below:
-                below = (j - 1) % n
-            elif j == above:
-                above = (j + 1) % n
-            else:
-                return k
+        if j == below:
+            below = (j - 1) % n
+        elif j == above:
+            above = (j + 1) % n
+        elif off_arc is None:
+            off_arc = k + 1
         if d == "U":
-            if ys[j] <= ys[i]:
-                return k
+            if ys[j] <= ys[i] and bad_edge is None:
+                bad_edge = k
         elif d == "D":
-            if ys[j] >= ys[i]:
-                return k
+            if ys[j] >= ys[i] and bad_edge is None:
+                bad_edge = k
         elif d == "R":
-            if xs[j] <= xs[i]:
-                return k
-        elif xs[j] >= xs[i]:
-            return k
+            if xs[j] <= xs[i] and bad_edge is None:
+                bad_edge = k
+        elif xs[j] >= xs[i] and bad_edge is None:
+            bad_edge = k
         i = j
         k += 1
-    return None
+    return bad_edge, off_arc
 
 
 def _first_prefix_failure(s: ConvexPointSet, e: Embedding) -> Optional[int]:
@@ -285,42 +278,38 @@ def _segments_scalar(s: ConvexPointSet, e: Embedding) -> bool:
     return True
 
 
-def _is_pdce(p: DirPath, s: ConvexPointSet, e: Embedding) -> bool:
-    """One pass: exactly when the size, index, direction and prefix checks
-    of require_pdce all pass. Every entry a plain int, a[0] in range, and
-    each later entry extending the prefix arc at one end: then the n entries
-    are n distinct in-range positions, a permutation."""
-    a = e.assignment
-    n = s.n
-    return (
-        len(a) == n == p.n_vertices
-        and set(map(type, a)) == {int}
-        and 0 <= a[0] < n
-        and _first_bad_step(p.labels, s.xs, s.ys, a, arcs=True) is None
-    )
-
-
 def require_pdce(p: DirPath, s: ConvexPointSet, e: Embedding, context: str) -> Embedding:
     """Return e if it is direction-consistent and prefix-planar.
 
     The one check a library answer passes before it leaves the public entry
     that produced it; a failure is a bug, reported as InternalCaseError.
-    That includes a malformed answer: the direction and prefix cores alone
-    accept (-1, 0, 1, ..., n-2), whose -1 Python reads as the last point.
-    The fused pass _is_pdce decides; only when it fails do the per-rule
-    checks run, to name the rule.
+    That includes a malformed answer: the verdict pass alone accepts
+    (-1, 0, 1, ..., n-2), whose -1 Python reads as the last point. Plain-int
+    entries, a[0] in range and every later entry extending the prefix arc:
+    then the n entries are a permutation. Only a failing answer meets the
+    per-rule checks, which name the rule it breaks.
     """
-    if _is_pdce(p, s, e):
-        return e
+    a = e.assignment
+    n = s.n
     try:
-        ok, bad = check_direction_consistency(p, s, e)
+        if (
+            len(a) == n == p.n_vertices
+            and set(map(type, a)) == {int}
+            and 0 <= a[0] < n
+            and _verdicts(p.labels, s.xs, s.ys, a) == (None, None)
+        ):
+            return e
+    except IndexError:
+        pass  # the pass read an entry at or above n: the index scan names it
+    try:
+        require_same_size(p, s)
+        require_well_formed(s, e)
     except InvalidEmbedding as exc:
         raise InternalCaseError(f"{context}: {exc}") from exc
-    if not ok:
-        raise InternalCaseError(f"{context}: edge {bad} violates its label")
-    if _first_prefix_failure(s, e) is not None:
-        raise InternalCaseError(f"{context}: the drawing has a crossing")
-    return e
+    bad_edge = _verdicts(p.labels, s.xs, s.ys, a)[0]
+    if bad_edge is not None:
+        raise InternalCaseError(f"{context}: edge {bad_edge} violates its label")
+    raise InternalCaseError(f"{context}: the drawing has a crossing")
 
 
 @dataclass(frozen=True)
@@ -347,19 +336,10 @@ class ValidationReport:
 
 
 def validate_embedding(p: DirPath, s: ConvexPointSet, e: Embedding) -> ValidationReport:
-    """Run every check and report the first violation, if any.
-
-    One fused pass over the columns decides the direction and prefix
-    verdicts together; only when it finds a bad step do the per-rule cores
-    run, to give each verdict and its index.
-    """
+    """Run every check and report the first violation, if any."""
     require_same_size(p, s)
     ok_segments = check_planarity_segments(s, e)
-    if _first_bad_step(p.labels, s.xs, s.ys, e.assignment, arcs=True) is None:
-        bad_edge = prefix_fail = None
-    else:
-        bad_edge = _first_bad_edge(p, s, e)
-        prefix_fail = _first_prefix_failure(s, e)
+    bad_edge, prefix_fail = _verdicts(p.labels, s.xs, s.ys, e.assignment)
     if bad_edge is not None:
         violation: Optional[tuple] = ("direction", bad_edge)
     elif prefix_fail is not None:

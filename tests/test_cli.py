@@ -254,6 +254,29 @@ def test_json_points_accepted(tmp_path, capsys):
     assert run(["decide", "--points", str(f), "--path", "UD"]) == 0
 
 
+@pytest.mark.parametrize("points", [5, None, "05", {"0": 0}])
+def test_malformed_json_points_is_usage_error(tmp_path, capsys, points):
+    f = tmp_path / "pts.json"
+    f.write_text(json.dumps({"points": points}))
+    assert run(["decide", "--points", str(f), "--path", "UD"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+def test_non_utf8_input_is_usage_error(s5_file, tmp_path, capsys):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"# caf\xe9\n" + S5_TEXT.encode())
+    emb = tmp_path / "e.txt"
+    emb.write_text("0\n4\n2\n1\n3\n")
+    for points, embedding in ((str(latin1), str(emb)), (s5_file, str(latin1))):
+        code = run(
+            ["verify", "--points", points, "--path", "URDU", "--embedding", embedding]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "UTF-8" in err[0], err
+
+
 def test_render_svg_function_errors():
     s = validate([(0, 0), (2, 3), (4, 1)])
     with pytest.raises(SizeMismatch):

@@ -446,8 +446,8 @@ def test_quarter_four_label_sound(inst):
 def test_validate_once_check_once(monkeypatch):
     # Transformed sets and plan parts come from index arithmetic, and only
     # the outermost public call checks its answer: no validate() call and
-    # one fused answer check per top-level call, which passes, so the
-    # per-rule direction and prefix checks never run. At most one rotate_set
+    # one verdict pass per top-level call, which passes, so the per-rule
+    # direction and prefix checks never run. At most one rotate_set
     # (U/L/R and D/L/R paths only) and one mirror_set (only when the reduced
     # set's top lies left of its bottom) runs per call; the U/D/R primitives
     # run on the set itself, without a half turn. No Point is built.
@@ -459,7 +459,7 @@ def test_validate_once_check_once(monkeypatch):
     ]
     originals = {
         "validate": pdce.geometry.validate,
-        "_is_pdce": pdce.validator._is_pdce,
+        "_verdicts": pdce.validator._verdicts,
         "check_direction_consistency": pdce.validator.check_direction_consistency,
         "_first_prefix_failure": pdce.validator._first_prefix_failure,
         "rotate_set": pdce.paths.rotate_set,
@@ -471,7 +471,7 @@ def test_validate_once_check_once(monkeypatch):
         reduced = originals["rotate_set"](s) if rotated else s
         mirrored = reduced.top.x < reduced.bottom.x
         branches.add((rotated, mirrored))
-        return +Counter(_is_pdce=1, rotate_set=int(rotated), mirror_set=int(mirrored))
+        return +Counter(_verdicts=1, rotate_set=int(rotated), mirror_set=int(mirrored))
 
     calls = Counter()
     for mod_name, mod in list(sys.modules.items()):

@@ -159,14 +159,14 @@ def test_one_index_scan_per_call(monkeypatch):
 
 
 def test_require_pdce_reports_malformed_answer_as_bug(monkeypatch):
-    # -1 reads as the last point, so the direction and prefix cores accept
-    # this answer; the index scan rejects it, and a malformed library answer
-    # is a bug (InternalCaseError), not bad input (InvalidEmbedding).
+    # -1 reads as the last point, so the verdict pass and the prefix core
+    # accept this answer; the index scan rejects it, and a malformed library
+    # answer is a bug (InternalCaseError), not bad input (InvalidEmbedding).
     s = generate_random_convex(9, seed=2, mode="general")
     bad = Embedding(tuple(range(-1, s.n - 1)))
     pts = [s.points[i] for i in bad.assignment]
     p = DirPath("".join("U" if b.y > a.y else "D" for a, b in zip(pts, pts[1:])))
-    assert validator._first_bad_edge(p, s, bad) is None
+    assert validator._verdicts(p.labels, s.xs, s.ys, bad.assignment) == (None, None)
     assert validator._first_prefix_failure(s, bad) is None
     monkeypatch.setattr(embedder, "_embed_three_directional", lambda p, s: bad)
     with pytest.raises(InternalCaseError, match="three-directional: point index -1 out of range"):
@@ -182,10 +182,9 @@ def _composite_verdict(p, s, e):
         validator.require_well_formed(s, e)
     except InvalidEmbedding as exc:
         return str(exc)
-    pts = s.points
-    for k, label in enumerate(p.labels):
-        if not edge_ok(label, pts[e[k]], pts[e[k + 1]]):
-            return f"edge {k} violates its label"
+    bad = _first_bad_label(p, s, e.assignment)
+    if bad is not None:
+        return f"edge {bad} violates its label"
     if validator._first_prefix_failure(s, e) is not None:
         return "the drawing has a crossing"
     return None
@@ -226,7 +225,6 @@ def test_fused_answer_check_matches_per_rule_checks():
                 for a in [e.assignment] + _mutants(rng, e.assignment, n):
                     emb = Embedding(a)
                     want = _composite_verdict(p, s, emb)
-                    assert validator._is_pdce(p, s, emb) == (want is None), (mode, n, a)
                     if want is None:
                         assert validator.require_pdce(p, s, emb, "ctx") is emb
                         continue
@@ -235,15 +233,19 @@ def test_fused_answer_check_matches_per_rule_checks():
                         validator.require_pdce(p, s, emb, "ctx")
                     assert str(info.value) == f"ctx: {want}", (mode, n, a)
                     if set(map(type, a)) == {int} and sorted(a) == list(range(n)):
-                        # The column core still names the first bad edge.
-                        bad = next(
-                            (k for k, d in enumerate(p.labels)
-                             if not edge_ok(d, s.points[a[k]], s.points[a[k + 1]])),
-                            None,
-                        )
-                        assert validator._first_bad_edge(p, s, emb) == bad
+                        # The column core names the first bad edge and vertex.
+                        verdicts = (_first_bad_label(p, s, a), _first_non_arc_prefix(n, a))
+                        assert validator._verdicts(p.labels, s.xs, s.ys, a) == verdicts
     assert answers == 6 * 13 * 4
     assert rules == {"range", "int", "points", "twice", "label", "crossing"}
+
+
+def _first_bad_label(p, s, a):
+    # The first edge that breaks its label, through edge_ok on Points.
+    pts = s.points
+    return next(
+        (k for k, d in enumerate(p.labels) if not edge_ok(d, pts[a[k]], pts[a[k + 1]])), None
+    )
 
 
 def _first_non_arc_prefix(n, a):
@@ -260,6 +262,7 @@ def _first_non_arc_prefix(n, a):
 def _reference_report(p, s, e):
     # The report from the public checks, one rule at a time.
     ok_direction, bad_edge = check_direction_consistency(p, s, e)
+    assert bad_edge == _first_bad_label(p, s, e.assignment)
     ok_prefix = check_planarity_prefix(s, e)
     prefix_fail = _first_non_arc_prefix(s.n, e.assignment)
     assert ok_prefix == (prefix_fail is None)
@@ -286,13 +289,22 @@ def _labels_along(s, walk, subset):
     return DirPath("".join(out))
 
 
+_FLIP = str.maketrans("UDLR", "DURL")
+
+
+def _flipped(p, k):
+    return DirPath(p.labels[:k] + p.labels[k].translate(_FLIP) + p.labels[k + 1:])
+
+
 def test_fused_verdicts_match_per_rule_checks():
-    # Valid embeddings and three kinds of damage: a flipped label breaks the
+    # Valid embeddings and four kinds of damage: a flipped label breaks the
     # direction only, a walk off the arcs with labels it follows breaks the
-    # prefix only, and a swap usually breaks both.
-    flip = str.maketrans("UDLR", "DURL")
+    # prefix only, that walk with one label flipped before or after it
+    # leaves the arcs breaks both in either order, and a swap usually breaks
+    # both. The verdict pass does not stop at the first break.
     rng = random.Random("fused-verdicts")
     kinds = set()
+    orders = set()
     for mode in ALL_MODES:
         for n in (1, 2, 3, 4, 5, 7, 12, 30, 61):
             s = generate_random_convex(n, seed=rng.randrange(10**9), mode=mode)
@@ -301,11 +313,19 @@ def test_fused_verdicts_match_per_rule_checks():
                 e = embed_three_directional(p, s)
                 cases = [(p, e)]
                 if n >= 2:
-                    k = rng.randrange(n - 1)
-                    labels = p.labels
-                    cases.append((DirPath(labels[:k] + labels[k].translate(flip) + labels[k + 1:]), e))
+                    cases.append((_flipped(p, rng.randrange(n - 1)), e))
                     walk = rng.sample(range(n), n)
-                    cases.append((_labels_along(s, walk, subset), Embedding(tuple(walk))))
+                    q = _labels_along(s, walk, subset)
+                    cases.append((q, Embedding(tuple(walk))))
+                    off = _first_non_arc_prefix(n, walk)
+                    if off is not None:
+                        # Edge off - 1 leaves the arcs: flip a label at or
+                        # after it, and one before it.
+                        flips = [rng.randrange(off - 1, n - 1)]
+                        if off > 1:
+                            flips.append(rng.randrange(off - 1))
+                        for k in flips:
+                            cases.append((_flipped(q, k), Embedding(tuple(walk))))
                     i, j = rng.sample(range(n), 2)
                     swapped = list(e.assignment)
                     swapped[i], swapped[j] = swapped[j], swapped[i]
@@ -314,23 +334,36 @@ def test_fused_verdicts_match_per_rule_checks():
                     report = validate_embedding(q, s, f)
                     assert report == _reference_report(q, s, f), (mode, n, q, f)
                     kinds.add((report.direction_consistent, report.planar_prefix))
+                    bad_edge, off = validator._verdicts(q.labels, s.xs, s.ys, f.assignment)
+                    assert off == _first_non_arc_prefix(n, f.assignment), (mode, n, q, f)
+                    if bad_edge is not None and off is not None:
+                        orders.add(bad_edge < off - 1)
     assert kinds == {(True, True), (False, True), (True, False), (False, False)}
+    assert orders == {True, False}
 
 
 def test_valid_embedding_runs_no_per_rule_core(monkeypatch):
+    # validate_embedding reads both verdicts from one pass, on valid and on
+    # tampered walks alike.
     def core(*args):
         raise AssertionError("a per-rule core ran")
 
+    monkeypatch.setattr(validator, "check_direction_consistency", core)
+    monkeypatch.setattr(validator, "_first_prefix_failure", core)
     s = generate_random_convex(40, seed=3)
     for subset in ("UDR", "UDL", "ULR", "DLR"):
         p = random_path(random.Random(subset), s.n, subset)
         e = embed_three_directional(p, s)
-        with monkeypatch.context() as m:
-            m.setattr(validator, "_first_bad_edge", core)
-            m.setattr(validator, "_first_prefix_failure", core)
-            assert validate_embedding(p, s, e).is_pdce
-            with pytest.raises(AssertionError, match="per-rule core"):
-                validate_embedding(p, s, Embedding(e.assignment[::-1]))
+        assert validate_embedding(p, s, e).is_pdce
+        swapped = list(e.assignment)
+        swapped[10], swapped[30] = swapped[30], swapped[10]
+        tampered = (
+            (p, Embedding(e.assignment[::-1])),
+            (_flipped(p, 20), e),
+            (p, Embedding(tuple(swapped))),
+        )
+        for q, f in tampered:
+            assert not validate_embedding(q, s, f).is_pdce
 
 
 def _arc_walk(rng, n):

@@ -1,3 +1,4 @@
+import importlib.util
 import re
 import sys
 from pathlib import Path
@@ -21,3 +22,18 @@ def test_workflow_node_ids_are_collected():
     collected = out.stdout.splitlines()
     for node in ids:
         assert any(c == node or c.startswith(node + "[") for c in collected), node
+
+
+def test_tracer_targets_exist():
+    # A traced name that is gone measures zero in the benchmark's layer
+    # table without failing the run: catch it here instead.
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("pdce_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, targets in tracer.LAYERS.items():
+        assert targets, layer
+        for target in targets:
+            mod_name, _, fn_name = target.rpartition(".")
+            module = importlib.import_module(f"pdce.{mod_name}")
+            assert callable(getattr(module, fn_name, None)), (layer, target)
