@@ -166,7 +166,7 @@ def _cmd_oracle_search(args) -> int:
     except NotFoundWithinBudget as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    sys.stdout.write(format_points_text(s.points))
+    sys.stdout.write(format_points_text(zip(s.xs, s.ys)))
     return 0
 
 
@@ -175,7 +175,7 @@ def _cmd_gen(args) -> int:
     for i in range(args.count):
         seed = args.seed if args.count == 1 else f"{args.seed}#{i}"
         s = generate_random_convex(args.n, seed=seed, mode=args.mode)
-        blocks.append(format_points_text(s.points))
+        blocks.append(format_points_text(zip(s.xs, s.ys)))
     sys.stdout.write("\n".join(blocks))
     return 0
 

@@ -6,9 +6,11 @@ set is accepted only when it is in strictly convex, general position:
 pairwise distinct x, pairwise distinct y, and no three collinear points.
 Accepted sets are stored in a canonical order (counterclockwise around the
 hull, starting at the topmost point), which makes equality, hashing and all
-downstream index arithmetic independent of the input order. A set is its
-integer coordinate columns xs and ys, which the extreme indices, the orders,
-the split and the engines read; its Points are built only when asked for.
+downstream index arithmetic independent of the input order. Sets, the
+parsers and the formatters work on (x, y) int pairs: validate() checks each
+entry into two ints and keeps the columns xs and ys, which the extreme
+indices, the orders, the split and the engines read. A Point is a view of
+one pair, built only when asked for.
 """
 
 from __future__ import annotations
@@ -50,28 +52,34 @@ class Point:
             if abs(v) > COORD_LIMIT:
                 raise CoordinateRange(f"coordinate {v} exceeds |{COORD_LIMIT}|")
 
+    def __iter__(self):
+        yield self.x
+        yield self.y
+
     def __repr__(self) -> str:
         return f"({self.x}, {self.y})"
 
 
-def as_point(obj) -> Point:
-    """Coerce a Point, a pair of ints, or anything index-like into a Point."""
-    if isinstance(obj, Point):
-        return obj
+def _pair(obj) -> tuple[int, int]:
+    # The coordinate rule of the input door: two index-like values, neither
+    # a bool, each of magnitude at most COORD_LIMIT.
     try:
         x, y = obj
-        return Point(operator.index(x), operator.index(y))
+        pair = operator.index(x), operator.index(y)
     except (TypeError, ValueError):
         raise PreconditionViolated(f"cannot interpret {obj!r} as a point") from None
-
-
-def _cross(a: Point, b: Point, c: Point) -> int:
-    return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+    if type(x) is bool or type(y) is bool:
+        bad = x if type(x) is bool else y
+        raise PreconditionViolated(f"coordinates must be plain ints, got {bad!r}")
+    if abs(pair[0]) > COORD_LIMIT or abs(pair[1]) > COORD_LIMIT:
+        bad = next(v for v in pair if abs(v) > COORD_LIMIT)
+        raise CoordinateRange(f"coordinate {bad} exceeds |{COORD_LIMIT}|")
+    return pair
 
 
 def orientation(a: Point, b: Point, c: Point) -> int:
     """Sign of the turn a->b->c: +1 left (counterclockwise), -1 right, 0 collinear."""
-    v = _cross(a, b, c)
+    v = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
     return (v > 0) - (v < 0)
 
 
@@ -113,10 +121,10 @@ class ConvexPointSet:
     build instances directly from an already valid set by index arithmetic.
 
     Everything else is read from the columns on first use and cached: the
-    four extreme indices, which the symmetry operators find by index
-    arithmetic instead and seed through _with_extremes, and points, as checked Points, which validate()
-    seeds with the ones it has checked. So a set built from columns, also
-    by dataclasses.replace, never carries another set's extremes.
+    four extreme indices (the symmetry operators seed them through
+    _with_extremes instead), the two axis orders, and points, the Point
+    views. So a set built from columns, also by dataclasses.replace, never
+    carries another set's extremes.
     """
 
     xs: tuple[int, ...]
@@ -175,16 +183,6 @@ class ConvexPointSet:
         return f"ConvexPointSet([{inner}])"
 
 
-def _from_points(pts: Sequence[Point]) -> ConvexPointSet:
-    # The set of already checked Points, in canonical order; they become the
-    # cache of its points property.
-    s = ConvexPointSet(
-        tuple(map(operator.attrgetter("x"), pts)), tuple(map(operator.attrgetter("y"), pts))
-    )
-    s.__dict__["points"] = tuple(pts)
-    return s
-
-
 def _with_extremes(
     xs: tuple[int, ...], ys: tuple[int, ...], top: int, bottom: int, left: int, right: int
 ) -> ConvexPointSet:
@@ -198,54 +196,51 @@ def _with_extremes(
 def validate(raw_points: Iterable) -> ConvexPointSet:
     """Check convex general position and return the canonical point set.
 
+    Each entry is an (x, y) pair of index-like values, a Point included.
     Raises DuplicateX / DuplicateY / CollinearTriple / NotConvexPosition
     with the offending indices into the *input* order, CoordinateRange for
     oversized coordinates, and PreconditionViolated for malformed input.
     """
-    pts = [as_point(p) for p in raw_points]
-    n = len(pts)
+    pairs = [_pair(entry) for entry in raw_points]
+    n = len(pairs)
     if n == 0:
         raise PreconditionViolated("point set is empty")
+    xs, ys = zip(*pairs)
 
-    by_x = sorted(range(n), key=lambda i: pts[i].x)
-    for a, b in zip(by_x, by_x[1:]):
-        if pts[a].x == pts[b].x:
-            raise DuplicateX(*sorted((a, b)))
-    by_y = sorted(range(n), key=lambda i: pts[i].y)
-    for a, b in zip(by_y, by_y[1:]):
-        if pts[a].y == pts[b].y:
-            raise DuplicateY(*sorted((a, b)))
+    by_x = sorted(range(n), key=xs.__getitem__)
+    by_y = sorted(range(n), key=ys.__getitem__)
+    for order, col, duplicate in ((by_x, xs, DuplicateX), (by_y, ys, DuplicateY)):
+        for a, b in zip(order, order[1:]):
+            if col[a] == col[b]:
+                raise duplicate(*sorted((a, b)))
 
-    if n == 1:
-        return _from_points(pts)
-    if n == 2:
-        return _from_points(pts if pts[0].y > pts[1].y else pts[::-1])
-
-    hull = _strict_hull(pts, by_x)
-    if len(hull) < n:
-        members = set(hull)
-        missing = min(i for i in range(n) if i not in members)
-        raise NotConvexPosition(missing)
-
-    start = max(range(n), key=lambda k: pts[hull[k]].y)
-    ordered = [pts[i] for i in hull[start:] + hull[:start]]
-    for k in range(n):
-        a, b, c = ordered[k], ordered[(k + 1) % n], ordered[(k + 2) % n]
-        if orientation(a, b, c) <= 0:
-            raise InternalCaseError("hull canonicalization broke convexity")
-    return _from_points(ordered)
+    if n <= 2:
+        ring = [pairs[i] for i in reversed(by_y)]
+    else:
+        hull = _strict_hull(xs, ys, by_x)
+        if len(hull) < n:
+            raise NotConvexPosition(min(set(range(n)).difference(hull)))
+        start = hull.index(by_y[-1])
+        ring = [pairs[i] for i in hull[start:] + hull[:start]]
+        for (ax, ay), (bx, by), (cx, cy) in zip(ring, ring[1:] + ring[:1], ring[2:] + ring[:2]):
+            if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= 0:
+                raise InternalCaseError("hull canonicalization broke convexity")
+    return ConvexPointSet(*zip(*ring))
 
 
-def _strict_hull(pts: list[Point], by_x: list[int]) -> list[int]:
-    # Monotone chain restricted to strict turns; a zero cross is a hard error
-    # because no accepted set may contain a collinear triple.
+def _strict_hull(xs: Sequence[int], ys: Sequence[int], by_x: list[int]) -> list[int]:
+    # Monotone chain on indices, restricted to strict turns; a zero cross is
+    # a hard error because no accepted set may contain a collinear triple.
     def build(order: list[int]) -> list[int]:
         chain: list[int] = []
         for k in order:
+            kx, ky = xs[k], ys[k]
             while len(chain) >= 2:
-                c = _cross(pts[chain[-2]], pts[chain[-1]], pts[k])
+                i, j = chain[-2], chain[-1]
+                ix, iy = xs[i], ys[i]
+                c = (xs[j] - ix) * (ky - iy) - (ys[j] - iy) * (kx - ix)
                 if c == 0:
-                    raise CollinearTriple(*sorted((chain[-2], chain[-1], k)))
+                    raise CollinearTriple(*sorted((i, j, k)))
                 if c < 0:
                     chain.pop()
                 else:
@@ -253,9 +248,7 @@ def _strict_hull(pts: list[Point], by_x: list[int]) -> list[int]:
             chain.append(k)
         return chain
 
-    lower = build(by_x)
-    upper = build(by_x[::-1])
-    return lower[:-1] + upper[:-1]
+    return build(by_x)[:-1] + build(by_x[::-1])[:-1]
 
 
 class SetTag(enum.Enum):
@@ -461,9 +454,10 @@ def generate_random_convex(n: int, seed=0, mode: str = "general") -> ConvexPoint
     raise GenerationFailed(attempts, detail=last)
 
 
-def parse_points_text(text: str) -> list[Point]:
-    """Parse 'x y' lines. Blank lines and lines starting with '#' are skipped."""
-    pts = []
+def parse_points_text(text: str) -> list[tuple[int, int]]:
+    """Parse 'x y' lines into int pairs, checked as validate() checks them.
+    Blank lines and lines starting with '#' are skipped."""
+    pairs = []
     for ln, line in enumerate(text.splitlines(), start=1):
         body = line.strip()
         if not body or body.startswith("#"):
@@ -472,27 +466,32 @@ def parse_points_text(text: str) -> list[Point]:
         if len(parts) != 2:
             raise PreconditionViolated(f"line {ln}: expected 'x y', got {body!r}")
         try:
-            pts.append(Point(int(parts[0]), int(parts[1])))
+            pairs.append(_pair((int(parts[0]), int(parts[1]))))
+        except CoordinateRange as exc:
+            raise CoordinateRange(f"line {ln}: {exc}") from None
         except ValueError:
             raise PreconditionViolated(
                 f"line {ln}: coordinates must be integers"
             ) from None
-    return pts
+    return pairs
 
 
-def format_points_text(points: Sequence[Point]) -> str:
-    return "".join(f"{p.x} {p.y}\n" for p in points)
+def format_points_text(points: Iterable) -> str:
+    """One 'x y' line per (x, y) pair; a Point is such a pair."""
+    return "".join(f"{x} {y}\n" for x, y in points)
 
 
-def parse_points_json(text: str) -> list[Point]:
+def parse_points_json(text: str) -> list[tuple[int, int]]:
+    """Parse {"points": [[x, y], ...]} into int pairs, checked as validate() checks them."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int too long to convert
         raise PreconditionViolated(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("points"), list):
         raise PreconditionViolated('expected an object with a "points" array')
-    return [as_point(entry) for entry in doc["points"]]
+    return [_pair(entry) for entry in doc["points"]]
 
 
-def format_points_json(points: Sequence[Point]) -> str:
-    return json.dumps({"points": [[p.x, p.y] for p in points]})
+def format_points_json(points: Iterable) -> str:
+    """{"points": [[x, y], ...]} from (x, y) pairs; a Point is such a pair."""
+    return json.dumps({"points": [[x, y] for x, y in points]})

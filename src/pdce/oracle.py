@@ -230,6 +230,6 @@ def load_counterexample() -> tuple:
         .read_text(encoding="ascii")
     )
     doc = json.loads(text)
-    s = validate([tuple(pt) for pt in doc["points"]])
+    s = validate(doc["points"])
     p = DirPath(doc["path"])
     return p, s, doc

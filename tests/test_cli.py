@@ -10,6 +10,7 @@ import pytest
 
 import pdce
 from pdce import load_counterexample, render_svg, validate, parse_points_text
+from pdce import Point, format_points_json
 from pdce import DirPath, Embedding, InvalidEmbedding, SizeMismatch
 from pdce.cli import run
 
@@ -158,7 +159,7 @@ def test_gen_deterministic(capsys):
     assert first == second
     pts = parse_points_text(first)
     assert len(pts) == 6
-    assert validate([(p.x, p.y) for p in pts]).n == 6
+    assert validate(pts).n == 6
 
 
 def test_gen_multiple_blocks(capsys):
@@ -261,6 +262,65 @@ def test_malformed_json_points_is_usage_error(tmp_path, capsys, points):
     assert run(["decide", "--points", str(f), "--path", "UD"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+@pytest.mark.parametrize(
+    "name, body",
+    [
+        ("pts.txt", "0 0\n2 3\n4 99999999999999999999\n"),
+        ("pts.json", '{"points": [[0, 0], [2, 3], [4, 99999999999999999999]]}'),
+    ],
+    ids=["text", "json"],
+)
+def test_out_of_range_points_is_usage_error(tmp_path, capsys, name, body):
+    f = tmp_path / name
+    f.write_text(body)
+    assert run(["decide", "--points", str(f), "--path", "UD"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "exceeds" in err[0], err
+
+
+def test_json_int_past_conversion_limit_is_usage_error(tmp_path, capsys):
+    # json.loads refuses an int literal past Python's digit limit with a
+    # plain ValueError; where there is no such limit, the range check does.
+    f = tmp_path / "pts.json"
+    f.write_text('{"points": [[0, 0], [2, %s]]}' % ("9" * 5000))
+    assert run(["decide", "--points", str(f), "--path", "U"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+def test_subcommands_build_no_point(tmp_path, capsys, monkeypatch):
+    # Points files are read and written as int pairs, and every engine reads
+    # the set's columns: a Point built anywhere on these paths fails the run.
+    def built(q):
+        raise AssertionError(f"Point {q!r} built")
+
+    monkeypatch.setattr(Point, "__post_init__", built)
+    assert run(["gen", "--n", "300", "--seed", "1"]) == 0
+    text = capsys.readouterr().out
+    points = tmp_path / "points.txt"
+    points.write_text(text)
+    as_json = tmp_path / "points.json"
+    as_json.write_text(format_points_json(parse_points_text(text)))
+    path = ("UDR" * 100)[:299]
+    common = ["--points", str(points), "--path", path]
+    assert run(["embed", *common]) == 0
+    walk = capsys.readouterr().out.split()
+    embedding = tmp_path / "embedding.txt"
+    embedding.write_text("\n".join(walk) + "\n")
+    walk[100], walk[200] = walk[200], walk[100]
+    swapped = tmp_path / "swapped.txt"
+    swapped.write_text("\n".join(walk) + "\n")
+    for points_file in (points, as_json):
+        assert run(["decide", "--points", str(points_file), "--path", path]) == 0
+    assert run(["verify", *common, "--embedding", str(embedding)]) == 0
+    assert '"is_pdce": true' in capsys.readouterr().out
+    assert run(["verify", *common, "--embedding", str(swapped)]) == 1
+    assert '"is_pdce": false' in capsys.readouterr().out
+    svg = tmp_path / "out.svg"
+    assert run(["render", *common, "--embedding", str(embedding), "--svg", str(svg)]) == 0
+    assert svg.read_text().count('class="node"') == 300
 
 
 def test_non_utf8_input_is_usage_error(s5_file, tmp_path, capsys):

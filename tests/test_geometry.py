@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 
@@ -92,10 +93,12 @@ def test_validate_idempotent_on_canonical():
 
 
 def test_validate_reports_broken_canonicalization(monkeypatch):
-    # The post-canonicalization convexity check raises, not asserts.
+    # The post-canonicalization convexity check raises, not asserts: a hull
+    # builder that hands back the clockwise ring is caught.
     import pdce.geometry
 
-    monkeypatch.setattr(pdce.geometry, "orientation", lambda a, b, c: 0)
+    hull = pdce.geometry._strict_hull
+    monkeypatch.setattr(pdce.geometry, "_strict_hull", lambda *a: hull(*a)[::-1])
     with pytest.raises(InternalCaseError, match="broke convexity"):
         validate(S5_RAW)
 
@@ -105,7 +108,8 @@ def test_validate_check_survives_optimize_flag():
 
     code = (
         "import pdce.geometry as g\n"
-        "g.orientation = lambda a, b, c: 0\n"
+        "hull = g._strict_hull\n"
+        "g._strict_hull = lambda *a: hull(*a)[::-1]\n"
         "try:\n"
         f"    g.validate({S5_RAW!r})\n"
         "except g.InternalCaseError:\n"
@@ -153,6 +157,99 @@ def test_validate_singletons_and_pairs():
     assert coords(validate([(7, 7)])) == [(7, 7)]
     s = validate([(0, 0), (1, 1)])
     assert coords(s)[0] == (1, 1)  # topmost first
+
+
+_RANGE = f"exceeds |{COORD_LIMIT}|"
+
+# The input door's error contract: (case, door, input, error type, .indices
+# or .index, message). An out-of-range coordinate is CoordinateRange and a bool
+# coordinate is rejected at every door; the rest is as it has always been.
+DOOR_CORPUS = [
+    ("dup-x", "validate", [(0, 0), (3, 2), (0, 5)], DuplicateX, (0, 2),
+     "points 0 and 2 share an x-coordinate"),
+    ("dup-y", "validate", [(0, 1), (3, 2), (5, 1)], DuplicateY, (0, 2),
+     "points 0 and 2 share a y-coordinate"),
+    ("collinear", "validate", [(5, 1), (0, 0), (4, 4), (2, 2)], CollinearTriple, (1, 2, 3),
+     "points 1, 2 and 3 are collinear"),
+    ("not-convex", "validate", [(0, 0), (10, 1), (4, 9), (3, 2)], NotConvexPosition, 3,
+     "point 3 is not a vertex of the convex hull"),
+    ("range", "validate", [(0, 0), (2, 3), (4, 10**23)], CoordinateRange, None,
+     f"coordinate {10**23} {_RANGE}"),
+    ("range-neg", "validate", [(0, 0), (-COORD_LIMIT - 1, 3), (4, 1)], CoordinateRange, None,
+     f"coordinate {-COORD_LIMIT - 1} {_RANGE}"),
+    ("float", "validate", [(0, 0), (1.5, 2), (4, 1)], PreconditionViolated, None,
+     "cannot interpret (1.5, 2) as a point"),
+    ("str", "validate", [(0, 0), ("1", 2), (4, 1)], PreconditionViolated, None,
+     "cannot interpret ('1', 2) as a point"),
+    ("bool", "validate", [(True, 5), (0, 0), (4, 2)], PreconditionViolated, None,
+     "coordinates must be plain ints, got True"),
+    ("arity", "validate", [(0, 0), (1, 2, 3), (4, 1)], PreconditionViolated, None,
+     "cannot interpret (1, 2, 3) as a point"),
+    ("not-pair", "validate", [(0, 0), 5, (4, 1)], PreconditionViolated, None,
+     "cannot interpret 5 as a point"),
+    ("empty", "validate", [], PreconditionViolated, None, "point set is empty"),
+    ("text-arity", "text", "1 2\n3\n", PreconditionViolated, None,
+     "line 2: expected 'x y', got '3'"),
+    ("text-word", "text", "1 2\na b\n", PreconditionViolated, None,
+     "line 2: coordinates must be integers"),
+    ("text-float", "text", "# c\n1 2\n1.5 2\n", PreconditionViolated, None,
+     "line 3: coordinates must be integers"),
+    ("text-arity3", "text", "1 2 3\n", PreconditionViolated, None,
+     "line 1: expected 'x y', got '1 2 3'"),
+    ("text-range", "text", "0 0\n4 99999999999999999999\n", CoordinateRange, None,
+     f"line 2: coordinate 99999999999999999999 {_RANGE}"),
+    ("json-syntax", "json", "not json", PreconditionViolated, None,
+     "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("json-not-list", "json", '{"points": 5}', PreconditionViolated, None,
+     'expected an object with a "points" array'),
+    ("json-not-object", "json", "[[0, 0]]", PreconditionViolated, None,
+     'expected an object with a "points" array'),
+    ("json-str", "json", '{"points": [[0, 0], "05"]}', PreconditionViolated, None,
+     "cannot interpret '05' as a point"),
+    ("json-float", "json", '{"points": [[0, 0], [1.5, 2]]}', PreconditionViolated, None,
+     "cannot interpret [1.5, 2] as a point"),
+    ("json-arity", "json", '{"points": [[0, 0, 1]]}', PreconditionViolated, None,
+     "cannot interpret [0, 0, 1] as a point"),
+    ("json-dict", "json", '{"points": [[0, 0], {"0": 0}]}', PreconditionViolated, None,
+     "cannot interpret {'0': 0} as a point"),
+    ("json-bool", "json", '{"points": [[true, 5], [0, 0], [4, 2]]}', PreconditionViolated, None,
+     "coordinates must be plain ints, got True"),
+    ("json-range", "json", '{"points": [[0, 0], [4, 99999999999999999999999]]}',
+     CoordinateRange, None, f"coordinate 99999999999999999999999 {_RANGE}"),
+]
+
+
+@pytest.mark.parametrize(
+    "door, arg, kind, where, message",
+    [c[1:] for c in DOOR_CORPUS],
+    ids=[c[0] for c in DOOR_CORPUS],
+)
+def test_door_error_contract(door, arg, kind, where, message):
+    parse = {"validate": validate, "text": parse_points_text, "json": parse_points_json}
+    with pytest.raises(kind) as exc:
+        parse[door](arg)
+    assert type(exc.value) is kind
+    assert getattr(exc.value, "indices", getattr(exc.value, "index", None)) == where
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("mode", GENERATOR_MODES)
+def test_validate_shuffled_equals_canonical(mode):
+    rng = random.Random(mode)
+    for n in (1, 2, 3, 7, 20, 50, 1000):
+        s = generate_random_convex(n, seed=n, mode=mode)
+        pairs = coords(s)
+        for _ in range(3 if n < 1000 else 1):
+            rng.shuffle(pairs)
+            t = validate(pairs)
+            assert (t.xs, t.ys) == (s.xs, s.ys), (mode, n)
+            assert _extremes(t) == _extremes(s), (mode, n)
+        # A Point is an (x, y) pair: the door takes the set's own views too.
+        assert validate(s.points) == s
+
+
+def _extremes(s):
+    return s.top_index, s.bottom_index, s.left_index, s.right_index
 
 
 # --- classify ----------------------------------------------------------------
@@ -297,9 +394,9 @@ def test_generated_quarter_dec_is_one_sided(s):
 @given(convex_sets(min_n=1, max_n=25))
 def test_text_round_trip_bit_exact(s):
     text = format_points_text(s.points)
-    assert [(p.x, p.y) for p in parse_points_text(text)] == coords(s)
+    assert parse_points_text(text) == coords(s)
     doc = format_points_json(s.points)
-    assert [(p.x, p.y) for p in parse_points_json(doc)] == coords(s)
+    assert parse_points_json(doc) == coords(s)
 
 
 def test_parse_points_text_diagnostics():
@@ -308,4 +405,4 @@ def test_parse_points_text_diagnostics():
     with pytest.raises(PreconditionViolated):
         parse_points_text("1 2\na b\n")
     pts = parse_points_text("# comment\n\n1 2\n 3 4 \n")
-    assert [(p.x, p.y) for p in pts] == [(1, 2), (3, 4)]
+    assert pts == [(1, 2), (3, 4)]

@@ -204,13 +204,15 @@ def test_set_operators_scan_no_column(monkeypatch):
 
 
 def test_sets_equal_hash_and_pickle_by_columns(monkeypatch):
-    s = generate_random_convex(9, seed=4)
-    # validate() hands over the Points it checked: reading them builds none.
+    # validate() builds no Point; points builds the n views once, on demand.
     built = []
     monkeypatch.setattr(Point, "__post_init__", lambda q: built.append(q))
+    s = generate_random_convex(9, seed=4)
+    assert not built
     points = s.points
+    assert s.points is points
     monkeypatch.undo()
-    assert not built and points == tuple(map(Point, s.xs, s.ys))
+    assert built == list(points) == list(map(Point, s.xs, s.ys))
     fresh = ConvexPointSet(s.xs, s.ys)
     assert fresh == s and hash(fresh) == hash(s)
     assert fresh.points == s.points and repr(fresh) == repr(s)
