@@ -7,21 +7,23 @@ pairwise distinct x, pairwise distinct y, and no three collinear points.
 Accepted sets are stored in a canonical order (counterclockwise around the
 hull, starting at the topmost point), which makes equality, hashing and all
 downstream index arithmetic independent of the input order. Sets, the
-parsers and the formatters work on (x, y) int pairs: validate() checks each
-entry into two ints and keeps the columns xs and ys, which the extreme
-indices, the orders, the split and the engines read. A Point is a view of
-one pair, built only when asked for.
+parsers and the formatters work on (x, y) int pairs; a Point is a view of
+one pair, built only when asked for. validate() accepts fast and explains
+exactly: a valid set passes in whole-column passes and one split into the
+two hull chains, and only a rejected input meets the slower route that
+names its error.
 """
 
 from __future__ import annotations
 
+# json loads on first use in the JSON door: import pdce pays for none.
 import enum
-import json
 import math
 import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, repeat
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -50,7 +52,7 @@ class Point:
                     f"coordinates must be plain ints, got {v!r}"
                 )
             if abs(v) > COORD_LIMIT:
-                raise CoordinateRange(f"coordinate {v} exceeds |{COORD_LIMIT}|")
+                raise _out_of_range(v)
 
     def __iter__(self):
         yield self.x
@@ -72,9 +74,15 @@ def _pair(obj) -> tuple[int, int]:
         bad = x if type(x) is bool else y
         raise PreconditionViolated(f"coordinates must be plain ints, got {bad!r}")
     if abs(pair[0]) > COORD_LIMIT or abs(pair[1]) > COORD_LIMIT:
-        bad = next(v for v in pair if abs(v) > COORD_LIMIT)
-        raise CoordinateRange(f"coordinate {bad} exceeds |{COORD_LIMIT}|")
+        raise _out_of_range(next(v for v in pair if abs(v) > COORD_LIMIT))
     return pair
+
+
+def _out_of_range(v: int) -> CoordinateRange:
+    try:
+        return CoordinateRange(f"coordinate {v} exceeds |{COORD_LIMIT}|")
+    except ValueError:  # v has more digits than the interpreter converts to str
+        return CoordinateRange(f"coordinate of {v.bit_length()} bits exceeds |{COORD_LIMIT}|")
 
 
 def orientation(a: Point, b: Point, c: Point) -> int:
@@ -156,19 +164,19 @@ class ConvexPointSet:
 
     @property
     def top(self) -> Point:
-        return self.points[self.top_index]
+        return Point(self.xs[self.top_index], self.ys[self.top_index])
 
     @property
     def bottom(self) -> Point:
-        return self.points[self.bottom_index]
+        return Point(self.xs[self.bottom_index], self.ys[self.bottom_index])
 
     @property
     def left(self) -> Point:
-        return self.points[self.left_index]
+        return Point(self.xs[self.left_index], self.ys[self.left_index])
 
     @property
     def right(self) -> Point:
-        return self.points[self.right_index]
+        return Point(self.xs[self.right_index], self.ys[self.right_index])
 
     @cached_property
     def x_order(self) -> tuple[int, ...]:
@@ -200,37 +208,61 @@ def validate(raw_points: Iterable) -> ConvexPointSet:
     Raises DuplicateX / DuplicateY / CollinearTriple / NotConvexPosition
     with the offending indices into the *input* order, CoordinateRange for
     oversized coordinates, and PreconditionViolated for malformed input.
+    Accepts fast, explains exactly: int 2-tuples are checked by column and
+    the set by the turns of the ring _strict_hull splits off; only an input
+    that fails goes through _pair or _monotone_chain, which name the error.
     """
-    pairs = [_pair(entry) for entry in raw_points]
-    n = len(pairs)
+    entries = list(raw_points)
+    n = len(entries)
     if n == 0:
         raise PreconditionViolated("point set is empty")
-    xs, ys = zip(*pairs)
+    fast = set(map(type, entries)) == {tuple} and set(map(len, entries)) == {2}
+    if fast:
+        xs, ys = (tuple(map(operator.itemgetter(k), entries)) for k in (0, 1))
+        both = xs + ys
+        fast = set(map(type, both)) == {int} and max(map(abs, both)) <= COORD_LIMIT
+    if not fast:
+        xs, ys = zip(*map(_pair, entries))
 
     by_x = sorted(range(n), key=xs.__getitem__)
-    by_y = sorted(range(n), key=ys.__getitem__)
-    for order, col, duplicate in ((by_x, xs, DuplicateX), (by_y, ys, DuplicateY)):
-        for a, b in zip(order, order[1:]):
-            if col[a] == col[b]:
-                raise duplicate(*sorted((a, b)))
+    if len(set(xs)) < n or len(set(ys)) < n:
+        by_y = sorted(range(n), key=ys.__getitem__)
+        for order, col, duplicate in ((by_x, xs, DuplicateX), (by_y, ys, DuplicateY)):
+            for a, b in zip(order, order[1:]):
+                if col[a] == col[b]:
+                    raise duplicate(*sorted((a, b)))
 
-    if n <= 2:
-        ring = [pairs[i] for i in reversed(by_y)]
-    else:
-        hull = _strict_hull(xs, ys, by_x)
-        if len(hull) < n:
-            raise NotConvexPosition(min(set(range(n)).difference(hull)))
-        start = hull.index(by_y[-1])
-        ring = [pairs[i] for i in hull[start:] + hull[:start]]
-        for (ax, ay), (bx, by), (cx, cy) in zip(ring, ring[1:] + ring[:1], ring[2:] + ring[:2]):
-            if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= 0:
-                raise InternalCaseError("hull canonicalization broke convexity")
-    return ConvexPointSet(*zip(*ring))
+    ring = _strict_hull(xs, ys, by_x) if n > 2 else by_x
+    start = ring.index(ys.index(max(ys)))
+    pick = operator.itemgetter(*ring[start:], *ring[:start])
+    cxs, cys = (pick(xs), pick(ys)) if n > 1 else (xs, ys)
+    if n > 2:
+        # Edge k runs from ring point k to k + 1; each turns strictly left into the next.
+        ex = list(map(operator.sub, cxs[1:] + cxs[:1], cxs))
+        ey = list(map(operator.sub, cys[1:] + cys[:1], cys))
+        cross = map(operator.mul, ex, ey[1:] + ey[:1])
+        if not all(map(operator.gt, cross, map(operator.mul, ey, ex[1:] + ex[:1]))):
+            _monotone_chain(xs, ys, by_x)
+            raise InternalCaseError("hull canonicalization broke convexity")
+    return ConvexPointSet(cxs, cys)
 
 
 def _strict_hull(xs: Sequence[int], ys: Sequence[int], by_x: list[int]) -> list[int]:
-    # Monotone chain on indices, restricted to strict turns; a zero cross is
-    # a hard error because no accepted set may contain a collinear triple.
+    # One chain split by the line from the leftmost point l to the rightmost r:
+    # l, the points on or below it by x, r, the points above it by falling x.
+    # Every turn of this ring is strictly left iff the set is strictly convex.
+    l, r = by_x[0], by_x[-1]
+    lx, ly = xs[l], ys[l]
+    dx, dy = xs[r] - lx, ys[r] - ly
+    lower, upper = [], []
+    for k in by_x[1:-1]:
+        (lower if dx * (ys[k] - ly) <= dy * (xs[k] - lx) else upper).append(k)
+    return [l, *lower, r, *reversed(upper)]
+
+
+def _monotone_chain(xs: Sequence[int], ys: Sequence[int], by_x: list[int]) -> list[int]:
+    # Monotone chain (Andrew 1979) on indices, restricted to strict turns: the
+    # hull from the leftmost point, or an error naming the offending indices.
     def build(order: list[int]) -> list[int]:
         chain: list[int] = []
         for k in order:
@@ -248,7 +280,10 @@ def _strict_hull(xs: Sequence[int], ys: Sequence[int], by_x: list[int]) -> list[
             chain.append(k)
         return chain
 
-    return build(by_x)[:-1] + build(by_x[::-1])[:-1]
+    hull = build(by_x)[:-1] + build(by_x[::-1])[:-1]
+    if len(hull) < len(xs):
+        raise NotConvexPosition(min(set(range(len(xs))).difference(hull)))
+    return hull
 
 
 class SetTag(enum.Enum):
@@ -383,17 +418,13 @@ def _spread_angles(rng: random.Random, lo: float, hi: float, count: int) -> list
     # A quarter of the arc is reserved as mandatory spacing, so consecutive
     # angles differ by at least (hi-lo)/(4*(count+1)) and integer rounding on
     # the generation circle cannot create collinear triples.
-    raw = [rng.expovariate(1.0) for _ in range(count + 1)]
+    raw = list(map(rng.expovariate, repeat(1.0, count + 1)))
     total = sum(raw)
     span = hi - lo
     base = span / (4.0 * (count + 1))
     free = span - base * (count + 1)
-    angles = []
-    acc = lo
-    for g in raw[:count]:
-        acc += base + free * g / total
-        angles.append(acc)
-    return angles
+    shares = map(operator.truediv, map(operator.mul, repeat(free), raw[:count]), repeat(total))
+    return list(accumulate(map(operator.add, repeat(base), shares), initial=lo))[1:]
 
 
 def _strip_angles(rng: random.Random, n: int) -> list[float]:
@@ -440,15 +471,17 @@ def generate_random_convex(n: int, seed=0, mode: str = "general") -> ConvexPoint
         else:
             lo, hi = _MODE_ARC[mode]
             angles = _spread_angles(rng, lo, hi, n)
-        coords = [
-            (round(radius * math.cos(a)), round(radius * math.sin(a))) for a in angles
-        ]
+        coords = zip(
+            map(round, map(operator.mul, repeat(radius), map(math.cos, angles))),
+            map(round, map(operator.mul, repeat(radius), map(math.sin, angles))),
+        )
         try:
             s = validate(coords)
         except (DuplicateX, DuplicateY, CollinearTriple, NotConvexPosition) as exc:
             last = f"{type(exc).__name__}: {exc}"
             continue
-        if _MODE_TAG[mode] in classify(s).tags:
+        # Every accepted set is GENERAL_CONVEX: only the other modes classify.
+        if mode == "general" or _MODE_TAG[mode] in classify(s).tags:
             return s
         last = f"rounded set lost the {mode} property"
     raise GenerationFailed(attempts, detail=last)
@@ -483,6 +516,7 @@ def format_points_text(points: Iterable) -> str:
 
 def parse_points_json(text: str) -> list[tuple[int, int]]:
     """Parse {"points": [[x, y], ...]} into int pairs, checked as validate() checks them."""
+    import json
     try:
         doc = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an int too long to convert
@@ -494,4 +528,5 @@ def parse_points_json(text: str) -> list[tuple[int, int]]:
 
 def format_points_json(points: Iterable) -> str:
     """{"points": [[x, y], ...]} from (x, y) pairs; a Point is such a pair."""
+    import json
     return json.dumps({"points": [[x, y] for x, y in points]})

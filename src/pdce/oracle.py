@@ -10,9 +10,7 @@ checker in the test suite.
 
 from __future__ import annotations
 
-import hashlib
-import importlib.resources
-import json
+# hashlib, json and importlib.resources load on first use: import pdce pays for none.
 import math
 import random
 from typing import Iterator, Optional
@@ -132,6 +130,8 @@ def certificate(p: DirPath, s: ConvexPointSet, bound: int = 16) -> dict:
     Lists every crossing-free candidate with the first edge that breaks its
     label, if any, and fingerprints the whole listing.
     """
+    import hashlib
+    import json
     require_same_size(p, s)
     candidates = enumerate_planar_embeddings(s, bound=bound)
     entries = []
@@ -224,6 +224,8 @@ def search_counterexample(
 
 def load_counterexample() -> tuple:
     """The packaged no-embedding instance: (path, point set, frozen record)."""
+    import importlib.resources
+    import json
     text = (
         importlib.resources.files("pdce")
         .joinpath("data/counterexample.json")

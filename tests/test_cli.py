@@ -403,6 +403,18 @@ def test_console_script_smoke(tmp_path):
         assert proc.stderr == "", launcher
 
 
+def test_import_loads_no_json_or_hashlib(tmp_path):
+    # Every CLI call and benchmark setup pays the package import; the JSON
+    # door, the certificate and the packaged counterexample load json,
+    # hashlib and importlib.resources on first use instead. -S keeps the
+    # site module's own imports out of sys.modules.
+    lazy = "{'json', 'hashlib', 'importlib.resources'}"
+    probe = f"import sys, pdce; print(sorted({lazy} & set(sys.modules)))"
+    proc = _run_child([sys.executable, "-S", "-c", probe], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_module_entry_exit_codes(fixture_files, tmp_path):
     points_file, labels = fixture_files
     module = [sys.executable, "-m", "pdce"]

@@ -16,6 +16,7 @@ from pdce import (
     GENERATOR_MODES,
     InternalCaseError,
     NotConvexPosition,
+    PdceError,
     Point,
     PreconditionViolated,
     SetTag,
@@ -31,6 +32,12 @@ from pdce import (
     validate,
 )
 from conftest import convex_sets
+from pdce import geometry
+
+try:
+    import numpy as np
+except ImportError:
+    np = None
 
 S5_RAW = [(4, 0), (3, 6), (1, 5), (0, 3), (2, 1)]
 S5_CANONICAL = [(3, 6), (1, 5), (0, 3), (2, 1), (4, 0)]
@@ -54,6 +61,24 @@ def test_point_rejects_out_of_range():
     with pytest.raises(CoordinateRange):
         Point(COORD_LIMIT + 1, 0)
     Point(COORD_LIMIT, -COORD_LIMIT)  # boundary is allowed
+
+
+def test_huge_coordinate_named_by_bit_length():
+    # str() refuses ints past 4300 digits: the message names such a value by
+    # its bit length instead of raising a bare ValueError.
+    message = f"coordinate of {(10**5000).bit_length()} bits exceeds |{COORD_LIMIT}|"
+    for make in (lambda: validate([(0, 0), (1, 10**5000), (3, 1)]), lambda: Point(10**5000, 0)):
+        with pytest.raises(CoordinateRange) as exc:
+            make()
+        assert str(exc.value) == message
+
+
+def test_extreme_points_build_no_point_cache():
+    for name in ("top", "bottom", "left", "right"):
+        s = generate_random_convex(40, seed=2)
+        p = getattr(s, name)
+        assert "points" not in s.__dict__, name
+        assert p == s.points[getattr(s, f"{name}_index")], name
 
 
 def test_orientation_signs():
@@ -246,6 +271,100 @@ def test_validate_shuffled_equals_canonical(mode):
             assert _extremes(t) == _extremes(s), (mode, n)
         # A Point is an (x, y) pair: the door takes the set's own views too.
         assert validate(s.points) == s
+
+
+def _exact_validate(raw):
+    # validate() by its explaining route alone: every entry through _pair,
+    # both sorted duplicate scans, and the monotone chain for the hull.
+    pairs = [geometry._pair(entry) for entry in raw]
+    if not pairs:
+        raise PreconditionViolated("point set is empty")
+    xs, ys = zip(*pairs)
+    n = len(pairs)
+    by_x = sorted(range(n), key=xs.__getitem__)
+    by_y = sorted(range(n), key=ys.__getitem__)
+    for order, col, duplicate in ((by_x, xs, DuplicateX), (by_y, ys, DuplicateY)):
+        for a, b in zip(order, order[1:]):
+            if col[a] == col[b]:
+                raise duplicate(*sorted((a, b)))
+    hull = geometry._monotone_chain(xs, ys, by_x) if n > 2 else by_x
+    k = hull.index(by_y[-1])
+    ring = hull[k:] + hull[:k]
+    return ConvexPointSet(tuple(xs[i] for i in ring), tuple(ys[i] for i in ring))
+
+
+def _outcome(door, entries):
+    try:
+        s = door(entries)
+    except PdceError as exc:
+        where = getattr(exc, "indices", getattr(exc, "index", None))
+        return type(exc), exc.args, str(exc), where
+    assert set(map(type, s.xs + s.ys)) == {int}
+    return s.xs, s.ys
+
+
+class _Pair(tuple):
+    pass
+
+
+def _mutants(rng, s, pts):
+    # Each mutant is (name, entries) from the shuffled pairs pts of the valid
+    # set s: one broken rule, or valid points in another entry type.
+    n = len(pts)
+    i, j = rng.sample(range(n), 2)
+    (xi, yi), (xj, yj) = pts[i], pts[j]
+    out = [("dup-x", pts[:j] + [(xi, yj)] + pts[j + 1:]),
+           ("dup-y", pts[:j] + [(xj, yi)] + pts[j + 1:]),
+           ("interior", pts + [(sum(x for x, _ in pts) // n, sum(y for _, y in pts) // n)])]
+    # Doubled coordinates put the midpoint of any two points on the lattice.
+    twice = [(2 * x, 2 * y) for x, y in pts]
+    lx, ly = min(twice)
+    rx, ry = max(twice)
+    out.append(("on-left-right-line", twice + [((lx + rx) // 2, (ly + ry) // 2)]))
+    a = rng.randrange(n)
+    (ax, ay), (bx, by) = (2 * s.xs[a], 2 * s.ys[a]), (2 * s.xs[a - 1], 2 * s.ys[a - 1])
+    out.append(("on-hull-edge", twice + [((ax + bx) // 2, (ay + by) // 2)]))
+    out.append(("past-hull-edge", twice + [(2 * bx - ax, 2 * by - ay)]))
+    out.append(("three-collinear", [(2 * xi, 2 * yi), (xi + xj, yi + yj), (2 * xj, 2 * yj)]))
+    for name, bad in (("range", (COORD_LIMIT + 1, yj)), ("range-neg", (xj, -COORD_LIMIT - 1)),
+                      ("range-huge", (xj, 10**5000)), ("bool", (True, yj)),
+                      ("float", (xj + 0.5, yj)), ("integral-float", (float(xj), yj)),
+                      ("arity-3", (xj, yj, 0)), ("arity-1", (xj,)), ("not-pair", xj)):
+        out.append((name, pts[:j] + [bad] + pts[j + 1:]))
+    # Taking the first two values of each entry as columns would accept these.
+    out.append(("mixed-arity", [(x, y, 0) if k % 2 else (x, y) for k, (x, y) in enumerate(pts)]))
+    out.append(("one-pair-among-triples", [(x, y, 0) for x, y in pts[:j]] + pts[j:j + 1]))
+    # Valid points in other entry types: the same set.
+    out.append(("tuple-subclass", [_Pair(pt) for pt in pts]))
+    out.append(("points", [Point(x, y) for x, y in pts]))
+    out.append(("lists", [list(pt) for pt in pts]))
+    if np is not None:
+        out.append(("numpy-int", pts[:j] + [(np.int64(xj), yj)] + pts[j + 1:]))
+    return out
+
+
+@pytest.mark.parametrize("mode", GENERATOR_MODES)
+def test_validate_agrees_with_exact_route(mode):
+    # The column fast path and the chain split must decide as the exact route
+    # does: the same set, or an error of the same type, args and message.
+    rng = random.Random(f"exact-route:{mode}")
+    seen = set()
+    for n in range(1, 301):
+        s = generate_random_convex(n, seed=rng.randrange(1 << 30), mode=mode)
+        pts = list(zip(s.xs, s.ys))
+        rng.shuffle(pts)
+        cases = [("valid", pts)]
+        if n >= 3 and (n <= 12 or n % 25 == 0):
+            cases += _mutants(rng, s, pts)
+        for name, entries in cases:
+            want = _outcome(_exact_validate, entries)
+            assert _outcome(validate, entries) == want, (mode, n, name)
+            assert _outcome(validate, (e for e in entries)) == want, (mode, n, name)
+            if name == "valid":
+                assert want == (s.xs, s.ys), (mode, n)
+            seen.add(want[0] if len(want) == 4 else "set")
+    assert seen == {"set", DuplicateX, DuplicateY, NotConvexPosition, CollinearTriple,
+                    CoordinateRange, PreconditionViolated}, seen
 
 
 def _extremes(s):
