@@ -10,7 +10,6 @@ unusable input or bad usage. Unusable input is reported as a single
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .decider import decide_pdce
@@ -120,6 +119,8 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    import json
+
     s = _load_points(args.points)
     p = DirPath(args.path)
     try:

@@ -28,17 +28,18 @@ With d the label of row r:
 rot1 moves bit j+1 to bit j cyclically; C_r holds the anchors j whose step
 j -> j+r respects d; bit k of UP_d is set iff the step k -> k+1 respects d,
 so UP_d = C_1, DOWN_d is its complement and UP2_d is UP_d doubled to 2n
-bits. For U and R, C_r is one cyclic interval whose ends move monotonically
-in r (_comparison_rows), so it costs amortized O(1) pointer moves per row;
-D and L swap C_r and ~C_r of their axis. An empty row stays empty, so the
-loop stops at the first one and a NO costs only its longest embeddable
-prefix.
+bits. For U and R, C_r is one cyclic interval, found from the set's cached
+extreme indices and two binary searches in the sorted column
+(_comparison_state), so any row can be built alone, in any order; D and L
+swap C_r and ~C_r of their axis. An empty row stays empty, so the loop
+stops at the first one and a NO costs only its longest embeddable prefix.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InternalCaseError
 from .geometry import ConvexPointSet
@@ -101,49 +102,30 @@ def _unpack(rows: list[int], n: int):
     return np.unpackbits(grid, axis=1, bitorder="little")[:, :n].astype(bool)
 
 
-def _comparison_rows(key: Sequence[int]) -> Callable[[int], int]:
-    """Return comp(r), the bitset C_r = {j : key[(j+r) % n] > key[j]}, for
-    1 <= r < n called in non-decreasing order, with O(n) pointer moves over
-    all calls. The decider builds one per axis; comp(1) is its UP mask.
+def _comparison_state(
+    key: Sequence[int], lo: int, hi: int
+) -> tuple[int, Sequence[int], Sequence[int], list[int]]:
+    """Return (lo, rising, falling, ordered): C_r = {j : key[(j+r) % n] >
+    key[j]}, for any 1 <= r < n, is the cyclic interval lo-b_r, .., lo+a_r-1
+    with a_r = bisect_left(rising, ordered[n-r]) and
+    b_r = bisect_left(falling, ordered[r]).
 
-    C_r is one cyclic interval that holds lo = argmin key and not hi =
-    argmax key. The key is x or y, and both are cyclically
-    unimodal along a convex hull, with distinct values: the key rises
-    strictly along lo, lo+1, .., hi and falls strictly along hi, .., lo
-    (mod n). Let g(j) count the keys above key[j]; those points form one
-    hull arc next to j. On the rising side (lo <= j < hi along the cycle)
-    it is j+1, .., j+g(j), over hi and down the falling side as far as the
-    key stays above key[j]; so such a j is in C_r iff r <= g(j). On the
-    falling side (hi < j < lo) it is j-g(j), .., j-1, so j is in C_r iff
-    r >= n - g(j). g falls along lo -> hi and rises along hi -> lo: C_r is
-    a run of 1s from lo followed by 0s up to hi, then 0s followed by a run
-    of 1s back to lo. lo has g = n-1 and is in every C_r, hi has g = 0 and
-    is in none, so C_r is the interval lo-b_r, .., lo+a_r-1. As r grows the
-    rising run shrinks and the falling run grows: both ends only move
-    backwards along the cycle, so one pointer per end, never reset, finds
-    them. Neither pointer needs a bound: the rising one stops at lo at the
-    latest, the falling one at hi.
+    lo and hi are the positions of the smallest and largest key. The key is
+    x or y, and both are cyclically unimodal along a convex hull, with
+    distinct values: the key rises strictly along lo, .., hi and falls
+    strictly along hi, .., lo (mod n). So rising, the keys at lo, .., hi-1,
+    and falling, those at lo-1, lo-2, .., hi+1, both increase; ordered is the
+    key sorted. Let g(j) count the keys above key[j]; those points form one
+    hull arc next to j. On the rising side it is j+1, .., j+g(j), so j is in
+    C_r iff r <= g(j), that is iff key[j] < ordered[n-r]. On the falling
+    side it is j-g(j), .., j-1, so j is in C_r iff r >= n - g(j), that is
+    iff key[j] < ordered[r]. Each side's members thus form one run from lo,
+    of length a_r and b_r. hi is in no C_r, and C_1 is the rising run.
     """
     n = len(key)
-    lo = key.index(min(key))
-    k2 = (key[lo:] + key[:lo]) * 2  # k2[i] = key[(lo + i) % n], i < 2n
-    rising = k2.index(max(key))  # lo, .., hi-1: all of it is in C_1
-    full = (1 << n) - 1
-    a, b = rising, 0  # C_r in k2 positions: n-b, .., n-1, 0, .., a-1
-
-    def comp(r: int) -> int:
-        nonlocal a, b
-        while k2[a - 1 + r] < k2[a - 1]:
-            a -= 1
-        while k2[n - 1 - b + r] > k2[n - 1 - b]:
-            b += 1
-        start = (lo - b) % n
-        run = ((1 << (a + b)) - 1) << start
-        if start + a + b > n:
-            run = (run | run >> n) & full
-        return run
-
-    return comp
+    rotated = key[lo:] + key[:lo]  # rotated[i] = key[(lo + i) % n]
+    h = (hi - lo) % n
+    return lo, rotated[:h], rotated[:h:-1], sorted(key)
 
 
 # label -> (coordinate column, whether the label reverses its axis)
@@ -154,23 +136,30 @@ def dp_table(p: DirPath, s: ConvexPointSet) -> DPTable:
     require_same_size(p, s)
     n = s.n
     full = (1 << n) - 1
-    axes = {}  # column -> (comp, C_1): one state per axis
-    masks = {}  # label -> (DOWN_d, UP2_d, comp of its axis, reversed)
+    states = {}  # column -> its comparison state: one per axis
+    masks = {}  # label -> (DOWN_d, UP2_d, reversed, state of its axis)
     for d in set(p.labels):
         coord, rev = _AXIS[d]
-        if coord not in axes:
-            comp = _comparison_rows(getattr(s, coord))
-            axes[coord] = comp, comp(1)
-        comp, up = axes[coord]
+        if coord not in states:
+            ends = (s.bottom_index, s.top_index) if coord == "ys" else (s.left_index, s.right_index)
+            states[coord] = _comparison_state(getattr(s, coord), *ends)
+        lo, rising, falling, ordered = states[coord]
+        up = ((1 << len(rising)) - 1) << lo  # C_1, the rising run
+        up = (up | up >> n) & full
         up, down = (full ^ up, up) if rev else (up, full ^ up)
-        masks[d] = (down, up | up << n, comp, rev)
+        masks[d] = (down, up | up << n, rev, lo, rising, falling, ordered)
     near = [0] * n
     far = [0] * n
     near[0] = far[0] = nr = fr = full
     top = n - 1
     for r in range(1, n):
-        down, up2, comp, rev = masks[p.labels[r - 1]]
-        c = comp(r)
+        down, up2, rev, lo, rising, falling, ordered = masks[p.labels[r - 1]]
+        a = bisect_left(rising, ordered[n - r])
+        b = bisect_left(falling, ordered[r])
+        start = (lo - b) % n
+        c = ((1 << (a + b)) - 1) << start
+        if start + a + b > n:
+            c = (c | c >> n) & full
         c, nc = (full ^ c, c) if rev else (c, full ^ c)
         # near: extend the previous arc {j+1, .., j+r} downward to anchor j,
         # the new vertex lands on j, coming from either end of the old arc.

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -373,15 +374,28 @@ def _run_child(cmd, cwd):
     )
 
 
-def _console_script_command():
-    """The ``pdce`` entry of ``[project.scripts]``, run the way pip's generated
-    wrapper runs it: import the target, call it, exit with its result."""
+def _pyproject():
     if sys.version_info >= (3, 11):
         import tomllib
     else:
         tomllib = pytest.importorskip("tomli")
     with open(PYPROJECT, "rb") as fh:
-        target = tomllib.load(fh)["project"]["scripts"]["pdce"]
+        return tomllib.load(fh)["project"]
+
+
+def test_test_extra_installs_every_skippable_import():
+    # A test that a missing module would skip must not be skipped after
+    # `pip install -e ".[test]"`: the test extra names each such module.
+    text = "".join(f.read_text() for f in PYPROJECT.parent.joinpath("tests").glob("*.py"))
+    skippable = set(re.findall(r'importorskip\("([\w.]+)"\)', text))
+    extra = _pyproject()["optional-dependencies"]["test"]
+    assert skippable and skippable <= {re.match(r"[\w.-]+", req).group() for req in extra}
+
+
+def _console_script_command():
+    """The ``pdce`` entry of ``[project.scripts]``, run the way pip's generated
+    wrapper runs it: import the target, call it, exit with its result."""
+    target = _pyproject()["scripts"]["pdce"]
     module, _, func = target.partition(":")
     code = f"import sys; from {module} import {func}; sys.exit({func}())"
     return [sys.executable, "-c", code]
@@ -404,15 +418,17 @@ def test_console_script_smoke(tmp_path):
 
 
 def test_import_loads_no_json_or_hashlib(tmp_path):
-    # Every CLI call and benchmark setup pays the package import; the JSON
-    # door, the certificate and the packaged counterexample load json,
-    # hashlib and importlib.resources on first use instead. -S keeps the
-    # site module's own imports out of sys.modules.
+    # Every CLI call and benchmark setup pays the package import, and every
+    # CLI call that of pdce.cli; the JSON door, verify's report, the
+    # certificate and the packaged counterexample load json, hashlib and
+    # importlib.resources on first use instead. -S keeps the site module's
+    # own imports out of sys.modules.
     lazy = "{'json', 'hashlib', 'importlib.resources'}"
-    probe = f"import sys, pdce; print(sorted({lazy} & set(sys.modules)))"
-    proc = _run_child([sys.executable, "-S", "-c", probe], tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    for module in ("pdce", "pdce.cli"):
+        probe = f"import sys, {module}; print(sorted({lazy} & set(sys.modules)))"
+        proc = _run_child([sys.executable, "-S", "-c", probe], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", module
 
 
 def test_module_entry_exit_codes(fixture_files, tmp_path):

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from bisect import bisect_left
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pdce
 from pdce import (
     COORD_LIMIT,
     GENERATOR_MODES,
+    ConvexPointSet,
     DirPath,
     Embedding,
     SizeMismatch,
@@ -24,10 +26,12 @@ from pdce import (
     edge_ok,
     generate_random_convex,
     load_counterexample,
+    mirror_set,
+    rotate_set,
     validate,
     validate_embedding,
 )
-from pdce.decider import _comparison_rows
+from pdce.decider import _comparison_state
 from conftest import instances, random_path
 
 UD_SET = validate([(0, 0), (2, 3), (4, 1)])
@@ -224,51 +228,63 @@ def _counterexample_at_coordinate_limit():
     return p, validate(raw)
 
 
-class _Counted(int):
-    """A key value that counts the order comparisons made on it."""
-
-    made = 0
-
-    def __lt__(self, other):
-        _Counted.made += 1
-        return int(self) < int(other)
-
-    def __gt__(self, other):
-        _Counted.made += 1
-        return int(self) > int(other)
-
-
 def _label_key(d, s):
     # A step a -> b respects label d iff key[b] > key[a].
     vals = [pt.y if d in "UD" else pt.x for pt in s.points]
     return vals if d in "UR" else [-v for v in vals]
 
 
+def _label_ends(d, s):
+    # The positions of the smallest and largest key of label d, as dp_table
+    # reads them from the set's extreme indices.
+    return {
+        "U": (s.bottom_index, s.top_index),
+        "D": (s.top_index, s.bottom_index),
+        "R": (s.left_index, s.right_index),
+        "L": (s.right_index, s.left_index),
+    }[d]
+
+
+def _row(state, n, r):
+    # C_r from an axis's comparison state, one bit at a time.
+    lo, rising, falling, ordered = state
+    a = bisect_left(rising, ordered[n - r])
+    b = bisect_left(falling, ordered[r])
+    return sum(1 << (lo - b + i) % n for i in range(a + b))
+
+
 def test_comparison_rows_are_cyclic_intervals():
-    # Every r in order, and a sparse increasing choice of r as a path that
-    # interleaves labels asks for: each C_r equals the brute-force mask, is
-    # one cyclic run of 1s holding lo and not hi, and the pointers never
-    # reset (at most 8n key comparisons over all rows). The decider reads D
-    # and L off the states of U and R: C_r of the negated key is the
-    # complement of C_r, and the up mask {k : key[k+1] > key[k]} is C_1.
+    # The state answers any r in any order: every r increasing, a shuffled
+    # and a decreasing choice of r. Each C_r equals the brute-force mask, is
+    # one cyclic run of 1s holding lo and not hi, and the up mask
+    # {k : key[k+1] > key[k]} is C_1. The decider reads D and L off the
+    # states of U and R: C_r of the negated key is the complement of C_r.
+    # Sets from the symmetry operators carry seeded extremes, a hand-built
+    # set reads them from its columns.
     rng = random.Random(0xC7)
     sets = [_at_coordinate_limit()]
     for mode in GENERATOR_MODES:
         for n in (1, 2, 3, 5, 8, 13, 30, 64, 120, 200):
-            sets.append(generate_random_convex(n, seed=f"cr-{mode}-{n}", mode=mode))
+            s = generate_random_convex(n, seed=f"cr-{mode}-{n}", mode=mode)
+            sets.append(s)
+            if n <= 30:
+                sets += [rotate_set(s), mirror_set(s), mirror_set(rotate_set(s))]
+                sets.append(ConvexPointSet(s.xs, s.ys))
     for s in sets:
         n, full = s.n, (1 << s.n) - 1
         for d in "UDLR":
             key = _label_key(d, s)
-            lo, hi = key.index(min(key)), key.index(max(key))
-            sparse = [r for r in range(1, n) if rng.random() < 0.3]
-            for rows in (range(1, n), sparse):
-                _Counted.made = 0
-                comp = _comparison_rows([_Counted(v) for v in key])
-                comp_neg = _comparison_rows([-v for v in key])
+            lo, hi = _label_ends(d, s)
+            assert key[lo] == min(key) and key[hi] == max(key)
+            state = _comparison_state(key, lo, hi)
+            neg = _comparison_state([-v for v in key], hi, lo)
+            shuffled = [r for r in range(1, n) if rng.random() < 0.3]
+            rng.shuffle(shuffled)
+            decreasing = [r for r in range(n - 1, 0, -1) if rng.random() < 0.3]
+            for rows in (range(1, n), shuffled, decreasing):
                 for r in rows:
-                    mask = comp(r)
-                    assert comp_neg(r) == full ^ mask, (d, r)
+                    mask = _row(state, n, r)
+                    assert _row(neg, n, r) == full ^ mask, (d, r)
                     if r == 1:
                         up = sum(1 << k for k in range(n) if key[(k + 1) % n] > key[k])
                         assert mask == up, d
@@ -277,17 +293,24 @@ def test_comparison_rows_are_cyclic_intervals():
                     assert bits == [int(key[(j + r) % n] > key[j]) for j in range(n)], (d, r)
                     assert bits[lo] and not bits[hi]
                     assert sum(bits[j] > bits[j - 1] for j in range(n)) == 1
-                assert _Counted.made <= 8 * n
 
 
 def test_one_comparison_row_state_per_axis(monkeypatch):
-    # A UDLR path builds one state for y (U, D) and one for x (L, R).
-    made = []
-    real = pdce.decider._comparison_rows
-    monkeypatch.setattr(
-        pdce.decider, "_comparison_rows", lambda key: made.append(key) or real(key)
-    )
+    # A UDLR path builds one state for y (U, D) and one for x (L, R), and
+    # takes each axis's ends from the set's extreme indices: dp_table scans
+    # no column for its min or max.
     s = generate_random_convex(40, seed="axes")
+    made = []
+    real = pdce.decider._comparison_state
+
+    def scan(*args):
+        raise AssertionError("a column was scanned")
+
+    monkeypatch.setattr(
+        pdce.decider, "_comparison_state", lambda *args: made.append(args) or real(*args)
+    )
+    monkeypatch.setattr(pdce.decider, "min", scan, raising=False)
+    monkeypatch.setattr(pdce.decider, "max", scan, raising=False)
     dp_table(DirPath(("UDLR" * 10)[:39]), s)
     assert len(made) <= 2
 
