@@ -172,6 +172,8 @@ def _cmd_oracle_search(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.count < 1:
+        raise PreconditionViolated("count must be at least 1")
     blocks = []
     for i in range(args.count):
         seed = args.seed if args.count == 1 else f"{args.seed}#{i}"

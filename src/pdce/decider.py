@@ -60,10 +60,13 @@ class DPTable:
     Rows after the first empty one stay all False.
 
     Row r is stored as two ints, near_bits[r] and far_bits[r], whose bit j
-    is near[r, j] and far[r, j]: at most n^2/4 bytes for the whole table. The
-    properties near and far unpack them into fresh (n, n) bool numpy arrays,
-    importing numpy on first use; cell() and max_cell_entries() read the
-    bits directly.
+    is near[r, j] and far[r, j]: at most n^2/4 bytes for the whole table.
+    cell() and max_cell_entries() read the bits directly. The properties
+    near and far unpack them into fresh (n, n) bool numpy arrays, importing
+    numpy on first use; numpy is not a dependency of the package, and this
+    view is kept only because the benchmark harness (perfbench/run.py,
+    rows_alive_frac) still reads table.near and table.far. It goes once
+    that harness reads near_bits and far_bits instead.
     """
 
     n: int

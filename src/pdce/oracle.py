@@ -194,12 +194,14 @@ def search_counterexample(
     sequence), since existence only depends on it. A hit is certified
     twice: by the decision procedure and, for small n, by pruned exhaustive
     search. Raises NotFoundWithinBudget after the given number of sampled
-    candidates.
+    candidates, and PreconditionViolated for a budget below 1.
     """
     p = path if path is not None else DirPath(DEFAULT_COUNTEREXAMPLE_LABELS)
     n = p.n_vertices
     if mode not in GENERATOR_MODES:
         raise PreconditionViolated(f"unknown mode {mode!r}")
+    if budget < 1:
+        raise PreconditionViolated("budget must be at least 1")
     rng = random.Random(f"search:{seed}:{mode}:{n}:{p.labels}")
     seen = set()
     for k in range(budget):

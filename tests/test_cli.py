@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import pdce
@@ -14,6 +13,11 @@ from pdce import load_counterexample, render_svg, validate, parse_points_text
 from pdce import Point, format_points_json
 from pdce import DirPath, Embedding, InvalidEmbedding, SizeMismatch
 from pdce.cli import run
+
+try:
+    import numpy as np
+except ImportError:
+    np = None
 
 S5_TEXT = "4 0\n3 6\n1 5\n0 3\n2 1\n"
 UD_TEXT = "0 0\n2 3\n4 1\n"
@@ -150,6 +154,24 @@ def test_oracle_search_budget_exhausted(capsys):
     code = run(["oracle", "search", "--path", "UUUUUU", "--budget", "50"])
     assert code == 1
     assert capsys.readouterr().err.strip() != ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--n", "0"],
+        ["gen", "--n", "5", "--count", "0"],
+        ["gen", "--n", "5", "--count", "-2"],
+        ["oracle", "search", "--budget", "0"],
+        ["oracle", "search", "--budget", "-5"],
+    ],
+    ids=["gen-n", "gen-count-0", "gen-count-neg", "search-budget-0", "search-budget-neg"],
+)
+def test_argument_below_one_is_usage_error(capsys, argv):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
 
 def test_gen_deterministic(capsys):
@@ -352,7 +374,10 @@ def test_render_svg_function_errors():
 def test_render_svg_rejects_non_int_indices_under_force():
     s = validate([(0, 0), (2, 3), (4, 1)])
     # True == 1, and np.int64(0) is in range: neither is a plain int index.
-    for idx in (True, np.int64(0)):
+    indices = [True]
+    if np is not None:
+        indices.append(np.int64(0))
+    for idx in indices:
         with pytest.raises(InvalidEmbedding, match="not a plain int"):
             render_svg(DirPath("UD"), s, Embedding((idx, 2, 1)), force=True)
     with pytest.raises(InvalidEmbedding, match="out of range"):

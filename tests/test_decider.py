@@ -8,7 +8,6 @@ import time
 from bisect import bisect_left
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -159,21 +158,30 @@ def _reference_table(p, s):
             far[r][j] = (near[r - 1][j] and edge_ok(d, pts[j], pts[b])) or (
                 far[r - 1][j] and edge_ok(d, pts[(j + r - 1) % n], pts[b])
             )
-    return np.array(near, dtype=bool), np.array(far, dtype=bool)
+    return near, far
+
+
+def _cells(row: int, n: int) -> str:
+    """Bit j of an n-bit table row as character j, "0" or "1"."""
+    return format(row, f"0{n}b")[::-1]
+
+
+def _live_cells(t) -> list[int]:
+    return [a.bit_count() + b.bit_count() for a, b in zip(t.near_bits, t.far_bits)]
 
 
 def _assert_matches_reference(p, s) -> bool:
     """Assert dp_table equals the reference exactly; return the answer."""
     t = dp_table(p, s)
     ref_near, ref_far = _reference_table(p, s)
-    assert t.near.shape == t.far.shape == (s.n, s.n)
-    assert np.array_equal(t.near, ref_near)
-    assert np.array_equal(t.far, ref_far)
-    alive = t.near.any(axis=1) | t.far.any(axis=1)
-    if not alive.all():
-        dead = int(np.argmin(alive))
-        assert not t.near[dead:].any() and not t.far[dead:].any()
-    return bool(alive[-1])
+    assert len(t.near_bits) == len(t.far_bits) == s.n
+    for bits, ref in ((t.near_bits, ref_near), (t.far_bits, ref_far)):
+        for r, (row, ref_row) in enumerate(zip(bits, ref)):
+            assert _cells(row, s.n) == "".join("01"[cell] for cell in ref_row), r
+    live = _live_cells(t)
+    if 0 in live:
+        assert not any(live[live.index(0):])
+    return live[-1] > 0
 
 
 @settings(max_examples=150)
@@ -200,8 +208,22 @@ def test_full_table_matches_reference_three_labels():
     s = generate_random_convex(300, seed="ref-full-300")
     p = random_path(random.Random(300), s.n, "UDR")
     assert _assert_matches_reference(p, s)
-    t = dp_table(p, s)
-    assert (t.near.any(axis=1) | t.far.any(axis=1)).all()
+    assert all(_live_cells(dp_table(p, s)))
+
+
+def test_matrix_view_unpacks_the_bits():
+    np = pytest.importorskip("numpy")
+    s = generate_random_convex(45, seed="matrix-view")
+    cx_p, cx_s, _ = load_counterexample()
+    cases = [(random_path(random.Random(45), s.n, "UDR"), s, True), (cx_p, cx_s, False)]
+    for p, s, answer in cases:
+        t = dp_table(p, s)
+        assert (decide_pdce(p, s) is not None) == answer
+        for view, bits in ((t.near, t.near_bits), (t.far, t.far_bits)):
+            assert view.dtype == np.bool_ and view.shape == (s.n, s.n)
+            assert ["".join("01"[c] for c in row) for row in view.tolist()] == [
+                _cells(row, s.n) for row in bits
+            ]
 
 
 def _at_coordinate_limit():
@@ -354,6 +376,7 @@ def test_full_table_three_labels_at_n2000():
 
 # --- frozen witnesses ---------------------------------------------------------
 
+_CELL_BYTES = bytes.maketrans(b"01", b"\0\1")
 DECIDER_CORPUS_SHA256 = "4c2ff8099a5b550167cac4af92ea054822d5e5bb642855b9b908f259ac9f6f6f"
 
 
@@ -392,7 +415,9 @@ def test_decider_witness_corpus_frozen():
         t = dp_table(p, s)
         answers[w is not None] += 1
         digest.update(f"{p.labels} {s.n} {w.assignment if w else 'NO'}\n".encode("ascii"))
-        digest.update(t.near.tobytes() + t.far.tobytes())
+        # One byte, 0 or 1, per cell, row by row: near, then far.
+        cells = "".join(_cells(row, s.n) for row in t.near_bits + t.far_bits)
+        digest.update(cells.encode().translate(_CELL_BYTES))
     assert answers[False] >= 200, answers
     assert digest.hexdigest() == DECIDER_CORPUS_SHA256, (answers, digest.hexdigest())
 

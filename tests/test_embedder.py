@@ -454,6 +454,10 @@ def test_validate_once_check_once(monkeypatch):
     general = generate_random_convex(40, seed=3, mode="general")
     turned = mirror_set(general)
     assert (general.top.x > general.bottom.x) != (turned.top.x > turned.bottom.x)
+    # general's top lies left of its bottom and its right point above its
+    # left one, so a D/L/R path on it takes the quarter-turned set, whose
+    # top then lies left of its bottom, and that set's mirror.
+    assert general.top.x < general.bottom.x and general.right.y > general.left.y
     chains = [
         generate_random_convex(40, seed=3, mode=mode) for mode in ("quarter_inc", "quarter_dec")
     ]

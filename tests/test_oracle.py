@@ -151,6 +151,13 @@ def test_search_rejects_unknown_mode():
         search_counterexample(mode="spiral", budget=10, seed=0)
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_search_rejects_budget_below_one(budget):
+    # An empty search proves nothing, so it must not read as "none found".
+    with pytest.raises(PreconditionViolated, match="budget"):
+        search_counterexample(budget=budget, seed=0)
+
+
 def test_load_counterexample_roundtrip():
     p, s, doc = load_counterexample()
     assert p.labels == doc["path"] == "LULRDR"
