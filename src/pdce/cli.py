@@ -24,6 +24,7 @@ from .errors import (
 from .geometry import (
     GENERATOR_MODES,
     ConvexPointSet,
+    SetTag,
     classify,
     format_points_text,
     generate_random_convex,
@@ -92,8 +93,7 @@ def _cmd_embed(args) -> int:
     p = DirPath(args.path)
     require_same_size(p, s)
     if len(p.directions_used()) == 4:
-        cls = classify(s)
-        if not (cls.is_quarter_inc or cls.is_quarter_dec):
+        if classify(s).isdisjoint((SetTag.QUARTER_INC, SetTag.QUARTER_DEC)):
             print(
                 "error: the path uses all four labels and the point set is not "
                 "an x/y-monotone chain; an embedding may not exist, try `pdce decide`",

@@ -192,12 +192,11 @@ def decide_pdce(p: DirPath, s: ConvexPointSet) -> Optional[Embedding]:
     table = dp_table(p, s)
     n = s.n
     near, far = table.near_bits, table.far_bits
-    if near[n - 1]:
-        j, at_far = _lowest_bit(near[n - 1]), False
-    elif far[n - 1]:
-        j, at_far = _lowest_bit(far[n - 1]), True
-    else:
+    # Row n-1's arc is the whole hull, so far[n-1, j] is near[n-1, j-1]:
+    # the far row is the near row rotated, and adds no full-length state.
+    if not near[n - 1]:
         return None
+    j, at_far = _lowest_bit(near[n - 1]), False
 
     assignment = [0] * n
     # label -> (column, sign): the step a -> b respects the label iff

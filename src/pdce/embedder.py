@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import FourDirectional, InternalCaseError, PreconditionViolated
-from .geometry import ConvexPointSet, classify, split_by_bt_line
+from .geometry import ConvexPointSet, SetTag, classify, split_by_bt_line
 from .paths import (
     _REVERSE_FLIP,
     DirPath,
@@ -126,7 +126,7 @@ def embed_udr_left_sided(p: DirPath, s: ConvexPointSet) -> Embedding:
     require_same_size(p, s)
     if not p.directions_used() <= UDR:
         raise PreconditionViolated("left-sided embedding handles U/D/R labels only")
-    if not classify(s).is_left_sided:
+    if SetTag.LEFT_SIDED not in classify(s):
         raise PreconditionViolated("point set is not left-sided")
     return require_pdce(p, s, _on_whole_set(_greedy, p, s), "left-sided")
 
@@ -143,7 +143,7 @@ def embed_udr_right_sided(p: DirPath, s: ConvexPointSet) -> Embedding:
     require_same_size(p, s)
     if not p.directions_used() <= UDR:
         raise PreconditionViolated("right-sided embedding handles U/D/R labels only")
-    if not classify(s).is_right_sided:
+    if SetTag.RIGHT_SIDED not in classify(s):
         raise PreconditionViolated("point set is not right-sided")
     return require_pdce(p, s, _on_whole_set(_right_sided, p, s), "right-sided")
 
@@ -158,7 +158,7 @@ def embed_ur_strip(p: DirPath, s: ConvexPointSet) -> Embedding:
     require_same_size(p, s)
     if not p.directions_used() <= UR:
         raise PreconditionViolated("strip embedding handles U/R labels only")
-    if not classify(s).is_strip:
+    if SetTag.STRIP_CONVEX not in classify(s):
         raise PreconditionViolated("point set is not strip-convex")
     return require_pdce(p, s, _on_whole_set(_strip, p, s), "strip")
 
@@ -501,10 +501,10 @@ def embed_quarter_convex(p: DirPath, s: ConvexPointSet) -> Embedding:
     so the labels collapse to a two-letter alphabet first.
     """
     require_same_size(p, s)
-    cls = classify(s)
-    if cls.is_quarter_inc:
+    tags = classify(s)
+    if SetTag.QUARTER_INC in tags:
         table = _QUARTER_INC_COLLAPSE
-    elif cls.is_quarter_dec:
+    elif SetTag.QUARTER_DEC in tags:
         table = _QUARTER_DEC_COLLAPSE
     else:
         raise PreconditionViolated("point set is not an x/y-monotone chain")

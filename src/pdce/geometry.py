@@ -295,40 +295,8 @@ class SetTag(enum.Enum):
     GENERAL_CONVEX = "GeneralConvex"
 
 
-@dataclass(frozen=True)
-class PointSetClass:
-    tags: frozenset
-
-    def __contains__(self, tag: SetTag) -> bool:
-        return tag in self.tags
-
-    @property
-    def is_left_sided(self) -> bool:
-        return SetTag.LEFT_SIDED in self.tags
-
-    @property
-    def is_right_sided(self) -> bool:
-        return SetTag.RIGHT_SIDED in self.tags
-
-    @property
-    def is_strip(self) -> bool:
-        return SetTag.STRIP_CONVEX in self.tags
-
-    @property
-    def is_quarter_inc(self) -> bool:
-        return SetTag.QUARTER_INC in self.tags
-
-    @property
-    def is_quarter_dec(self) -> bool:
-        return SetTag.QUARTER_DEC in self.tags
-
-
-def _hull_adjacent_or_equal(s: ConvexPointSet, i: int, j: int) -> bool:
-    return i == j or (i - j) % s.n in (1, s.n - 1)
-
-
-def classify(s: ConvexPointSet) -> PointSetClass:
-    """Compute every structural tag the set satisfies.
+def classify(s: ConvexPointSet) -> frozenset[SetTag]:
+    """Return every structural tag the set satisfies.
 
     Sets with at most two points satisfy the one-sided and strip conditions
     vacuously. GeneralConvex always holds for an accepted set.
@@ -343,17 +311,18 @@ def classify(s: ConvexPointSet) -> PointSetClass:
             tags.add(SetTag.RIGHT_SIDED)
         # Strip-convex: the top lies right of the bottom, and each is the
         # leftmost resp. rightmost point or hull-adjacent to it.
+        adjacent_or_equal = (0, 1, s.n - 1)
         if (
             s.xs[s.top_index] > s.xs[s.bottom_index]
-            and _hull_adjacent_or_equal(s, s.bottom_index, s.left_index)
-            and _hull_adjacent_or_equal(s, s.top_index, s.right_index)
+            and (s.bottom_index - s.left_index) % s.n in adjacent_or_equal
+            and (s.top_index - s.right_index) % s.n in adjacent_or_equal
         ):
             tags.add(SetTag.STRIP_CONVEX)
     if s.x_order == s.y_order:
         tags.add(SetTag.QUARTER_INC)
     if s.x_order == tuple(reversed(s.y_order)):
         tags.add(SetTag.QUARTER_DEC)
-    return PointSetClass(frozenset(tags))
+    return frozenset(tags)
 
 
 @dataclass(frozen=True)
@@ -481,7 +450,7 @@ def generate_random_convex(n: int, seed=0, mode: str = "general") -> ConvexPoint
             last = f"{type(exc).__name__}: {exc}"
             continue
         # Every accepted set is GENERAL_CONVEX: only the other modes classify.
-        if mode == "general" or _MODE_TAG[mode] in classify(s).tags:
+        if mode == "general" or _MODE_TAG[mode] in classify(s):
             return s
         last = f"rounded set lost the {mode} property"
     raise GenerationFailed(attempts, detail=last)

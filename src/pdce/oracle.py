@@ -1,11 +1,14 @@
 """Exhaustive reference tools: enumeration, counting, counterexample search.
 
-Everything here is deliberately independent of the constructive embedders
-and of the dynamic-programming decider, so it can serve as ground truth
-for both. Enumeration walks all placements whose prefixes stay cyclically
+Enumeration and counting are independent of the constructive embedders
+and of the dynamic-programming decider, so they serve as ground truth for
+both. Enumeration walks all placements whose prefixes stay cyclically
 consecutive on the hull, which are exactly the crossing-free placements;
 the equivalence itself is exercised against the segment-intersection
-checker in the test suite.
+checker in the test suite. Two tools lean on the other modules:
+search_counterexample asks decide_pdce for its NO and certifies it by
+brute force for n <= 20, and certificate reads each candidate's first bad
+edge from the validator's verdict pass (validator._verdicts).
 """
 
 from __future__ import annotations
@@ -175,7 +178,7 @@ def _sample_one_sided(rng: random.Random, n: int, mode: str) -> Optional[ConvexP
             s = validate(coords)
         except PdceError:
             continue
-        if _MODE_TAG[mode] in classify(s).tags:
+        if _MODE_TAG[mode] in classify(s):
             return s
     return None
 

@@ -21,7 +21,6 @@ except ImportError:
 
 S5_TEXT = "4 0\n3 6\n1 5\n0 3\n2 1\n"
 UD_TEXT = "0 0\n2 3\n4 1\n"
-CHAIN_TEXT = "0 0\n2 1\n3 3\n5 4\n"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
@@ -53,11 +52,21 @@ def test_embed_four_label_non_quarter_refused(s5_file, capsys):
 
 
 def test_embed_four_label_quarter(tmp_path, capsys):
-    f = tmp_path / "chain.txt"
-    f.write_text(CHAIN_TEXT)
-    assert run(["embed", "--points", str(f), "--path", "RUR"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert sorted(int(x) for x in lines) == [0, 1, 2, 3]
+    # An increasing and a decreasing monotone chain take any four-label path.
+    chains = {
+        "inc.txt": "0 0\n1 4\n3 7\n6 9\n10 10\n",
+        "dec.txt": "0 10\n4 9\n7 7\n9 4\n10 0\n",
+    }
+    for name, text in chains.items():
+        f = tmp_path / name
+        f.write_text(text)
+        for labels in ("URDL", "LURD", "DLUR"):
+            assert run(["embed", "--points", str(f), "--path", labels]) == 0
+            emb = tmp_path / "e.txt"
+            emb.write_text(capsys.readouterr().out)
+            args = ["verify", "--points", str(f), "--path", labels, "--embedding", str(emb)]
+            assert run(args) == 0, (name, labels)
+            assert json.loads(capsys.readouterr().out)["is_pdce"] is True
 
 
 def test_decide_yes(tmp_path, capsys):
@@ -108,6 +117,24 @@ def test_verify_malformed_embedding(s5_file, tmp_path, capsys):
     assert code == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["well_formed"] is False
+    # The loader skips '#' comments and blank lines but counts them in the
+    # line numbers it reports; render refuses the same files.
+    cases = {
+        "# walk\n\n2\n1\nthree\n4\n0\n": "line 5: expected one integer, got 'three'",
+        "2\n1\n3.0\n4\n0\n": "line 3: expected one integer, got '3.0'",
+        "# four rows\n2\n\n1\n3\n4\n": "expected 5 embedding lines, found 4",
+        "2\n1\n3\n4\n0\n1\n": "expected 5 embedding lines, found 6",
+    }
+    for body, error in cases.items():
+        emb.write_text(body)
+        args = ["--points", s5_file, "--path", "URDU", "--embedding", str(emb)]
+        assert run(["verify", *args]) == 1
+        assert json.loads(capsys.readouterr().out) == {"well_formed": False, "error": error}
+        assert run(["render", *args]) == 1
+        assert capsys.readouterr().err == f"invalid embedding: {error}\n"
+    emb.write_text("# the accepted walk\n\n2\n1\n  # mid\n3\n4\n0\n\n")
+    assert run(["verify", "--points", s5_file, "--path", "URDU", "--embedding", str(emb)]) == 0
+    assert json.loads(capsys.readouterr().out)["is_pdce"] is True
 
 
 def test_verify_size_mismatch_is_usage_error(s5_file, tmp_path, capsys):
@@ -454,6 +481,16 @@ def test_import_loads_no_json_or_hashlib(tmp_path):
         proc = _run_child([sys.executable, "-S", "-c", probe], tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]", module
+
+
+def test_package_all_lists_each_public_name_once():
+    # A name left in __all__ after its object is gone breaks `import *`.
+    names = pdce.__all__
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(pdce, name)] == []
+    namespace = {}
+    exec("from pdce import *", namespace)
+    assert set(names) <= namespace.keys()
 
 
 def test_module_entry_exit_codes(fixture_files, tmp_path):

@@ -73,6 +73,34 @@ def test_counterexample_fixture_is_no():
     assert decide_pdce(p, s) is None
 
 
+def _rotl1(row, n):
+    return (row << 1 | row >> (n - 1)) & ((1 << n) - 1)
+
+
+def test_last_far_row_is_near_row_rotated():
+    # Row n-1's arc is the whole hull, so far[n-1, j] is near[n-1, j-1]:
+    # decide_pdce reads the near row alone for its full-length state.
+    p_no, s_no, _ = load_counterexample()
+    cases = [
+        (DirPath(""), validate([(7, 7)])),
+        (DirPath("U"), validate([(0, 0), (1, 1)])),
+        (DirPath("D"), validate([(0, 0), (1, 1)])),
+        (DirPath("UD"), UD_SET),
+        (p_no, s_no),
+    ]
+    rng = random.Random("far-row")
+    for i in range(120):
+        mode = GENERATOR_MODES[i % len(GENERATOR_MODES)]
+        s = generate_random_convex(rng.randint(1, 30), seed=f"far-{i}", mode=mode)
+        cases.append((random_path(rng, s.n), s))
+    answers = set()
+    for p, s in cases:
+        t = dp_table(p, s)
+        assert t.far_bits[-1] == _rotl1(t.near_bits[-1], s.n)
+        answers.add(decide_pdce(p, s) is not None)
+    assert answers == {True, False}
+
+
 def test_size_mismatch():
     with pytest.raises(SizeMismatch):
         decide_pdce(DirPath("UUU"), UD_SET)

@@ -13,6 +13,7 @@ from pdce import (
     FourDirectional,
     InternalCaseError,
     PreconditionViolated,
+    SetTag,
     SizeMismatch,
     backward_embedding,
     classify,
@@ -102,6 +103,13 @@ def test_left_sided_rejects_l_and_wrong_class():
     rs = generate_random_convex(6, seed=3, mode="right_sided")
     with pytest.raises(PreconditionViolated):
         embed_udr_left_sided(DirPath("UUUUU"), rs)
+    # The right-sided mirror and the case planner check the same way.
+    with pytest.raises(PreconditionViolated, match="handles U/D/R labels only"):
+        embed_udr_right_sided(DirPath("URLUU"), rs)
+    with pytest.raises(PreconditionViolated, match="not right-sided"):
+        embed_udr_right_sided(DirPath("UUUU"), S5)
+    with pytest.raises(PreconditionViolated, match="handles U/D/R labels only"):
+        plan_udr_case(DirPath("UULU"), S6)
 
 
 @given(instances(min_n=2, max_n=22, alphabet="UDR", modes=("left_sided",)))
@@ -143,6 +151,8 @@ def test_strip_uu_ends_at_top():
 def test_strip_rejects_d():
     with pytest.raises(PreconditionViolated):
         embed_ur_strip(DirPath("RDR"), CHAIN4)
+    with pytest.raises(PreconditionViolated, match="not strip-convex"):
+        embed_ur_strip(DirPath("URUR"), S5)
 
 
 @given(instances(min_n=2, max_n=22, alphabet="UR", modes=("strip",)))
@@ -163,7 +173,7 @@ def test_strip_tag_admits_strip_embedding(mode):
     for n in range(2, 40, 3):
         for seed in range(5):
             s = generate_random_convex(n, seed=seed, mode=mode)
-            if not classify(s).is_strip:
+            if SetTag.STRIP_CONVEX not in classify(s):
                 continue
             for _ in range(3):
                 p = random_path(rng, n, "UR")
@@ -548,14 +558,14 @@ def _witness_records():
                 calls = [("backward", backward_embedding)]
                 if len(used) < 4:
                     calls.append(("three", embed_three_directional))
-                if cls.is_quarter_inc or cls.is_quarter_dec:
+                if SetTag.QUARTER_INC in cls or SetTag.QUARTER_DEC in cls:
                     calls.append(("quarter", embed_quarter_convex))
-                if used <= frozenset("UR") and cls.is_strip:
+                if used <= frozenset("UR") and SetTag.STRIP_CONVEX in cls:
                     calls.append(("strip", embed_ur_strip))
                 if used <= frozenset("UDR"):
-                    if cls.is_left_sided:
+                    if SetTag.LEFT_SIDED in cls:
                         calls.append(("left", embed_udr_left_sided))
-                    if cls.is_right_sided:
+                    if SetTag.RIGHT_SIDED in cls:
                         calls.append(("right", embed_udr_right_sided))
                     if n == 1 or s.top.x > s.bottom.x:
                         calls.append(("udr", embed_udr_convex))

@@ -376,10 +376,10 @@ def _extremes(s):
 
 def test_classify_s5_left_sided():
     tags = classify(validate(S5_RAW))
-    assert tags.is_left_sided
-    assert not tags.is_right_sided
+    assert SetTag.LEFT_SIDED in tags
+    assert SetTag.RIGHT_SIDED not in tags
     assert SetTag.GENERAL_CONVEX in tags
-    assert not tags.is_strip
+    assert SetTag.STRIP_CONVEX not in tags
 
 
 def test_classify_increasing_zigzag_chain():
@@ -388,21 +388,21 @@ def test_classify_increasing_zigzag_chain():
     # one-sided tag applies (topmost and bottommost are not hull-adjacent).
     s = validate([(0, 0), (2, 1), (3, 3), (5, 4)])
     tags = classify(s)
-    assert tags.is_quarter_inc
-    assert tags.is_strip
-    assert not tags.is_quarter_dec
-    assert not tags.is_left_sided and not tags.is_right_sided
+    assert SetTag.QUARTER_INC in tags
+    assert SetTag.STRIP_CONVEX in tags
+    assert SetTag.QUARTER_DEC not in tags
+    assert SetTag.LEFT_SIDED not in tags and SetTag.RIGHT_SIDED not in tags
 
 
 def test_classify_decreasing_chain():
     s = validate([(0, 4), (1, 2), (3, 1), (5, -2)])
-    assert classify(s).is_quarter_dec
+    assert SetTag.QUARTER_DEC in classify(s)
 
 
 def test_classify_small_sets_all_vacuous():
     for pts in ([(0, 0)], [(0, 0), (3, 2)]):
         tags = classify(validate(pts))
-        assert tags.is_left_sided and tags.is_right_sided and tags.is_strip
+        assert {SetTag.LEFT_SIDED, SetTag.RIGHT_SIDED, SetTag.STRIP_CONVEX} <= tags
 
 
 # --- split_by_bt_line ----------------------------------------------------------
@@ -428,6 +428,8 @@ def test_split_requires_t_right_of_b():
     s = validate(S5_RAW)  # t=(3,6) is left of b=(4,0)
     with pytest.raises(PreconditionViolated):
         split_by_bt_line(s)
+    with pytest.raises(PreconditionViolated, match="at least two points"):
+        split_by_bt_line(validate([(0, 0)]))
 
 
 @given(convex_sets(min_n=2, max_n=20))
@@ -493,18 +495,18 @@ def test_generated_sets_are_canonical_and_in_range(s):
 @given(convex_sets(min_n=3, max_n=25, modes=("left_sided", "right_sided")))
 def test_one_sided_tags_exclusive(s):
     tags = classify(s)
-    assert tags.is_left_sided != tags.is_right_sided
+    assert len(tags & {SetTag.LEFT_SIDED, SetTag.RIGHT_SIDED}) == 1
 
 
 @given(convex_sets(min_n=3, max_n=25, modes=("quarter_inc",)))
 def test_generated_quarter_inc_is_strip(s):
-    assert classify(s).is_strip
+    assert SetTag.STRIP_CONVEX in classify(s)
 
 
 @given(convex_sets(min_n=3, max_n=25, modes=("quarter_dec",)))
 def test_generated_quarter_dec_is_one_sided(s):
     tags = classify(s)
-    assert tags.is_left_sided or tags.is_right_sided
+    assert SetTag.LEFT_SIDED in tags or SetTag.RIGHT_SIDED in tags
 
 
 # --- text formats ---------------------------------------------------------------

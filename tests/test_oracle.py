@@ -10,6 +10,7 @@ from pdce import (
     DirPath,
     Embedding,
     PreconditionViolated,
+    SetTag,
     brute_force_pdce,
     certificate,
     count_plane_spanning_paths,
@@ -121,7 +122,7 @@ def test_certificate_counts_small():
 def test_search_finds_left_sided_counterexample():
     p = DirPath("LULRDR")
     s = search_counterexample(path=p, seed=0)
-    assert classify(s).is_left_sided
+    assert SetTag.LEFT_SIDED in classify(s)
     assert decide_pdce(p, s) is None
     assert brute_force_pdce(p, s) == []
 

@@ -11,6 +11,7 @@ from pdce import (
     Embedding,
     Point,
     PreconditionViolated,
+    SetTag,
     classify,
     generate_random_convex,
     mirror_embedding,
@@ -113,8 +114,8 @@ def test_mirror_set_involution(s):
 
 def test_mirror_of_left_sided_is_right_sided():
     s5 = validate([(4, 0), (3, 6), (1, 5), (0, 3), (2, 1)])
-    assert classify(s5).is_left_sided
-    assert classify(mirror_set(s5)).is_right_sided
+    assert SetTag.LEFT_SIDED in classify(s5)
+    assert SetTag.RIGHT_SIDED in classify(mirror_set(s5))
 
 
 @given(convex_sets(min_n=1, max_n=20), st.data())
