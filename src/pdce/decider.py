@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InternalCaseError
-from .geometry import ConvexPointSet
+from .geometry import ConvexPointSet, _unimodal_runs
 from .paths import DirPath, Embedding
 from .validator import require_pdce, require_same_size
 
@@ -117,18 +117,16 @@ def _comparison_state(
     x or y, and both are cyclically unimodal along a convex hull, with
     distinct values: the key rises strictly along lo, .., hi and falls
     strictly along hi, .., lo (mod n). So rising, the keys at lo, .., hi-1,
-    and falling, those at lo-1, lo-2, .., hi+1, both increase; ordered is the
-    key sorted. Let g(j) count the keys above key[j]; those points form one
-    hull arc next to j. On the rising side it is j+1, .., j+g(j), so j is in
-    C_r iff r <= g(j), that is iff key[j] < ordered[n-r]. On the falling
-    side it is j-g(j), .., j-1, so j is in C_r iff r >= n - g(j), that is
-    iff key[j] < ordered[r]. Each side's members thus form one run from lo,
-    of length a_r and b_r. hi is in no C_r, and C_1 is the rising run.
+    and falling, those at lo-1, lo-2, .., hi+1, both increase (both come
+    from geometry._unimodal_runs); ordered is the key sorted. Let g(j)
+    count the keys above key[j]; those points form one hull arc next to j.
+    On the rising side it is j+1, .., j+g(j), so j is in C_r iff
+    r <= g(j), that is iff key[j] < ordered[n-r]. On the falling side it is
+    j-g(j), .., j-1, so j is in C_r iff r >= n - g(j), that is iff
+    key[j] < ordered[r]. Each side's members thus form one run from lo, of
+    length a_r and b_r. hi is in no C_r, and C_1 is the rising run.
     """
-    n = len(key)
-    rotated = key[lo:] + key[:lo]  # rotated[i] = key[(lo + i) % n]
-    h = (hi - lo) % n
-    return lo, rotated[:h], rotated[:h:-1], sorted(key)
+    return (lo, *_unimodal_runs(key, lo, hi), sorted(key))
 
 
 # label -> (coordinate column, whether the label reverses its axis)

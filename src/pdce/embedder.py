@@ -8,8 +8,12 @@ line through the bottom and top points (plan_udr_case / execute_plan).
 
 The planner only chooses index ranges and point subsets: its caps are hull
 arcs ending on the bottom or the top point, the middle parts what the caps
-leave. All actual coordinates are handled by one greedy run on index pools
-of the canonical set, forwards or, for right-sided parts, backwards.
+leave. All actual coordinates are handled by one backward greedy run on
+index pools of the canonical set, forwards or, for right-sided parts,
+backwards. One-sided parts and monotone columns take the two-ended walk
+(_two_ended), two cursors over the pool's y-order; strip parts and
+backward_embedding, whose free points need not stay one run of that order,
+keep the generic greedy (_greedy).
 Transformed sets come from rotate_set and mirror_set, by index arithmetic
 on the coordinate columns, never re-validated; planner, executor and greedy
 read only n, xs, ys and the extreme indices, so the embed path builds no
@@ -57,7 +61,10 @@ def _greedy(labels: str, s, pool) -> list[int]:
     last vertex always lands on the pool's extreme point in the direction
     of the last label: the left-sided and strip endpoint guarantee. The
     pool is sorted once per axis the labels use: D and L take it by
-    increasing y and x, U and R read the same list reversed.
+    increasing y and x, U and R read the same list reversed, and a cursor
+    per list skips the points already taken. This generic form runs on
+    strip parts and in backward_embedding, whose input is any convex set;
+    one-sided and monotone parts take the cheaper _two_ended.
     """
     order = {}
     if "U" in labels or "D" in labels:
@@ -84,11 +91,49 @@ def _greedy(labels: str, s, pool) -> list[int]:
     return out
 
 
+def _two_ended(labels: str, s, pool) -> list[int]:
+    """_greedy on a pool whose free points stay one run of its y-order.
+
+    The pool is sorted once by y, and cursors lo and hi mark the free run
+    by_y[lo..hi]: U takes by_y[hi], D takes by_y[lo], and R (L) takes the
+    end of larger (smaller) x. The point left over, by_y[lo], hosts v_1.
+    That is the greedy's own choice at every step as long as the extreme
+    free point in each direction used is an end of the run:
+
+    - a left-sided pool with labels U/D/R: every run of its y-order is a
+      piece of one convex chain from its top down to its bottom, so the
+      run's rightmost point is its top or its bottom;
+    - a right-sided pool with labels U/D/L, as _right_sided hands it over
+      after flipping the labels: likewise its leftmost point is its top or
+      its bottom;
+    - a run of one label, U or D, on any pool.
+
+    Strip pools break it: with labels URU on validate([(11, 20), (1, 15),
+    (0, 0), (10, 2)]), the greedy gives [2, 1, 3, 0] and this walk
+    [2, 3, 1, 0]: at the R step the rightmost free point, (10, 2), lies
+    inside the run.
+    """
+    xs = s.xs
+    by_y = sorted(pool, key=s.ys.__getitem__)
+    lo, hi = 0, len(by_y) - 1
+    out = []
+    for d in reversed(labels):
+        if d == "U" or d != "D" and (xs[by_y[hi]] > xs[by_y[lo]]) == (d == "R"):
+            out.append(by_y[hi])
+            hi -= 1
+        else:
+            out.append(by_y[lo])
+            lo += 1
+    out.append(by_y[lo])
+    out.reverse()
+    return out
+
+
 def _right_sided(labels: str, s, pool) -> list[int]:
     # The greedy on the reversed path, read backwards: it places v_1, v_2,
     # ... in turn on the extreme free point opposite the outgoing label, as
     # the left-sided construction does after a half turn of the plane.
-    return _greedy(labels[::-1].translate(_REVERSE_FLIP), s, pool)[::-1]
+    return _two_ended(labels[::-1].translate(_REVERSE_FLIP), s, pool)[::-1]
 
 
 def _strip(labels: str, s, pool) -> list[int]:
@@ -128,7 +173,7 @@ def embed_udr_left_sided(p: DirPath, s: ConvexPointSet) -> Embedding:
         raise PreconditionViolated("left-sided embedding handles U/D/R labels only")
     if SetTag.LEFT_SIDED not in classify(s):
         raise PreconditionViolated("point set is not left-sided")
-    return require_pdce(p, s, _on_whole_set(_greedy, p, s), "left-sided")
+    return require_pdce(p, s, _on_whole_set(_two_ended, p, s), "left-sided")
 
 
 def embed_udr_right_sided(p: DirPath, s: ConvexPointSet) -> Embedding:
@@ -164,13 +209,15 @@ def embed_ur_strip(p: DirPath, s: ConvexPointSet) -> Embedding:
 
 
 # Part method -> runner. Monotone parts carry a run of U (sort_up) or D
-# (sort_down) labels, on which the greedy is the sort by y.
+# (sort_down) labels, on which the greedy is the sort by y. One-sided and
+# monotone parts take the two-ended walk; strip parts need the generic
+# greedy, with its endpoint check.
 _RUNNERS = {
-    "left_sided": _greedy,
+    "left_sided": _two_ended,
     "right_sided": _right_sided,
     "strip": _strip,
-    "sort_up": _greedy,
-    "sort_down": _greedy,
+    "sort_up": _two_ended,
+    "sort_down": _two_ended,
 }
 
 

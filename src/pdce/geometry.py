@@ -21,6 +21,7 @@ import enum
 import math
 import operator
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, repeat
@@ -340,6 +341,24 @@ class SplitDescriptor:
     beta: int
 
 
+def _unimodal_runs(
+    key: Sequence[int], lo: int, hi: int
+) -> tuple[Sequence[int], Sequence[int]]:
+    """Split a cyclically unimodal column into its two increasing runs.
+
+    key is a coordinate column (xs or ys) of a convex set in hull order: its
+    values are distinct, lo and hi are the positions of the smallest and
+    the largest, and key rises strictly along lo, .., hi and falls strictly
+    along hi, .., lo (mod n). Returns (rising, falling): the keys at
+    lo, .., hi-1 and those at lo-1, lo-2, .., hi+1. Both increase, so the
+    number of keys below a value is two bisections; the largest key, at hi,
+    is in neither run.
+    """
+    rotated = key[lo:] + key[:lo]  # rotated[i] = key[(lo + i) % n]
+    h = (hi - lo) % len(key)
+    return rotated[:h], rotated[:h:-1]
+
+
 def split_by_bt_line(s: ConvexPointSet) -> SplitDescriptor:
     """Split s by the directed line from its bottom point to its top point.
 
@@ -347,6 +366,9 @@ def split_by_bt_line(s: ConvexPointSet) -> SplitDescriptor:
     down the side left of the line to the bottom, then up the right side;
     no three points are collinear. So indices 1 .. bottom_index - 1 lie
     strictly left of the line, the rest past the bottom strictly right.
+    alpha and beta count x values by bisection on the two increasing runs
+    of the x column (_unimodal_runs); the rightmost point, in neither run,
+    counts towards beta only when it is the top.
     Requires two points or more and the top strictly right of the bottom.
     """
     if s.n < 2:
@@ -356,10 +378,12 @@ def split_by_bt_line(s: ConvexPointSet) -> SplitDescriptor:
     tx = xs[s.top_index]
     if tx < bx:
         raise PreconditionViolated("top point must lie to the right of the bottom point")
+    rising, falling = _unimodal_runs(xs, s.left_index, s.right_index)
     return SplitDescriptor(
         m=s.bottom_index - 1,
-        alpha=len([x for x in xs if x < bx]),
-        beta=len([x for x in xs if x <= tx]),
+        alpha=bisect_left(rising, bx) + bisect_left(falling, bx),
+        beta=bisect_right(rising, tx) + bisect_right(falling, tx)
+        + (s.top_index == s.right_index),
     )
 
 

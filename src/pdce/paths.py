@@ -68,7 +68,8 @@ class DirPath:
         return DirPath(self.labels[i - 1 : j - 1])
 
     def directions_used(self) -> frozenset:
-        return frozenset(self.labels)
+        # Four substring searches instead of hashing every label.
+        return frozenset(d for d in LABELS if d in self.labels)
 
     def __str__(self) -> str:
         return self.labels or "(single vertex)"

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -31,7 +32,9 @@ from pdce import (
     validate,
     validate_embedding,
 )
-from pdce.embedder import CasePart, CasePlan, execute_plan
+from pdce import embedder
+from pdce.embedder import CasePart, CasePlan, _greedy, _two_ended, execute_plan
+from pdce.paths import _REVERSE_FLIP
 from conftest import ALL_MODES, convex_sets, instances, random_path
 
 S5 = validate([(4, 0), (3, 6), (1, 5), (0, 3), (2, 1)])
@@ -291,14 +294,15 @@ CASE_TAGS = frozenset(
 )
 
 
-def test_every_case_tag_seeded():
+@functools.lru_cache(maxsize=None)
+def _seeded_udr_plans():
     # Seeded U/D/R instances on general sets, whose split reaches every case,
     # with paths rich in U and R runs, until each tag has 20 hits. The rarest
     # (mid-strip, mid-strip-right-cut, up-run-high) turn up about once in
-    # 150 tries here. Every plan's caps are checked against the y-sort and
-    # every embedding is validated.
+    # 150 tries here.
     rng = random.Random("case-tags")
     hits = Counter()
+    out = []
     for _ in range(12000):
         n = rng.randint(4, 15)
         s = generate_random_convex(n, seed=rng.randrange(10**9), mode="general")
@@ -307,11 +311,65 @@ def test_every_case_tag_seeded():
         p = random_path(rng, n, rng.choice(("UDR", "UURD", "URRD")))
         plan = plan_udr_case(p, s)
         hits[plan.case_tag] += 1
-        _assert_caps_are_y_picks(plan, s)
-        assert validate_embedding(p, s, embed_udr_convex(p, s)).is_pdce
+        out.append((p, s, plan))
         if min(hits[tag] for tag in CASE_TAGS) >= 20:
             break
+    return tuple(out)
+
+
+def test_every_case_tag_seeded():
+    # Every plan's caps are checked against the y-sort and every embedding
+    # is validated.
+    hits = Counter()
+    for p, s, plan in _seeded_udr_plans():
+        hits[plan.case_tag] += 1
+        _assert_caps_are_y_picks(plan, s)
+        assert validate_embedding(p, s, embed_udr_convex(p, s)).is_pdce
     assert set(hits) == CASE_TAGS and min(hits.values()) >= 20, hits
+
+
+def _flipped(labels):
+    # The labels _right_sided hands to the walk: reversed, each one flipped.
+    return labels[::-1].translate(_REVERSE_FLIP)
+
+
+def test_two_ended_matches_greedy():
+    # The two-ended walk must be the generic greedy on every pool it runs
+    # on: each non-strip part of the seeded plans, and whole left- and
+    # right-sided sets of every generator mode, a right-sided pool under
+    # the labels _right_sided hands over.
+    runs = []
+    for p, s, plan in _seeded_udr_plans():
+        for part in plan.parts:
+            labels = p.labels[part.first_vertex - 1 : part.last_vertex - 1]
+            if part.method == "right_sided":
+                labels = _flipped(labels)
+            elif part.method == "strip":
+                continue
+            runs.append((part.method, labels, s, part.points))
+    rng = random.Random("two-ended")
+    for mode in ALL_MODES:
+        for _ in range(40):
+            s = generate_random_convex(rng.randint(1, 30), seed=rng.randrange(10**9), mode=mode)
+            labels = random_path(rng, s.n, "UDR").labels
+            tags = classify(s)
+            if SetTag.LEFT_SIDED in tags:
+                runs.append(("left_sided", labels, s, range(s.n)))
+            if SetTag.RIGHT_SIDED in tags:
+                runs.append(("right_sided", _flipped(labels), s, range(s.n)))
+    for method, labels, s, pool in runs:
+        assert _two_ended(labels, s, pool) == _greedy(labels, s, pool), (method, labels, s, pool)
+    assert {m for m, *_ in runs} == set(embedder._RUNNERS) - {"strip"}
+    # R and L steps, the ones that compare the two ends, on both sides.
+    steps = Counter(m for m, labels, _, _ in runs for d in labels if d in "RL")
+    assert set(steps) == {"left_sided", "right_sided"} and min(steps.values()) >= 100, steps
+
+    # On a strip pool the rightmost free point may lie inside the run: this
+    # is why strip parts and backward_embedding keep the generic greedy.
+    s = validate([(11, 20), (1, 15), (0, 0), (10, 2)])
+    assert SetTag.STRIP_CONVEX in classify(s)
+    assert _greedy("URU", s, range(4)) == [2, 1, 3, 0]
+    assert _two_ended("URU", s, range(4)) == [2, 3, 1, 0]
 
 
 def test_execute_plan_guards():

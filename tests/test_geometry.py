@@ -4,7 +4,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pdce import (
     COORD_LIMIT,
@@ -432,6 +432,12 @@ def test_split_requires_t_right_of_b():
         split_by_bt_line(validate([(0, 0)]))
 
 
+# The top the rightmost point, the bottom the leftmost, both, or neither.
+@example(validate([(0, 0), (1, 1)]))
+@example(validate([(0, 0), (2, 1), (3, 3), (5, 4)]))
+@example(validate([(5, 6), (1, 5), (0, 3), (2, 0), (4, 2)]))
+@example(validate([(0, 0), (6, 2), (3, 5)]))
+@example(validate([(3, 5), (-2, 3), (0, 0), (6, 2)]))
 @given(convex_sets(min_n=2, max_n=20))
 def test_split_partition_property(s):
     if s.top.x < s.bottom.x:
@@ -441,6 +447,9 @@ def test_split_partition_property(s):
     sp = split_by_bt_line(s)
     assert sp.m + 1 == s.bottom_index
     assert sp.alpha <= sp.beta
+    # The bisection counts agree with a scan of the x column.
+    assert sp.alpha == sum(x < s.bottom.x for x in s.xs)
+    assert sp.beta == sum(x <= s.top.x for x in s.xs)
     b, t = s.bottom, s.top
     # positions 1..m lie strictly left of the bottom -> top line, m+2..n-1
     # strictly right

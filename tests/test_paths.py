@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import pickle
 
 import pytest
@@ -47,7 +48,13 @@ def test_dirpath_rejects_non_str_labels(labels):
 def test_directions_used():
     assert DirPath("LULRDR").directions_used() == frozenset("UDLR")
     assert DirPath("UUU").directions_used() == frozenset("U")
-    assert DirPath("").directions_used() == frozenset()
+    # Every one of the 16 label subsets, the empty path included, each
+    # label repeated and the subset's labels in two orders.
+    for k in range(5):
+        for subset in itertools.combinations("UDLR", k):
+            for labels in ("".join(subset) * 2, "".join(reversed(subset))):
+                used = DirPath(labels).directions_used()
+                assert type(used) is frozenset and used == frozenset(subset), labels
 
 
 def test_subpath_one_based_inclusive():
