@@ -16,8 +16,7 @@ backward_embedding, whose free points need not stay one run of that order,
 keep the generic greedy (_greedy).
 Transformed sets come from rotate_set and mirror_set, by index arithmetic
 on the coordinate columns, never re-validated; planner, executor and greedy
-read only n, xs, ys and the extreme indices, so the embed path builds no
-Point.
+read only n, xs, ys and the extreme indices, never the points view.
 
 Each public entry checks its preconditions, runs an unchecked private core
 and checks the answer once with validator.require_pdce: a type check of

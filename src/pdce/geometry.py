@@ -7,8 +7,8 @@ pairwise distinct x, pairwise distinct y, and no three collinear points.
 Accepted sets are stored in a canonical order (counterclockwise around the
 hull, starting at the topmost point), which makes equality, hashing and all
 downstream index arithmetic independent of the input order. Sets, the
-parsers and the formatters work on (x, y) int pairs; a Point is a view of
-one pair, built only when asked for. validate() accepts fast and explains
+parsers, the formatters and the predicates work on (x, y) int pairs; no
+engine reads a set's points view. validate() accepts fast and explains
 exactly: a valid set passes in whole-column passes and one split into the
 two hull chains, and only a rejected input meets the slower route that
 names its error.
@@ -21,11 +21,12 @@ import enum
 import math
 import operator
 import random
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, repeat
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     CollinearTriple,
@@ -41,26 +42,11 @@ from .errors import (
 COORD_LIMIT = 1 << 30
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
+    """A read-only (x, y) view of one point of a ConvexPointSet."""
+
     x: int
     y: int
-
-    def __post_init__(self) -> None:
-        for v in (self.x, self.y):
-            if type(v) is not int:
-                raise PreconditionViolated(
-                    f"coordinates must be plain ints, got {v!r}"
-                )
-            if abs(v) > COORD_LIMIT:
-                raise _out_of_range(v)
-
-    def __iter__(self):
-        yield self.x
-        yield self.y
-
-    def __repr__(self) -> str:
-        return f"({self.x}, {self.y})"
 
 
 def _pair(obj) -> tuple[int, int]:
@@ -79,6 +65,21 @@ def _pair(obj) -> tuple[int, int]:
     return pair
 
 
+def _int_literal(text: str) -> int:
+    # int(text) at the text and JSON doors. A well-formed literal too long for
+    # int() (4300 digits) is out of range, unless all but ten are leading zeros.
+    try:
+        return int(text)
+    except ValueError:
+        literal = re.fullmatch(r"\s*([+-]?)0*(\d+)\s*", text)
+        if literal is None:
+            raise
+    sign, digits = literal.groups()
+    if len(digits) > len(str(COORD_LIMIT)):
+        raise CoordinateRange(f"coordinate of {len(digits)} digits exceeds |{COORD_LIMIT}|")
+    return int(sign + digits)
+
+
 def _out_of_range(v: int) -> CoordinateRange:
     try:
         return CoordinateRange(f"coordinate {v} exceeds |{COORD_LIMIT}|")
@@ -86,37 +87,34 @@ def _out_of_range(v: int) -> CoordinateRange:
         return CoordinateRange(f"coordinate of {v.bit_length()} bits exceeds |{COORD_LIMIT}|")
 
 
-def orientation(a: Point, b: Point, c: Point) -> int:
-    """Sign of the turn a->b->c: +1 left (counterclockwise), -1 right, 0 collinear."""
-    v = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+def orientation(a, b, c) -> int:
+    """Sign of the turn a->b->c of (x, y) pairs: +1 left (ccw), -1 right, 0 collinear."""
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    v = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     return (v > 0) - (v < 0)
 
 
-def on_segment(a: Point, b: Point, c: Point) -> bool:
-    """Whether c lies on the closed segment a-b. Assumes c collinear with a, b."""
-    return (
-        min(a.x, b.x) <= c.x <= max(a.x, b.x)
-        and min(a.y, b.y) <= c.y <= max(a.y, b.y)
-    )
+def _on_segment(a, b, c) -> bool:
+    # Whether c lies on the closed segment a-b, given c collinear with a and b.
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    return min(ax, bx) <= cx <= max(ax, bx) and min(ay, by) <= cy <= max(ay, by)
 
 
-def segments_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """Whether closed segments a-b and c-d share at least one point. Exact."""
+def segments_intersect(a, b, c, d) -> bool:
+    """Whether closed segments a-b and c-d of (x, y) pairs share at least one point. Exact."""
     o1 = orientation(a, b, c)
     o2 = orientation(a, b, d)
     o3 = orientation(c, d, a)
     o4 = orientation(c, d, b)
-    if o1 == 0 and on_segment(a, b, c):
-        return True
-    if o2 == 0 and on_segment(a, b, d):
-        return True
-    if o3 == 0 and on_segment(c, d, a):
-        return True
-    if o4 == 0 and on_segment(c, d, b):
-        return True
-    if o1 == 0 or o2 == 0 or o3 == 0 or o4 == 0:
-        return False
-    return o1 != o2 and o3 != o4
+    if o1 and o2 and o3 and o4:
+        return o1 != o2 and o3 != o4
+    # An endpoint collinear with the other segment: they meet iff it lies on it.
+    return (
+        (o1 == 0 and _on_segment(a, b, c))
+        or (o2 == 0 and _on_segment(a, b, d))
+        or (o3 == 0 and _on_segment(c, d, a))
+        or (o4 == 0 and _on_segment(c, d, b))
+    )
 
 
 @dataclass(frozen=True)
@@ -131,9 +129,9 @@ class ConvexPointSet:
 
     Everything else is read from the columns on first use and cached: the
     four extreme indices (the symmetry operators seed them through
-    _with_extremes instead), the two axis orders, and points, the Point
-    views. So a set built from columns, also by dataclasses.replace, never
-    carries another set's extremes.
+    _with_extremes instead), the two axis orders, and points, the pairs as
+    unchecked Point tuples for outside callers. So a set built from columns,
+    also by dataclasses.replace, never carries another set's extremes.
     """
 
     xs: tuple[int, ...]
@@ -163,22 +161,6 @@ class ConvexPointSet:
     def right_index(self) -> int:
         return self.xs.index(max(self.xs))
 
-    @property
-    def top(self) -> Point:
-        return Point(self.xs[self.top_index], self.ys[self.top_index])
-
-    @property
-    def bottom(self) -> Point:
-        return Point(self.xs[self.bottom_index], self.ys[self.bottom_index])
-
-    @property
-    def left(self) -> Point:
-        return Point(self.xs[self.left_index], self.ys[self.left_index])
-
-    @property
-    def right(self) -> Point:
-        return Point(self.xs[self.right_index], self.ys[self.right_index])
-
     @cached_property
     def x_order(self) -> tuple[int, ...]:
         return tuple(sorted(range(self.n), key=self.xs.__getitem__))
@@ -205,7 +187,7 @@ def _with_extremes(
 def validate(raw_points: Iterable) -> ConvexPointSet:
     """Check convex general position and return the canonical point set.
 
-    Each entry is an (x, y) pair of index-like values, a Point included.
+    Each entry is an (x, y) pair of index-like values, such as a Point.
     Raises DuplicateX / DuplicateY / CollinearTriple / NotConvexPosition
     with the offending indices into the *input* order, CoordinateRange for
     oversized coordinates, and PreconditionViolated for malformed input.
@@ -492,7 +474,7 @@ def parse_points_text(text: str) -> list[tuple[int, int]]:
         if len(parts) != 2:
             raise PreconditionViolated(f"line {ln}: expected 'x y', got {body!r}")
         try:
-            pairs.append(_pair((int(parts[0]), int(parts[1]))))
+            pairs.append(_pair((_int_literal(parts[0]), _int_literal(parts[1]))))
         except CoordinateRange as exc:
             raise CoordinateRange(f"line {ln}: {exc}") from None
         except ValueError:
@@ -511,8 +493,8 @@ def parse_points_json(text: str) -> list[tuple[int, int]]:
     """Parse {"points": [[x, y], ...]} into int pairs, checked as validate() checks them."""
     import json
     try:
-        doc = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an int too long to convert
+        doc = json.loads(text, parse_int=_int_literal)
+    except json.JSONDecodeError as exc:
         raise PreconditionViolated(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("points"), list):
         raise PreconditionViolated('expected an object with a "points" array')

@@ -81,7 +81,7 @@ def brute_force_pdce(p: DirPath, s: ConvexPointSet, bound: int = 20) -> list:
     if n > bound:
         raise BoundExceeded(n, bound)
     labels = p.labels
-    pts = s.points
+    pts = tuple(zip(s.xs, s.ys))
     out = []
 
     def extend(k: int, lo: int, hi: int, pos: int, acc: list) -> None:

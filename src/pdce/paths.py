@@ -22,7 +22,7 @@ operator on sets and embeddings pure index arithmetic on an n-point set s:
 No operator re-validates: a transformed valid set is valid. rotate_set and
 mirror_set cut and negate the source's coordinate columns and hand
 geometry._with_extremes the new extreme indices, found by the same index
-arithmetic; they build no Point and scan no column.
+arithmetic; they scan no column and leave the points view unbuilt.
 """
 
 from __future__ import annotations

@@ -35,20 +35,21 @@ from operator import sub
 from typing import Optional
 
 from .errors import InternalCaseError, InvalidEmbedding, PreconditionViolated, SizeMismatch
-from .geometry import ConvexPointSet, Point, segments_intersect
+from .geometry import ConvexPointSet, segments_intersect
 from .paths import DirPath, Embedding
 
 
-def edge_ok(label: str, a: Point, b: Point) -> bool:
-    """Whether the step a -> b strictly respects the label. Ties never pass."""
+def edge_ok(label: str, a, b) -> bool:
+    """Whether the step a -> b of (x, y) pairs strictly respects the label. Ties never pass."""
+    (ax, ay), (bx, by) = a, b
     if label == "U":
-        return b.y > a.y
+        return by > ay
     if label == "D":
-        return b.y < a.y
+        return by < ay
     if label == "L":
-        return b.x < a.x
+        return bx < ax
     if label == "R":
-        return b.x > a.x
+        return bx > ax
     raise PreconditionViolated(f"unknown edge label {label!r}")
 
 
@@ -265,7 +266,7 @@ def _sweep(xs: list, ys: list) -> Optional[bool]:
 
 def _segments_scalar(s: ConvexPointSet, e: Embedding) -> bool:
     """The pair loop with exact closed-segment predicates: fallback and oracle."""
-    pts = [s.points[i] for i in e.assignment]
+    pts = [(s.xs[i], s.ys[i]) for i in e.assignment]
     edges = list(zip(pts, pts[1:]))
     for i in range(len(edges)):
         for j in range(i + 2, len(edges)):

@@ -10,9 +10,10 @@ import pytest
 
 import pdce
 from pdce import load_counterexample, render_svg, validate, parse_points_text
-from pdce import Point, format_points_json
+from pdce import format_points_json
 from pdce import DirPath, Embedding, InvalidEmbedding, SizeMismatch
 from pdce.cli import run
+from pdce.geometry import Point
 
 try:
     import numpy as np
@@ -331,22 +332,22 @@ def test_out_of_range_points_is_usage_error(tmp_path, capsys, name, body):
 
 
 def test_json_int_past_conversion_limit_is_usage_error(tmp_path, capsys):
-    # json.loads refuses an int literal past Python's digit limit with a
-    # plain ValueError; where there is no such limit, the range check does.
+    # int() refuses a literal past Python's digit limit; the JSON door names
+    # it out of range, as the range check does where there is no such limit.
     f = tmp_path / "pts.json"
     f.write_text('{"points": [[0, 0], [2, %s]]}' % ("9" * 5000))
     assert run(["decide", "--points", str(f), "--path", "U"]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert len(err) == 1 and err[0].startswith("error:") and "exceeds" in err[0], err
 
 
 def test_subcommands_build_no_point(tmp_path, capsys, monkeypatch):
     # Points files are read and written as int pairs, and every engine reads
     # the set's columns: a Point built anywhere on these paths fails the run.
-    def built(q):
-        raise AssertionError(f"Point {q!r} built")
+    def built(cls, *fields):
+        raise AssertionError(f"Point{fields!r} built")
 
-    monkeypatch.setattr(Point, "__post_init__", built)
+    monkeypatch.setattr(Point, "__new__", built)
     assert run(["gen", "--n", "300", "--seed", "1"]) == 0
     text = capsys.readouterr().out
     points = tmp_path / "points.txt"

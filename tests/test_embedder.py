@@ -34,6 +34,7 @@ from pdce import (
 )
 from pdce import embedder
 from pdce.embedder import CasePart, CasePlan, _greedy, _two_ended, execute_plan
+from pdce.geometry import Point
 from pdce.paths import _REVERSE_FLIP
 from conftest import ALL_MODES, convex_sets, instances, random_path
 
@@ -46,7 +47,11 @@ HEX_A1 = validate([(0, 0), (4, 10), (-3, 4), (1, 8), (7, 6), (3, 1)])  # alpha =
 
 
 def embedded_coords(s, e):
-    return [(s.points[i].x, s.points[i].y) for i in e.assignment]
+    return [(s.xs[i], s.ys[i]) for i in e.assignment]
+
+
+def _top_left_of_bottom(s):
+    return s.xs[s.top_index] < s.xs[s.bottom_index]
 
 
 # --- backward embedding -------------------------------------------------------
@@ -90,14 +95,14 @@ def test_backward_always_direction_consistent():
 
 def test_left_sided_urdu_endpoint():
     e = embed_udr_left_sided(DirPath("URDU"), S5)
-    assert S5.points[e.assignment[-1]] == S5.top  # d4 = U
+    assert e.assignment[-1] == S5.top_index  # d4 = U
     assert validate_embedding(DirPath("URDU"), S5, e).is_pdce
 
 
 def test_left_sided_two_point_down():
     s = validate([(0, 0), (1, 1)])
     e = embed_udr_left_sided(DirPath("D"), s)
-    assert s.points[e.assignment[-1]] == s.bottom
+    assert e.assignment[-1] == s.bottom_index
 
 
 def test_left_sided_rejects_l_and_wrong_class():
@@ -120,8 +125,8 @@ def test_left_sided_endpoint_contract(inst):
     p, s = inst
     e = embed_udr_left_sided(p, s)
     assert validate_embedding(p, s, e).is_pdce
-    want = {"U": s.top, "D": s.bottom, "R": s.right}[p.labels[-1]]
-    assert s.points[e.assignment[-1]] == want
+    want = {"U": s.top_index, "D": s.bottom_index, "R": s.right_index}[p.labels[-1]]
+    assert e.assignment[-1] == want
 
 
 @given(instances(min_n=2, max_n=22, alphabet="UDR", modes=("right_sided",)))
@@ -129,26 +134,26 @@ def test_right_sided_endpoint_contract(inst):
     p, s = inst
     e = embed_udr_right_sided(p, s)
     assert validate_embedding(p, s, e).is_pdce
-    want = {"U": s.bottom, "D": s.top, "R": s.left}[p.labels[0]]
-    assert s.points[e.assignment[0]] == want
+    want = {"U": s.bottom_index, "D": s.top_index, "R": s.left_index}[p.labels[0]]
+    assert e.assignment[0] == want
 
 
 def test_right_sided_two_point_r():
     s = validate([(0, 0), (1, 1)])
     e = embed_udr_right_sided(DirPath("R"), s)
-    assert s.points[e.assignment[0]] == s.left
+    assert e.assignment[0] == s.left_index
 
 
 def test_strip_rur_frozen():
     e = embed_ur_strip(DirPath("RUR"), CHAIN4)
     assert embedded_coords(CHAIN4, e) == [(0, 0), (2, 1), (3, 3), (5, 4)]
-    assert CHAIN4.points[e.assignment[-1]] == CHAIN4.right  # d3 = R
+    assert e.assignment[-1] == CHAIN4.right_index  # d3 = R
 
 
 def test_strip_uu_ends_at_top():
     s = generate_random_convex(3, seed=11, mode="strip")
     e = embed_ur_strip(DirPath("UU"), s)
-    assert s.points[e.assignment[-1]] == s.top
+    assert e.assignment[-1] == s.top_index
 
 
 def test_strip_rejects_d():
@@ -163,9 +168,9 @@ def test_strip_endpoint_contract(inst):
     p, s = inst
     e = embed_ur_strip(p, s)
     assert validate_embedding(p, s, e).is_pdce
-    assert s.points[e.assignment[0]] in (s.bottom, s.left)
-    want = s.top if p.labels[-1] == "U" else s.right
-    assert s.points[e.assignment[-1]] == want
+    assert e.assignment[0] in (s.bottom_index, s.left_index)
+    want = s.top_index if p.labels[-1] == "U" else s.right_index
+    assert e.assignment[-1] == want
 
 
 @pytest.mark.parametrize("mode", ALL_MODES)
@@ -219,7 +224,7 @@ def test_all_u_degenerate_two_runs():
 
 def test_one_sided_splits_short_circuit():
     ls = generate_random_convex(7, seed=4, mode="left_sided")
-    if ls.top.x < ls.bottom.x:
+    if _top_left_of_bottom(ls):
         from pdce import mirror_set
 
         ls = mirror_set(ls)  # mirror is right-sided with t right of b
@@ -233,7 +238,7 @@ def test_plan_covers_slots_and_points(inst):
     # Only general sets reach plans other than the one-sided ones; a set
     # whose top lies left of its bottom is mirrored, not skipped.
     p, s = inst
-    if s.top.x < s.bottom.x:
+    if _top_left_of_bottom(s):
         s = mirror_set(s)
     plan = plan_udr_case(p, s)
     parts = plan.parts
@@ -270,7 +275,7 @@ def _assert_caps_are_y_picks(plan, s):
             pool, highest = tuple(range(sp.m + 2, s.n)) + ends, not down
         else:
             continue
-        by_y = sorted(pool, key=lambda i: s.points[i].y, reverse=highest)
+        by_y = sorted(pool, key=s.ys.__getitem__, reverse=highest)
         assert part.points == tuple(sorted(by_y[: len(part.points)])), (plan.case_tag, part)
 
 
@@ -306,7 +311,7 @@ def _seeded_udr_plans():
     for _ in range(12000):
         n = rng.randint(4, 15)
         s = generate_random_convex(n, seed=rng.randrange(10**9), mode="general")
-        if s.top.x < s.bottom.x:
+        if _top_left_of_bottom(s):
             s = mirror_set(s)
         p = random_path(rng, n, rng.choice(("UDR", "UURD", "URRD")))
         plan = plan_udr_case(p, s)
@@ -414,7 +419,7 @@ def test_udr_n2_r_unique():
 def test_udr_dd_sorts_down():
     s = validate([(0, 0), (2, 3), (4, 1)])
     e = embed_udr_convex(DirPath("DD"), s)
-    ys = [s.points[i].y for i in e.assignment]
+    ys = [s.ys[i] for i in e.assignment]
     assert ys == sorted(ys, reverse=True)
 
 
@@ -426,7 +431,7 @@ def test_udr_requires_t_right_of_b():
 @given(instances(min_n=1, max_n=28, alphabet="UDR", modes=("general",)))
 def test_udr_convex_sound(inst):
     p, s = inst
-    if s.top.x < s.bottom.x:
+    if _top_left_of_bottom(s):
         s = mirror_set(s)
     e = embed_udr_convex(p, s)
     assert validate_embedding(p, s, e).is_pdce
@@ -447,7 +452,7 @@ def test_three_directional_frozen_examples():
 
     s4 = generate_random_convex(4, seed=12)
     e4 = embed_three_directional(DirPath("LLL"), s4)
-    xs = [s4.points[i].x for i in e4.assignment]
+    xs = [s4.xs[i] for i in e4.assignment]
     assert xs == sorted(xs, reverse=True)
     assert validate_embedding(DirPath("LLL"), s4, e4).is_pdce
 
@@ -521,11 +526,12 @@ def test_validate_once_check_once(monkeypatch):
     # run on the set itself, without a half turn. No Point is built.
     general = generate_random_convex(40, seed=3, mode="general")
     turned = mirror_set(general)
-    assert (general.top.x > general.bottom.x) != (turned.top.x > turned.bottom.x)
+    assert _top_left_of_bottom(general) != _top_left_of_bottom(turned)
     # general's top lies left of its bottom and its right point above its
     # left one, so a D/L/R path on it takes the quarter-turned set, whose
     # top then lies left of its bottom, and that set's mirror.
-    assert general.top.x < general.bottom.x and general.right.y > general.left.y
+    assert _top_left_of_bottom(general)
+    assert general.ys[general.right_index] > general.ys[general.left_index]
     chains = [
         generate_random_convex(40, seed=3, mode=mode) for mode in ("quarter_inc", "quarter_dec")
     ]
@@ -541,7 +547,7 @@ def test_validate_once_check_once(monkeypatch):
     def expected(used, s):
         rotated = not (used <= frozenset("UDR") or used <= frozenset("UDL"))
         reduced = originals["rotate_set"](s) if rotated else s
-        mirrored = reduced.top.x < reduced.bottom.x
+        mirrored = _top_left_of_bottom(reduced)
         branches.add((rotated, mirrored))
         return +Counter(_verdicts=1, rotate_set=int(rotated), mirror_set=int(mirrored))
 
@@ -551,9 +557,7 @@ def test_validate_once_check_once(monkeypatch):
             for name, fn in originals.items():
                 if getattr(mod, name, None) is fn:
                     monkeypatch.setattr(mod, name, _counted(fn, name, calls))
-    monkeypatch.setattr(
-        pdce.Point, "__post_init__", _counted(pdce.Point.__post_init__, "Point", calls)
-    )
+    monkeypatch.setattr(Point, "__new__", _counted(Point.__new__, "Point", calls))
     branches = set()
     rng = random.Random(5)
     for s in (general, turned):
@@ -625,9 +629,9 @@ def _witness_records():
                         calls.append(("left", embed_udr_left_sided))
                     if SetTag.RIGHT_SIDED in cls:
                         calls.append(("right", embed_udr_right_sided))
-                    if n == 1 or s.top.x > s.bottom.x:
+                    if n == 1 or s.xs[s.top_index] > s.xs[s.bottom_index]:
                         calls.append(("udr", embed_udr_convex))
-                    if n >= 2 and s.top.x > s.bottom.x:
+                    if n >= 2 and s.xs[s.top_index] > s.xs[s.bottom_index]:
                         calls.append(("plan", plan_udr_case))
                 for kind, fn in calls:
                     yield f"{mode} {n} {p.labels}", kind, _outcome(fn, p, s)

@@ -6,6 +6,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import pdce
 from pdce import (
     COORD_LIMIT,
     CollinearTriple,
@@ -17,7 +18,6 @@ from pdce import (
     InternalCaseError,
     NotConvexPosition,
     PdceError,
-    Point,
     PreconditionViolated,
     SetTag,
     classify,
@@ -33,6 +33,7 @@ from pdce import (
 )
 from conftest import convex_sets
 from pdce import geometry
+from pdce.geometry import Point
 
 try:
     import numpy as np
@@ -44,59 +45,37 @@ S5_CANONICAL = [(3, 6), (1, 5), (0, 3), (2, 1), (4, 0)]
 
 
 def coords(s: ConvexPointSet):
-    return [(p.x, p.y) for p in s.points]
+    return list(zip(s.xs, s.ys))
 
 
-# --- Point and predicates ---------------------------------------------------
-
-
-def test_point_rejects_non_int():
-    with pytest.raises(PreconditionViolated):
-        Point(1.5, 2)
-    with pytest.raises(PreconditionViolated):
-        Point(True, 2)
-
-
-def test_point_rejects_out_of_range():
-    with pytest.raises(CoordinateRange):
-        Point(COORD_LIMIT + 1, 0)
-    Point(COORD_LIMIT, -COORD_LIMIT)  # boundary is allowed
+# --- predicates ----------------------------------------------------------------
 
 
 def test_huge_coordinate_named_by_bit_length():
     # str() refuses ints past 4300 digits: the message names such a value by
     # its bit length instead of raising a bare ValueError.
     message = f"coordinate of {(10**5000).bit_length()} bits exceeds |{COORD_LIMIT}|"
-    for make in (lambda: validate([(0, 0), (1, 10**5000), (3, 1)]), lambda: Point(10**5000, 0)):
-        with pytest.raises(CoordinateRange) as exc:
-            make()
-        assert str(exc.value) == message
-
-
-def test_extreme_points_build_no_point_cache():
-    for name in ("top", "bottom", "left", "right"):
-        s = generate_random_convex(40, seed=2)
-        p = getattr(s, name)
-        assert "points" not in s.__dict__, name
-        assert p == s.points[getattr(s, f"{name}_index")], name
+    with pytest.raises(CoordinateRange) as exc:
+        validate([(0, 0), (1, 10**5000), (3, 1)])
+    assert str(exc.value) == message
 
 
 def test_orientation_signs():
-    a, b = Point(0, 0), Point(2, 0)
-    assert orientation(a, b, Point(1, 1)) == 1
-    assert orientation(a, b, Point(1, -1)) == -1
-    assert orientation(a, b, Point(4, 0)) == 0
+    # The predicates take any (x, y) pairs; a Point is one of them.
+    a, b = (0, 0), Point(2, 0)
+    assert orientation(a, b, (1, 1)) == 1
+    assert orientation(a, b, (1, -1)) == -1
+    assert orientation(a, b, (4, 0)) == 0
 
 
 def test_segments_intersect_basic():
-    p = Point
-    assert segments_intersect(p(0, 0), p(2, 2), p(0, 2), p(2, 0))
-    assert not segments_intersect(p(0, 0), p(1, 1), p(2, 2), p(3, 3))
+    assert segments_intersect((0, 0), (2, 2), (0, 2), Point(2, 0))
+    assert not segments_intersect((0, 0), (1, 1), (2, 2), (3, 3))
     # shared endpoint counts as intersecting closed segments
-    assert segments_intersect(p(0, 0), p(1, 1), p(1, 1), p(2, 0))
+    assert segments_intersect((0, 0), (1, 1), (1, 1), (2, 0))
     # collinear overlap
-    assert segments_intersect(p(0, 0), p(3, 0), p(1, 0), p(4, 0))
-    assert not segments_intersect(p(0, 0), p(1, 0), p(2, 0), p(3, 0))
+    assert segments_intersect((0, 0), (3, 0), (1, 0), (4, 0))
+    assert not segments_intersect((0, 0), (1, 0), (2, 0), (3, 0))
 
 
 # --- validate ----------------------------------------------------------------
@@ -105,15 +84,18 @@ def test_segments_intersect_basic():
 def test_validate_s5_canonical_order():
     s = validate(S5_RAW)
     assert coords(s) == S5_CANONICAL
-    assert s.top == Point(3, 6)
-    assert s.bottom == Point(4, 0)
-    assert s.right == Point(4, 0)  # r(S) = b(S) on this set
-    assert s.left == Point(0, 3)
+    # Top (3, 6), bottom (4, 0), left (0, 3); r(S) = b(S) on this set.
+    assert _extremes(s) == (0, 4, 2, 4)
+    # points views the columns as unchecked (x, y) tuples with named fields.
+    for k, pt in enumerate(s.points):
+        assert type(pt) is Point and pt == (s.xs[k], s.ys[k])
+        assert (pt.x, pt.y) == (s.xs[k], s.ys[k])
+    assert not hasattr(pdce, "Point")
 
 
 def test_validate_idempotent_on_canonical():
     s = validate(S5_RAW)
-    again = validate([(p.x, p.y) for p in s.points])
+    again = validate(coords(s))
     assert coords(again) == coords(s)
 
 
@@ -188,7 +170,9 @@ _RANGE = f"exceeds |{COORD_LIMIT}|"
 
 # The input door's error contract: (case, door, input, error type, .indices
 # or .index, message). An out-of-range coordinate is CoordinateRange and a bool
-# coordinate is rejected at every door; the rest is as it has always been.
+# coordinate is rejected at every door; the rest is as it has always been. A
+# literal with more digits than int() converts (4300 by default) is out of
+# range too, named by its digit count.
 DOOR_CORPUS = [
     ("dup-x", "validate", [(0, 0), (3, 2), (0, 5)], DuplicateX, (0, 2),
      "points 0 and 2 share an x-coordinate"),
@@ -223,6 +207,8 @@ DOOR_CORPUS = [
      "line 1: expected 'x y', got '1 2 3'"),
     ("text-range", "text", "0 0\n4 99999999999999999999\n", CoordinateRange, None,
      f"line 2: coordinate 99999999999999999999 {_RANGE}"),
+    ("text-huge", "text", "0 0\n4 %s\n" % ("9" * 5000), CoordinateRange, None,
+     f"line 2: coordinate of 5000 digits {_RANGE}"),
     ("json-syntax", "json", "not json", PreconditionViolated, None,
      "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
     ("json-not-list", "json", '{"points": 5}', PreconditionViolated, None,
@@ -241,6 +227,8 @@ DOOR_CORPUS = [
      "coordinates must be plain ints, got True"),
     ("json-range", "json", '{"points": [[0, 0], [4, 99999999999999999999999]]}',
      CoordinateRange, None, f"coordinate 99999999999999999999999 {_RANGE}"),
+    ("json-huge", "json", '{"points": [[0, 0], [4, %s]]}' % ("9" * 5000), CoordinateRange, None,
+     f"coordinate of 5000 digits {_RANGE}"),
 ]
 
 
@@ -440,7 +428,7 @@ def test_split_requires_t_right_of_b():
 @example(validate([(3, 5), (-2, 3), (0, 0), (6, 2)]))
 @given(convex_sets(min_n=2, max_n=20))
 def test_split_partition_property(s):
-    if s.top.x < s.bottom.x:
+    if s.xs[s.top_index] < s.xs[s.bottom_index]:
         with pytest.raises(PreconditionViolated):
             split_by_bt_line(s)
         return
@@ -448,15 +436,16 @@ def test_split_partition_property(s):
     assert sp.m + 1 == s.bottom_index
     assert sp.alpha <= sp.beta
     # The bisection counts agree with a scan of the x column.
-    assert sp.alpha == sum(x < s.bottom.x for x in s.xs)
-    assert sp.beta == sum(x <= s.top.x for x in s.xs)
-    b, t = s.bottom, s.top
+    assert sp.alpha == sum(x < s.xs[s.bottom_index] for x in s.xs)
+    assert sp.beta == sum(x <= s.xs[s.top_index] for x in s.xs)
+    pts = coords(s)
+    b, t = pts[s.bottom_index], pts[s.top_index]
     # positions 1..m lie strictly left of the bottom -> top line, m+2..n-1
     # strictly right
     for idx in range(1, sp.m + 1):
-        assert orientation(b, t, s.points[idx]) > 0
+        assert orientation(b, t, pts[idx]) > 0
     for idx in range(sp.m + 2, s.n):
-        assert orientation(b, t, s.points[idx]) < 0
+        assert orientation(b, t, pts[idx]) < 0
 
 
 # --- generator ----------------------------------------------------------------
@@ -497,8 +486,7 @@ def test_generator_modes_carry_tag(mode):
 @given(convex_sets(min_n=1, max_n=30))
 def test_generated_sets_are_canonical_and_in_range(s):
     assert coords(validate(coords(s))) == coords(s)
-    for p in s.points:
-        assert abs(p.x) <= COORD_LIMIT and abs(p.y) <= COORD_LIMIT
+    assert max(map(abs, s.xs + s.ys)) <= COORD_LIMIT
 
 
 @given(convex_sets(min_n=3, max_n=25, modes=("left_sided", "right_sided")))
@@ -523,7 +511,7 @@ def test_generated_quarter_dec_is_one_sided(s):
 
 @given(convex_sets(min_n=1, max_n=25))
 def test_text_round_trip_bit_exact(s):
-    text = format_points_text(s.points)
+    text = format_points_text(coords(s))
     assert parse_points_text(text) == coords(s)
     doc = format_points_json(s.points)
     assert parse_points_json(doc) == coords(s)
@@ -536,3 +524,5 @@ def test_parse_points_text_diagnostics():
         parse_points_text("1 2\na b\n")
     pts = parse_points_text("# comment\n\n1 2\n 3 4 \n")
     assert pts == [(1, 2), (3, 4)]
+    # Past int()'s digit limit only by leading zeros, a literal keeps its value.
+    assert parse_points_text("-%s7 0\n" % ("0" * 5000)) == [(-7, 0)]

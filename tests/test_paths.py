@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pdce import geometry
+from pdce.geometry import Point
 from pdce import (
     ConvexPointSet,
     DirPath,
     Embedding,
-    Point,
     PreconditionViolated,
     SetTag,
     classify,
@@ -214,13 +214,19 @@ def test_set_operators_scan_no_column(monkeypatch):
 def test_sets_equal_hash_and_pickle_by_columns(monkeypatch):
     # validate() builds no Point; points builds the n views once, on demand.
     built = []
-    monkeypatch.setattr(Point, "__post_init__", lambda q: built.append(q))
+    new = Point.__new__
+
+    def counted(cls, x, y):
+        built.append((x, y))
+        return new(cls, x, y)
+
+    monkeypatch.setattr(Point, "__new__", counted)
     s = generate_random_convex(9, seed=4)
     assert not built
     points = s.points
     assert s.points is points
     monkeypatch.undo()
-    assert built == list(points) == list(map(Point, s.xs, s.ys))
+    assert built == list(points) == list(zip(s.xs, s.ys))
     fresh = ConvexPointSet(s.xs, s.ys)
     assert fresh == s and hash(fresh) == hash(s)
     assert fresh.points == s.points and repr(fresh) == repr(s)

@@ -11,7 +11,6 @@ from pdce import (
     Embedding,
     InternalCaseError,
     InvalidEmbedding,
-    Point,
     SizeMismatch,
     certificate,
     check_direction_consistency,
@@ -27,7 +26,7 @@ from pdce import (
 )
 from pdce import embedder, validator
 from pdce.render import render_svg
-from pdce.geometry import COORD_LIMIT, ConvexPointSet, orientation
+from pdce.geometry import COORD_LIMIT, ConvexPointSet, Point, orientation
 from pdce.validator import _segments_scalar
 from conftest import ALL_MODES, convex_sets, random_path
 
@@ -42,13 +41,14 @@ URDU_E = Embedding((2, 1, 3, 4, 0))  # v1..v5 -> (0,3),(1,5),(2,1),(4,0),(3,6)
 
 
 def test_edge_ok_strict():
-    a, b = Point(0, 0), Point(1, 1)
+    # edge_ok takes any (x, y) pairs; a Point is one of them.
+    a, b = (0, 0), Point(1, 1)
     assert edge_ok("U", a, b) and edge_ok("R", a, b)
     assert not edge_ok("D", a, b) and not edge_ok("L", a, b)
     assert edge_ok("D", b, a) and edge_ok("L", b, a)
     # ties never pass
-    assert not edge_ok("U", Point(0, 0), Point(1, 0))
-    assert not edge_ok("R", Point(0, 0), Point(0, 1))
+    assert not edge_ok("U", (0, 0), (1, 0))
+    assert not edge_ok("R", (0, 0), (0, 1))
 
 
 def test_direction_consistency_frozen_example():
