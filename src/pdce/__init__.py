@@ -31,7 +31,6 @@ from .geometry import (
     SetTag,
     SplitDescriptor,
     classify,
-    format_points_json,
     format_points_text,
     generate_random_convex,
     orientation,
@@ -126,7 +125,6 @@ __all__ = [
     "embed_udr_right_sided",
     "embed_ur_strip",
     "enumerate_planar_embeddings",
-    "format_points_json",
     "format_points_text",
     "generate_random_convex",
     "load_counterexample",

@@ -15,6 +15,7 @@ import sys
 from .decider import decide_pdce
 from .embedder import embed_quarter_convex, embed_three_directional
 from .errors import (
+    CoordinateRange,
     InternalCaseError,
     InvalidEmbedding,
     NotFoundWithinBudget,
@@ -25,6 +26,7 @@ from .geometry import (
     GENERATOR_MODES,
     ConvexPointSet,
     SetTag,
+    _int_literal,
     classify,
     format_points_text,
     generate_random_convex,
@@ -72,7 +74,10 @@ def _load_embedding(path: str, n: int) -> Embedding:
         if not body or body.startswith("#"):
             continue
         try:
-            rows.append(int(body))
+            rows.append(_int_literal(body))
+        except CoordinateRange:
+            digits = len(body.lstrip("+-").lstrip("0"))
+            raise InvalidEmbedding(f"line {ln}: index of {digits} digits out of range") from None
         except ValueError:
             raise InvalidEmbedding(f"line {ln}: expected one integer, got {body!r}") from None
     if len(rows) != n:

@@ -59,18 +59,17 @@ class DPTable:
     far[r, j] = near[r-1, j] & c[j] | far[r-1, j] & up[j+r-1].
     Rows after the first empty one stay all False.
 
-    Row r is stored as two ints, near_bits[r] and far_bits[r], whose bit j
-    is near[r, j] and far[r, j]: at most n^2/4 bytes for the whole table.
-    cell() and max_cell_entries() read the bits directly. The properties
-    near and far unpack them into fresh (n, n) bool numpy arrays, importing
-    numpy on first use; numpy is not a dependency of the package, and this
-    view is kept only because the benchmark harness (perfbench/run.py,
+    Row r is stored as two ints below 2^n, near_bits[r] and far_bits[r],
+    whose bit j is near[r, j] and far[r, j]: two bits per (row, anchor) and
+    at most n^2/4 bytes for the whole table. The properties near and far
+    unpack them into fresh (n, n) bool numpy arrays, importing numpy on
+    first use; numpy is not a dependency of the package, and this view is
+    kept only because the benchmark harness (perfbench/run.py,
     rows_alive_frac) still reads table.near and table.far. It goes once
     that harness reads near_bits and far_bits instead.
     """
 
     n: int
-    labels: str
     near_bits: list[int]
     far_bits: list[int]
 
@@ -81,19 +80,6 @@ class DPTable:
     @property
     def far(self):
         return _unpack(self.far_bits, self.n)
-
-    def cell(self, r: int, j: int) -> frozenset:
-        out = set()
-        if self.near_bits[r] >> j & 1:
-            out.add(j)
-        if self.far_bits[r] >> j & 1:
-            out.add((j + r) % self.n)
-        return frozenset(out)
-
-    def max_cell_entries(self) -> int:
-        # In row 0 both ends are the same single position, and it is full.
-        both = any(a & b for a, b in zip(self.near_bits[1:], self.far_bits[1:]))
-        return 2 if both else 1
 
 
 def _unpack(rows: list[int], n: int):
@@ -173,7 +159,7 @@ def dp_table(p: DirPath, s: ConvexPointSet) -> DPTable:
             break
         near[r] = nr
         far[r] = fr
-    return DPTable(n=n, labels=p.labels, near_bits=near, far_bits=far)
+    return DPTable(n=n, near_bits=near, far_bits=far)
 
 
 def _lowest_bit(x: int) -> int:

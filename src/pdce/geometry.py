@@ -7,11 +7,11 @@ pairwise distinct x, pairwise distinct y, and no three collinear points.
 Accepted sets are stored in a canonical order (counterclockwise around the
 hull, starting at the topmost point), which makes equality, hashing and all
 downstream index arithmetic independent of the input order. Sets, the
-parsers, the formatters and the predicates work on (x, y) int pairs; no
-engine reads a set's points view. validate() accepts fast and explains
-exactly: a valid set passes in whole-column passes and one split into the
-two hull chains, and only a rejected input meets the slower route that
-names its error.
+two parsers (text and JSON), the text formatter and the predicates work on
+(x, y) int pairs; no engine reads a set's points view. validate() accepts
+fast and explains exactly: a valid set passes in whole-column passes and
+one split into the two hull chains, and only a rejected input meets the
+slower route that names its error.
 """
 
 from __future__ import annotations
@@ -499,9 +499,3 @@ def parse_points_json(text: str) -> list[tuple[int, int]]:
     if not isinstance(doc, dict) or not isinstance(doc.get("points"), list):
         raise PreconditionViolated('expected an object with a "points" array')
     return [_pair(entry) for entry in doc["points"]]
-
-
-def format_points_json(points: Iterable) -> str:
-    """{"points": [[x, y], ...]} from (x, y) pairs; a Point is such a pair."""
-    import json
-    return json.dumps({"points": [[x, y] for x, y in points]})

@@ -8,7 +8,9 @@ the equivalence itself is exercised against the segment-intersection
 checker in the test suite. Two tools lean on the other modules:
 search_counterexample asks decide_pdce for its NO and certifies it by
 brute force for n <= 20, and certificate reads each candidate's first bad
-edge from the validator's verdict pass (validator._verdicts).
+edge from the validator's verdict pass (validator._verdicts). Sets above
+ENUMERATION_BOUND points (enumeration, counting, certificates) or
+BRUTE_FORCE_BOUND points (brute force) raise BoundExceeded.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ from .paths import DirPath, Embedding
 from .validator import _verdicts, edge_ok, require_same_size
 
 DEFAULT_COUNTEREXAMPLE_LABELS = "LULRDR"
+ENUMERATION_BOUND = 16
+BRUTE_FORCE_BOUND = 20
 
 
 def _planar_assignments(n: int) -> Iterator[tuple]:
@@ -63,23 +67,23 @@ def _planar_assignments(n: int) -> Iterator[tuple]:
             yield tuple(out)
 
 
-def enumerate_planar_embeddings(s: ConvexPointSet, bound: int = 16) -> list:
+def enumerate_planar_embeddings(s: ConvexPointSet) -> list:
     """All crossing-free placements of a spanning walk, sorted."""
-    if s.n > bound:
-        raise BoundExceeded(s.n, bound)
+    if s.n > ENUMERATION_BOUND:
+        raise BoundExceeded(s.n, ENUMERATION_BOUND)
     return [Embedding(t) for t in sorted(_planar_assignments(s.n))]
 
 
-def brute_force_pdce(p: DirPath, s: ConvexPointSet, bound: int = 20) -> list:
+def brute_force_pdce(p: DirPath, s: ConvexPointSet) -> list:
     """All embeddings of the path by pruned exhaustive search, sorted.
 
     Prunes a branch as soon as an edge label fails, so it stays usable a
-    little beyond the plain enumeration bound.
+    little beyond the plain enumeration: up to BRUTE_FORCE_BOUND points.
     """
     require_same_size(p, s)
     n = s.n
-    if n > bound:
-        raise BoundExceeded(n, bound)
+    if n > BRUTE_FORCE_BOUND:
+        raise BoundExceeded(n, BRUTE_FORCE_BOUND)
     labels = p.labels
     pts = tuple(zip(s.xs, s.ys))
     out = []
@@ -110,7 +114,7 @@ def brute_force_pdce(p: DirPath, s: ConvexPointSet, bound: int = 20) -> list:
     return out
 
 
-def count_plane_spanning_paths(s: ConvexPointSet, bound: int = 16) -> int:
+def count_plane_spanning_paths(s: ConvexPointSet) -> int:
     """Number of crossing-free undirected spanning paths on the hull points of s.
 
     The value depends only on s.n, never on the coordinates; callers pass the
@@ -119,15 +123,15 @@ def count_plane_spanning_paths(s: ConvexPointSet, bound: int = 16) -> int:
     n = s.n
     if n < 3:
         raise PreconditionViolated("need at least three points")
-    if n > bound:
-        raise BoundExceeded(n, bound)
+    if n > ENUMERATION_BOUND:
+        raise BoundExceeded(n, ENUMERATION_BOUND)
     seen = set()
     for t in _planar_assignments(n):
         seen.add(min(t, t[::-1]))
     return len(seen)
 
 
-def certificate(p: DirPath, s: ConvexPointSet, bound: int = 16) -> dict:
+def certificate(p: DirPath, s: ConvexPointSet) -> dict:
     """Checkable evidence for the number of embeddings of p on s.
 
     Lists every crossing-free candidate with the first edge that breaks its
@@ -136,7 +140,7 @@ def certificate(p: DirPath, s: ConvexPointSet, bound: int = 16) -> dict:
     import hashlib
     import json
     require_same_size(p, s)
-    candidates = enumerate_planar_embeddings(s, bound=bound)
+    candidates = enumerate_planar_embeddings(s)
     entries = []
     pdce_count = 0
     for e in candidates:
@@ -219,7 +223,7 @@ def search_counterexample(
             continue
         seen.add(signature)
         if decide_pdce(p, s) is None:
-            if s.n <= 20 and brute_force_pdce(p, s):
+            if s.n <= BRUTE_FORCE_BOUND and brute_force_pdce(p, s):
                 raise InternalCaseError(
                     "decision procedure and exhaustive search disagree"
                 )

@@ -61,18 +61,9 @@ class DirPath:
     def n_vertices(self) -> int:
         return len(self.labels) + 1
 
-    def subpath(self, i: int, j: int) -> "DirPath":
-        """Vertices i through j, 1-based and inclusive on both ends."""
-        if not 1 <= i <= j <= self.n_vertices:
-            raise PreconditionViolated(f"bad subpath range [{i}, {j}]")
-        return DirPath(self.labels[i - 1 : j - 1])
-
     def directions_used(self) -> frozenset:
         # Four substring searches instead of hashing every label.
         return frozenset(d for d in LABELS if d in self.labels)
-
-    def __str__(self) -> str:
-        return self.labels or "(single vertex)"
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -10,8 +11,8 @@ import pytest
 
 import pdce
 from pdce import load_counterexample, render_svg, validate, parse_points_text
-from pdce import format_points_json
-from pdce import DirPath, Embedding, InvalidEmbedding, SizeMismatch
+from pdce import DirPath, Embedding, InternalCaseError, InvalidEmbedding, SizeMismatch
+from pdce import cli
 from pdce.cli import run
 from pdce.geometry import Point
 
@@ -125,6 +126,9 @@ def test_verify_malformed_embedding(s5_file, tmp_path, capsys):
         "2\n1\n3.0\n4\n0\n": "line 3: expected one integer, got '3.0'",
         "# four rows\n2\n\n1\n3\n4\n": "expected 5 embedding lines, found 4",
         "2\n1\n3\n4\n0\n1\n": "expected 5 embedding lines, found 6",
+        # An integer too long for int() is out of range, and is not echoed.
+        "2\n%s\n3\n4\n0\n" % ("1" * 5000): "line 2: index of 5000 digits out of range",
+        "-%s\n" % ("0" * 9 + "9" * 4400): "line 1: index of 4400 digits out of range",
     }
     for body, error in cases.items():
         emb.write_text(body)
@@ -136,6 +140,31 @@ def test_verify_malformed_embedding(s5_file, tmp_path, capsys):
     emb.write_text("# the accepted walk\n\n2\n1\n  # mid\n3\n4\n0\n\n")
     assert run(["verify", "--points", s5_file, "--path", "URDU", "--embedding", str(emb)]) == 0
     assert json.loads(capsys.readouterr().out)["is_pdce"] is True
+    # Past int()'s digit limit only by leading zeros, an index keeps its value.
+    emb.write_text("2\n1\n%s3\n4\n0\n" % ("0" * 5000))
+    assert run(["verify", "--points", s5_file, "--path", "URDU", "--embedding", str(emb)]) == 0
+    assert json.loads(capsys.readouterr().out)["is_pdce"] is True
+
+
+def test_internal_errors_escape_and_main_exits_with_run_code(s5_file, monkeypatch, capsys):
+    # A failed construction is a bug, not unusable input: run lets it out.
+    def broken(p, s):
+        raise InternalCaseError("broken construction")
+
+    monkeypatch.setattr(cli, "embed_three_directional", broken)
+    with pytest.raises(InternalCaseError, match="broken construction"):
+        run(["embed", "--points", s5_file, "--path", "URDU"])
+    # main() hands the command line to run and exits with its code.
+    for argv, code in ((["gen", "--n", "3"], 0), (["gen", "--n", "0"], 2)):
+        monkeypatch.setattr(sys, "argv", ["pdce", *argv])
+        with pytest.raises(SystemExit) as info:
+            cli.main()
+        assert info.value.code == code
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 3
+    assert captured.err == "error: n must be at least 1\n"
+    # python -m pdce runs the same main.
+    assert importlib.import_module("pdce.__main__").main is cli.main
 
 
 def test_verify_size_mismatch_is_usage_error(s5_file, tmp_path, capsys):
@@ -353,7 +382,7 @@ def test_subcommands_build_no_point(tmp_path, capsys, monkeypatch):
     points = tmp_path / "points.txt"
     points.write_text(text)
     as_json = tmp_path / "points.json"
-    as_json.write_text(format_points_json(parse_points_text(text)))
+    as_json.write_text(json.dumps({"points": parse_points_text(text)}))
     path = ("UDR" * 100)[:299]
     common = ["--points", str(points), "--path", path]
     assert run(["embed", *common]) == 0

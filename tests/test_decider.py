@@ -18,6 +18,7 @@ from pdce import (
     ConvexPointSet,
     DirPath,
     Embedding,
+    InternalCaseError,
     SizeMismatch,
     brute_force_pdce,
     decide_pdce,
@@ -30,6 +31,7 @@ from pdce import (
     validate,
     validate_embedding,
 )
+from pdce import decider
 from pdce.decider import _comparison_state
 from conftest import instances, random_path
 
@@ -37,18 +39,29 @@ UD_SET = validate([(0, 0), (2, 3), (4, 1)])
 # canonical order: (2,3),(0,0),(4,1)
 
 
+def _cell(t, r, j):
+    # Where a prefix of r+1 vertices on the arc anchored at j may end: on
+    # position j (near bit) or on position (j + r) mod n (far bit).
+    out = set()
+    if t.near_bits[r] >> j & 1:
+        out.add(j)
+    if t.far_bits[r] >> j & 1:
+        out.add((j + r) % t.n)
+    return frozenset(out)
+
+
 def test_base_row_cells():
     t = dp_table(DirPath("UD"), UD_SET)
     for j in range(3):
-        assert t.cell(0, j) == frozenset({j})
+        assert _cell(t, 0, j) == frozenset({j})
 
 
 def test_two_point_u_row():
     s = validate([(0, 0), (1, 1)])
     t = dp_table(DirPath("U"), s)
     # only the top point (canonical index 0) can host v2, from either anchor
-    assert t.cell(1, 0) == frozenset({0})
-    assert t.cell(1, 1) == frozenset({0})
+    assert _cell(t, 1, 0) == frozenset({0})
+    assert _cell(t, 1, 1) == frozenset({0})
 
 
 def test_ud_frozen_witness():
@@ -68,9 +81,21 @@ def test_single_point_yes():
     assert w is not None and w.assignment == (0,)
 
 
-def test_counterexample_fixture_is_no():
+def test_counterexample_fixture_is_no(monkeypatch):
     p, s, _ = load_counterexample()
     assert decide_pdce(p, s) is None
+    # A full-length state that no earlier row leads to: the backward walk
+    # finds no predecessor and says so instead of inventing one.
+    real = decider.dp_table
+
+    def forged(p, s):
+        t = real(p, s)
+        t.near_bits[-1] |= 1
+        return t
+
+    monkeypatch.setattr(decider, "dp_table", forged)
+    with pytest.raises(InternalCaseError, match="witness reconstruction lost the trail"):
+        decide_pdce(p, s)
 
 
 def _rotl1(row, n):
@@ -107,12 +132,13 @@ def test_size_mismatch():
 
 
 @given(instances(min_n=1, max_n=16))
-def test_cell_bound_and_population(inst):
+def test_rows_hold_no_bit_at_or_above_n(inst):
+    # A row is an n-bit set, one bit per anchor: a bit at or above n would
+    # be an anchor that does not exist.
     p, s = inst
     t = dp_table(p, s)
-    assert t.max_cell_entries() <= 2
-    populated = sum(len(t.cell(r, j)) for r in range(s.n) for j in range(s.n))
-    assert populated <= 2 * s.n * s.n
+    assert len(t.near_bits) == len(t.far_bits) == s.n
+    assert all(0 <= row < 1 << s.n for row in t.near_bits + t.far_bits)
 
 
 @given(instances(min_n=1, max_n=12))
@@ -150,7 +176,7 @@ def test_window_semantics_replay(inst):
         prefix = w.assignment[: r + 1]
         anchors = _arc_anchors(prefix, s.n)
         assert anchors
-        assert any(w.assignment[r] in t.cell(r, lo) for lo in anchors)
+        assert any(w.assignment[r] in _cell(t, r, lo) for lo in anchors)
 
 
 def test_three_directional_always_yes():

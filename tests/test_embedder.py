@@ -33,7 +33,15 @@ from pdce import (
     validate_embedding,
 )
 from pdce import embedder
-from pdce.embedder import CasePart, CasePlan, _greedy, _two_ended, execute_plan
+from pdce.embedder import (
+    CasePart,
+    CasePlan,
+    _arc,
+    _greedy,
+    _leftmost,
+    _two_ended,
+    execute_plan,
+)
 from pdce.geometry import Point
 from pdce.paths import _REVERSE_FLIP
 from conftest import ALL_MODES, convex_sets, instances, random_path
@@ -154,6 +162,18 @@ def test_strip_uu_ends_at_top():
     s = generate_random_convex(3, seed=11, mode="strip")
     e = embed_ur_strip(DirPath("UU"), s)
     assert e.assignment[-1] == s.top_index
+
+
+def test_strip_guards_its_first_vertex(monkeypatch):
+    # The greedy's walk starts on (0, 0), the bottom and leftmost point;
+    # rotated by one it starts on (2, 1), which is neither.
+    def rotated(*args):
+        out = _greedy(*args)
+        return out[1:] + out[:1]
+
+    monkeypatch.setattr(embedder, "_greedy", rotated)
+    with pytest.raises(InternalCaseError, match=r"strip endpoint guarantee broken \(first vertex\)"):
+        embed_ur_strip(DirPath("RUR"), CHAIN4)
 
 
 def test_strip_rejects_d():
@@ -405,6 +425,18 @@ def test_execute_plan_guards():
         run((o[:3], 1, 3), (o[1:], 2, 6))  # two vertices overlap
     with pytest.raises(InternalCaseError, match="ends at vertex 5 of 6"):
         run((o[:3], 1, 3), (o[2:5], 3, 5))
+    with pytest.raises(InternalCaseError, match="part part1 hosts 3 vertices on 4 points"):
+        run((o[:3], 1, 3), (o[2:], 4, 6))
+    spiral = CasePart("part0", tuple(range(6)), 1, 6, "spiral")
+    with pytest.raises(InternalCaseError, match="unknown part method 'spiral'"):
+        execute_plan(p, s, CasePlan("hand-built", 0, 0, 0, parts=(spiral,)))
+    # The part builders refuse more points than their source holds.
+    with pytest.raises(InternalCaseError, match="an arc of 7 points from a set of 6"):
+        _arc(s, 0, 7)
+    with pytest.raises(InternalCaseError, match="an arc of -1 points from a set of 6"):
+        _arc(s, 0, -1)
+    with pytest.raises(InternalCaseError, match="asked for 3 points from a pool of 2"):
+        _leftmost(s, (0, 1), 3)
 
 
 # --- full UDR embedder -------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -15,13 +16,13 @@ from pdce import (
     DuplicateX,
     DuplicateY,
     GENERATOR_MODES,
+    GenerationFailed,
     InternalCaseError,
     NotConvexPosition,
     PdceError,
     PreconditionViolated,
     SetTag,
     classify,
-    format_points_json,
     format_points_text,
     generate_random_convex,
     orientation,
@@ -468,6 +469,29 @@ def test_generator_n40_validates():
     assert coords(validate(coords(s))) == coords(s)
 
 
+def test_generator_guards(monkeypatch):
+    with pytest.raises(PreconditionViolated, match="unknown mode 'spiral'; choose one of"):
+        generate_random_convex(5, mode="spiral")
+
+    # Every attempt rejected: the error keeps the count and the last reason.
+    def duplicate(coords):
+        raise DuplicateX(0, 1)
+
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "validate", duplicate)
+        with pytest.raises(GenerationFailed) as info:
+            generate_random_convex(5, seed=0)
+    assert info.value.attempts == 64
+    assert str(info.value) == (
+        "could not generate a valid instance within 64 attempts "
+        "(DuplicateX: points 0 and 1 share an x-coordinate)"
+    )
+    # Every attempt valid but of the wrong class.
+    monkeypatch.setattr(geometry, "classify", lambda s: frozenset({SetTag.GENERAL_CONVEX}))
+    with pytest.raises(GenerationFailed, match=r"\(rounded set lost the left_sided property\)$"):
+        generate_random_convex(5, seed=0, mode="left_sided")
+
+
 @pytest.mark.parametrize("mode", GENERATOR_MODES)
 def test_generator_modes_carry_tag(mode):
     tag = {
@@ -513,7 +537,7 @@ def test_generated_quarter_dec_is_one_sided(s):
 def test_text_round_trip_bit_exact(s):
     text = format_points_text(coords(s))
     assert parse_points_text(text) == coords(s)
-    doc = format_points_json(s.points)
+    doc = json.dumps({"points": coords(s)})
     assert parse_points_json(doc) == coords(s)
 
 

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 
 from pdce import (
     BoundExceeded,
+    InternalCaseError,
+    NotFoundWithinBudget,
     classify,
     DirPath,
     Embedding,
@@ -24,6 +26,7 @@ from pdce import (
     validate,
     validate_embedding,
 )
+from pdce import oracle
 from conftest import instances
 
 TRI = validate([(0, 0), (2, 3), (4, 1)])
@@ -68,15 +71,19 @@ def test_plane_spanning_path_counts():
 def test_plane_spanning_path_preconditions():
     with pytest.raises(PreconditionViolated):
         count_plane_spanning_paths(validate([(0, 0), (1, 1)]))
-    with pytest.raises(BoundExceeded):
-        count_plane_spanning_paths(generate_random_convex(18, seed=0), bound=17)
+    with pytest.raises(BoundExceeded, match=r"n=17 \(bound 16\)"):
+        count_plane_spanning_paths(generate_random_convex(17, seed=0))
 
 
 def test_enumeration_bound():
-    with pytest.raises(BoundExceeded):
-        enumerate_planar_embeddings(generate_random_convex(18, seed=0), bound=17)
-    with pytest.raises(BoundExceeded):
-        brute_force_pdce(DirPath("U" * 21), generate_random_convex(22, seed=0))
+    assert (oracle.ENUMERATION_BOUND, oracle.BRUTE_FORCE_BOUND) == (16, 20)
+    s17 = generate_random_convex(17, seed=0)
+    with pytest.raises(BoundExceeded, match=r"n=17 \(bound 16\)"):
+        enumerate_planar_embeddings(s17)
+    with pytest.raises(BoundExceeded, match=r"n=17 \(bound 16\)"):
+        certificate(DirPath("U" * 16), s17)
+    with pytest.raises(BoundExceeded, match=r"n=21 \(bound 20\)"):
+        brute_force_pdce(DirPath("U" * 20), generate_random_convex(21, seed=0))
 
 
 def test_brute_force_on_fixture_is_empty():
@@ -134,17 +141,30 @@ def test_search_is_deterministic():
 
 
 def test_search_futile_path_exhausts_budget():
-    from pdce import NotFoundWithinBudget
-
     with pytest.raises(NotFoundWithinBudget):
         search_counterexample(path=DirPath("UUUUUU"), budget=500, seed=0)
 
 
 def test_search_futile_family_exhausts_budget():
-    from pdce import NotFoundWithinBudget
-
     with pytest.raises(NotFoundWithinBudget):
         search_counterexample(mode="quarter_inc", budget=300, seed=0)
+
+
+def test_search_guards(monkeypatch):
+    # A NO that the brute force refutes is a bug in the decider, not a find.
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "decide_pdce", lambda p, s: None)
+        with pytest.raises(InternalCaseError, match="decision procedure and exhaustive search"):
+            search_counterexample(budget=5, seed=0)
+
+    # A sampler whose every draw is rejected gives up on each candidate, and
+    # the budget runs out.
+    def reject(coords):
+        raise PreconditionViolated("rejected")
+
+    monkeypatch.setattr(oracle, "validate", reject)
+    with pytest.raises(NotFoundWithinBudget):
+        search_counterexample(budget=3, seed=0)
 
 
 def test_search_rejects_unknown_mode():

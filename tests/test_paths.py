@@ -57,17 +57,6 @@ def test_directions_used():
                 assert type(used) is frozenset and used == frozenset(subset), labels
 
 
-def test_subpath_one_based_inclusive():
-    p = DirPath("UDLR")
-    assert p.subpath(2, 4).labels == "DL"
-    assert p.subpath(1, 5).labels == "UDLR"
-    assert p.subpath(3, 3).labels == ""  # single vertex
-    with pytest.raises(PreconditionViolated):
-        p.subpath(0, 2)
-    with pytest.raises(PreconditionViolated):
-        p.subpath(4, 3)
-
-
 def test_reverse_frozen_table():
     assert reverse_path(DirPath("UUDRL")).labels == "RLUDD"
     assert reverse_path(DirPath("")).labels == ""

@@ -11,6 +11,7 @@ from pdce import (
     Embedding,
     InternalCaseError,
     InvalidEmbedding,
+    PreconditionViolated,
     SizeMismatch,
     certificate,
     check_direction_consistency,
@@ -49,6 +50,8 @@ def test_edge_ok_strict():
     # ties never pass
     assert not edge_ok("U", (0, 0), (1, 0))
     assert not edge_ok("R", (0, 0), (0, 1))
+    with pytest.raises(PreconditionViolated, match="unknown edge label 'X'"):
+        edge_ok("X", a, b)
 
 
 def test_direction_consistency_frozen_example():
@@ -104,6 +107,18 @@ def test_report_direction_first():
     assert not report.is_pdce
     d = report.to_json_dict()
     assert d["is_pdce"] is False and d["first_violation"][0] == "direction"
+
+
+def test_report_segments_last():
+    # Only a set that is not convex can pass the labels and the prefix arcs
+    # and still cross: the constructor trusts its columns, so build one.
+    pts = [(12, 9), (1, 0), (10, 0), (0, 10), (-1, 4), (4, 5)]
+    s = ConvexPointSet(*map(tuple, zip(*pts)))
+    report = validate_embedding(DirPath("LRLLR"), s, Embedding(tuple(range(6))))
+    assert report.direction_consistent and report.planar_prefix
+    assert not report.planar_segments
+    assert report.first_violation == ("segments",)
+    assert report.to_json_dict()["first_violation"] == ["segments"]
 
 
 def test_is_pdce_on_frozen_example():
