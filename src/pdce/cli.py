@@ -26,6 +26,7 @@ from .geometry import (
     GENERATOR_MODES,
     ConvexPointSet,
     SetTag,
+    _echo,
     _int_literal,
     classify,
     format_points_text,
@@ -79,7 +80,7 @@ def _load_embedding(path: str, n: int) -> Embedding:
             digits = len(body.lstrip("+-").lstrip("0"))
             raise InvalidEmbedding(f"line {ln}: index of {digits} digits out of range") from None
         except ValueError:
-            raise InvalidEmbedding(f"line {ln}: expected one integer, got {body!r}") from None
+            raise InvalidEmbedding(f"line {ln}: expected one integer, got {_echo(body)}") from None
     if len(rows) != n:
         raise InvalidEmbedding(f"expected {n} embedding lines, found {len(rows)}")
     return Embedding(tuple(rows))

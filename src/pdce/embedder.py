@@ -8,14 +8,14 @@ line through the bottom and top points (plan_udr_case / execute_plan).
 
 The planner only chooses index ranges and point subsets: its caps are hull
 arcs ending on the bottom or the top point, the middle parts what the caps
-leave. All actual coordinates are handled by one backward greedy run on
+leave. All actual coordinates are handled by one backward walk (_walk) on
 index pools of the canonical set, forwards or, for right-sided parts,
-backwards. One-sided parts and monotone columns take the two-ended walk
-(_two_ended), two cursors over the pool's y-order; strip parts and
-backward_embedding, whose free points need not stay one run of that order,
-keep the generic greedy (_greedy).
+backwards: a crossing-free walk fills one hull arc with every suffix, so
+the walk turns the pool, already in hull order, and takes an end of the
+free arc at each step. backward_embedding, whose input is any convex set,
+keeps the generic greedy (_greedy).
 Transformed sets come from rotate_set and mirror_set, by index arithmetic
-on the coordinate columns, never re-validated; planner, executor and greedy
+on the coordinate columns, never re-validated; planner, executor and walk
 read only n, xs, ys and the extreme indices, never the points view.
 
 Each public entry checks its preconditions, runs an unchecked private core
@@ -58,12 +58,11 @@ def _greedy(labels: str, s, pool) -> list[int]:
 
     Coordinates are distinct, so the pool order does not matter, and the
     last vertex always lands on the pool's extreme point in the direction
-    of the last label: the left-sided and strip endpoint guarantee. The
-    pool is sorted once per axis the labels use: D and L take it by
-    increasing y and x, U and R read the same list reversed, and a cursor
-    per list skips the points already taken. This generic form runs on
-    strip parts and in backward_embedding, whose input is any convex set;
-    one-sided and monotone parts take the cheaper _two_ended.
+    of the last label. The pool is sorted once per axis the labels use: D
+    and L take it by increasing y and x, U and R read the same list
+    reversed, and a cursor per list skips the points already taken. This
+    generic form is backward_embedding's, whose input is any convex set and
+    whose answer need not be crossing-free; plan parts take _walk.
     """
     order = {}
     if "U" in labels or "D" in labels:
@@ -90,53 +89,46 @@ def _greedy(labels: str, s, pool) -> list[int]:
     return out
 
 
-def _two_ended(labels: str, s, pool) -> list[int]:
-    """_greedy on a pool whose free points stay one run of its y-order.
+def _walk(labels: str, s, pool) -> list[int]:
+    """_greedy on a pool in hull order, when its answer is crossing-free.
 
-    The pool is sorted once by y, and cursors lo and hi mark the free run
-    by_y[lo..hi]: U takes by_y[hi], D takes by_y[lo], and R (L) takes the
-    end of larger (smaller) x. The point left over, by_y[lo], hosts v_1.
-    That is the greedy's own choice at every step as long as the extreme
-    free point in each direction used is an end of the run:
-
-    - a left-sided pool with labels U/D/R: every run of its y-order is a
-      piece of one convex chain from its top down to its bottom, so the
-      run's rightmost point is its top or its bottom;
-    - a right-sided pool with labels U/D/L, as _right_sided hands it over
-      after flipping the labels: likewise its leftmost point is its top or
-      its bottom;
-    - a run of one label, U or D, on any pool.
-
-    Strip pools break it: with labels URU on validate([(11, 20), (1, 15),
-    (0, 0), (10, 2)]), the greedy gives [2, 1, 3, 0] and this walk
-    [2, 3, 1, 0]: at the R step the rightmost free point, (10, 2), lies
-    inside the run.
+    Then every suffix fills one hull arc, so the free points are the other
+    arc, and the extreme free point in a label's direction is one of its
+    two ends. The pool is turned to start on its extreme point for the last
+    label; cursors lo and hi mark the free arc ring[lo..hi], and the point
+    left over hosts v_1. Callers check every result.
     """
-    xs = s.xs
-    by_y = sorted(pool, key=s.ys.__getitem__)
-    lo, hi = 0, len(by_y) - 1
+    ys, xs = s.ys, s.xs
+    way = {"U": (ys, True), "D": (ys, False), "R": (xs, True), "L": (xs, False)}
+    ring = list(pool)
+    if labels:
+        col, up = way[labels[-1]]
+        k = ring.index((max if up else min)(ring, key=col.__getitem__))
+        ring = ring[k:] + ring[:k]
+    lo, hi = 0, len(ring) - 1
     out = []
     for d in reversed(labels):
-        if d == "U" or d != "D" and (xs[by_y[hi]] > xs[by_y[lo]]) == (d == "R"):
-            out.append(by_y[hi])
+        col, up = way[d]  # the larger coordinate wins for U and R
+        if (col[ring[hi]] > col[ring[lo]]) == up:
+            out.append(ring[hi])
             hi -= 1
         else:
-            out.append(by_y[lo])
+            out.append(ring[lo])
             lo += 1
-    out.append(by_y[lo])
+    out.append(ring[lo])
     out.reverse()
     return out
 
 
 def _right_sided(labels: str, s, pool) -> list[int]:
-    # The greedy on the reversed path, read backwards: it places v_1, v_2,
+    # The walk on the reversed path, read backwards: it places v_1, v_2,
     # ... in turn on the extreme free point opposite the outgoing label, as
     # the left-sided construction does after a half turn of the plane.
-    return _two_ended(labels[::-1].translate(_REVERSE_FLIP), s, pool)[::-1]
+    return _walk(labels[::-1].translate(_REVERSE_FLIP), s, pool)[::-1]
 
 
 def _strip(labels: str, s, pool) -> list[int]:
-    out = _greedy(labels, s, pool)
+    out = _walk(labels, s, pool)
     if len(pool) >= 2:
         ends = (min(pool, key=s.ys.__getitem__), min(pool, key=s.xs.__getitem__))
         if out[0] not in ends:
@@ -172,7 +164,7 @@ def embed_udr_left_sided(p: DirPath, s: ConvexPointSet) -> Embedding:
         raise PreconditionViolated("left-sided embedding handles U/D/R labels only")
     if SetTag.LEFT_SIDED not in classify(s):
         raise PreconditionViolated("point set is not left-sided")
-    return require_pdce(p, s, _on_whole_set(_two_ended, p, s), "left-sided")
+    return require_pdce(p, s, _on_whole_set(_walk, p, s), "left-sided")
 
 
 def embed_udr_right_sided(p: DirPath, s: ConvexPointSet) -> Embedding:
@@ -207,16 +199,16 @@ def embed_ur_strip(p: DirPath, s: ConvexPointSet) -> Embedding:
     return require_pdce(p, s, _on_whole_set(_strip, p, s), "strip")
 
 
-# Part method -> runner. Monotone parts carry a run of U (sort_up) or D
-# (sort_down) labels, on which the greedy is the sort by y. One-sided and
-# monotone parts take the two-ended walk; strip parts need the generic
-# greedy, with its endpoint check.
+# Part method -> runner. Every part runs the hull-order walk: right-sided
+# parts on the flipped, reversed labels, strip parts with their endpoint
+# check, and monotone parts on a run of U (sort_up) or D (sort_down)
+# labels, where it is the sort by y.
 _RUNNERS = {
-    "left_sided": _two_ended,
+    "left_sided": _walk,
     "right_sided": _right_sided,
     "strip": _strip,
-    "sort_up": _two_ended,
-    "sort_down": _two_ended,
+    "sort_up": _walk,
+    "sort_down": _walk,
 }
 
 
@@ -224,14 +216,14 @@ _RUNNERS = {
 class CasePart:
     """One piece of a divide-and-conquer plan.
 
-    points are indices into the parent canonical set; vertex bounds are
+    pool holds indices into the parent canonical set, in hull order; vertex bounds are
     1-based and inclusive. Consecutive parts either share their boundary
     vertex (both then must place it on the same point) or are joined by a
     connecting edge that the final validation checks.
     """
 
     name: str
-    points: tuple[int, ...]
+    pool: tuple[int, ...]
     first_vertex: int
     last_vertex: int
     method: str  # left_sided | right_sided | strip | sort_up | sort_down
@@ -305,7 +297,7 @@ def _strip_plan_parts(s, L: int, H: int) -> tuple[CasePart, ...]:
     # The strip part carries the U/R stretch v_L..v_H from the left cap's
     # last point, the bottom, to the right cap's first point, the top.
     left, right = _caps(s, L, H)
-    strip = _rest(s.n, left.points + right.points, (s.bottom_index, s.top_index))
+    strip = _rest(s.n, left.pool + right.pool, (s.bottom_index, s.top_index))
     return left, CasePart("strip", strip, L, H, "strip"), right
 
 
@@ -315,10 +307,10 @@ def _run_high_plan_parts(s, L: int, a: int, b: int) -> tuple[CasePart, ...]:
     # than the left cap ends.
     left, right = _caps(s, L, b + 1)
     if a <= L:
-        column = _rest(s.n, left.points + right.points, (s.top_index,))
+        column = _rest(s.n, left.pool + right.pool, (s.top_index,))
         return left, CasePart("column", column, a + 1, b + 1, "sort_up"), right
-    strip = _leftmost(s, _rest(s.n, left.points, (s.bottom_index,)), a - L)
-    column = _rest(s.n, left.points + strip + right.points, (s.top_index,))
+    strip = _leftmost(s, _rest(s.n, left.pool, (s.bottom_index,)), a - L)
+    column = _rest(s.n, left.pool + strip + right.pool, (s.top_index,))
     strip_part = CasePart("strip", strip, L, a - 1, "strip")
     return left, strip_part, CasePart("column", column, a, b + 1, "sort_up"), right
 
@@ -329,10 +321,10 @@ def _run_low_plan_parts(s, a: int, b: int, H: int) -> tuple[CasePart, ...]:
     # v_{b+2}..v_H when the run ends before the right cap starts.
     left, right = _caps(s, a, H)
     if b >= H - 1:
-        column = _rest(s.n, left.points + right.points, (s.bottom_index,))
+        column = _rest(s.n, left.pool + right.pool, (s.bottom_index,))
         return left, CasePart("column", column, a, b, "sort_up"), right
-    strip = _rightmost(s, _rest(s.n, right.points, (s.top_index,)), H - 1 - b)
-    column = _rest(s.n, left.points + strip + right.points, (s.bottom_index,))
+    strip = _rightmost(s, _rest(s.n, right.pool, (s.top_index,)), H - 1 - b)
+    column = _rest(s.n, left.pool + strip + right.pool, (s.bottom_index,))
     strip_part = CasePart("strip", strip, b + 2, H, "strip")
     return left, CasePart("column", column, a, b + 1, "sort_up"), strip_part, right
 
@@ -341,7 +333,7 @@ def _two_runs_plan_parts(s, a: int, b: int, c: int, e: int) -> tuple[CasePart, .
     # Two U runs: one crossing the height of the bottom point, one crossing
     # the height of the top point, with an optional U/R stretch between.
     left, right = _caps(s, a, e + 1)
-    pool = _rest(s.n, left.points + right.points, (s.bottom_index, s.top_index))
+    pool = _rest(s.n, left.pool + right.pool, (s.bottom_index, s.top_index))
     if a == c:
         # Both labels sit in the same U run.
         return left, CasePart("column", pool, a, e + 1, "sort_up"), right
@@ -457,10 +449,10 @@ def _execute_plan(p: DirPath, s: ConvexPointSet, plan: CasePlan) -> Embedding:
     out: list[int] = []
     for part in plan.parts:
         first, last = part.first_vertex, part.last_vertex
-        if len(part.points) != last - first + 1:
+        if len(part.pool) != last - first + 1:
             raise InternalCaseError(
                 f"part {part.name} hosts {last - first + 1} vertices "
-                f"on {len(part.points)} points"
+                f"on {len(part.pool)} points"
             )
         run = _RUNNERS.get(part.method)
         if run is None:
@@ -475,7 +467,7 @@ def _execute_plan(p: DirPath, s: ConvexPointSet, plan: CasePlan) -> Embedding:
                 f"part {part.name} starts at vertex {first}, "
                 f"inside the {len(out)} vertices placed before it"
             )
-        placed = run(p.labels[first - 1 : last - 1], s, part.points)
+        placed = run(p.labels[first - 1 : last - 1], s, part.pool)
         if shared and out[-1] != placed[0]:
             raise InternalCaseError(
                 f"parts disagree on vertex {first}: {out[-1]} vs {placed[0]}"

@@ -80,6 +80,11 @@ def _int_literal(text: str) -> int:
     return int(sign + digits)
 
 
+def _echo(line: str) -> str:
+    # A bad input line as messages quote it: past 40 characters, a prefix and its length.
+    return repr(line) if len(line) <= 40 else f"{line[:40]!r}... ({len(line)} chars)"
+
+
 def _out_of_range(v: int) -> CoordinateRange:
     try:
         return CoordinateRange(f"coordinate {v} exceeds |{COORD_LIMIT}|")
@@ -472,7 +477,7 @@ def parse_points_text(text: str) -> list[tuple[int, int]]:
             continue
         parts = body.split()
         if len(parts) != 2:
-            raise PreconditionViolated(f"line {ln}: expected 'x y', got {body!r}")
+            raise PreconditionViolated(f"line {ln}: expected 'x y', got {_echo(body)}")
         try:
             pairs.append(_pair((_int_literal(parts[0]), _int_literal(parts[1]))))
         except CoordinateRange as exc:

@@ -34,6 +34,7 @@ from .errors import PreconditionViolated
 from .geometry import ConvexPointSet, _with_extremes
 
 LABELS = "UDLR"
+_NOT_LABELS = str.maketrans("", "", LABELS)
 
 _REVERSE_FLIP = str.maketrans("UDLR", "DURL")
 _ROTATE_LABEL = str.maketrans("ULDR", "LDRU")
@@ -51,11 +52,11 @@ class DirPath:
             raise PreconditionViolated(
                 f"path labels must be a str, got {type(self.labels).__name__}"
             )
-        for ch in self.labels.strip(LABELS):  # from the first non-label on
-            if ch not in LABELS:
-                raise PreconditionViolated(
-                    f"path labels must be drawn from {LABELS}, got {ch!r}"
-                )
+        bad = self.labels.translate(_NOT_LABELS)  # the non-labels, in order
+        if bad:
+            raise PreconditionViolated(
+                f"path labels must be drawn from {LABELS}, got {bad[0]!r}"
+            )
 
     @property
     def n_vertices(self) -> int:

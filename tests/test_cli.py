@@ -360,6 +360,23 @@ def test_out_of_range_points_is_usage_error(tmp_path, capsys, name, body):
     assert len(err) == 1 and err[0].startswith("error:") and "exceeds" in err[0], err
 
 
+def test_long_bad_line_is_echoed_short(tmp_path, capsys, s5_file):
+    # A malformed line is quoted by a prefix and its length, not whole.
+    f = tmp_path / "pts.txt"
+    f.write_text("0 0\n1 2 %s\n" % ("9" * 5000))
+    assert run(["decide", "--points", str(f), "--path", "U"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 200 and "(5004 chars)" in err, err
+    emb = tmp_path / "e.txt"
+    emb.write_text("2\n%s\n3\n4\n0\n" % ("x" * 5000))
+    args = ["--points", s5_file, "--path", "URDU", "--embedding", str(emb)]
+    assert run(["verify", *args]) == 1
+    out = capsys.readouterr().out
+    assert len(out.encode()) < 200, out
+    error = "line 2: expected one integer, got %r... (5000 chars)" % ("x" * 40)
+    assert json.loads(out) == {"well_formed": False, "error": error}
+
+
 def test_json_int_past_conversion_limit_is_usage_error(tmp_path, capsys):
     # int() refuses a literal past Python's digit limit; the JSON door names
     # it out of range, as the range check does where there is no such limit.

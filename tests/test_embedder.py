@@ -39,7 +39,7 @@ from pdce.embedder import (
     _arc,
     _greedy,
     _leftmost,
-    _two_ended,
+    _walk,
     execute_plan,
 )
 from pdce.geometry import Point
@@ -88,14 +88,17 @@ def test_backward_size_mismatch():
 
 
 def test_backward_always_direction_consistent():
-    # planarity is not promised without the case preconditions, direction is
+    # Planarity is not promised without the case preconditions, direction
+    # is, on every convex set: the one contract that keeps _greedy.
     from pdce import check_direction_consistency
 
-    s = generate_random_convex(9, seed=2)
-    p = DirPath("UDRLUDRL")
-    e = backward_embedding(p, s)
-    ok, _ = check_direction_consistency(p, s, e)
-    assert ok
+    rng = random.Random("backward-direction")
+    for mode in ALL_MODES:
+        for _ in range(40):
+            s = generate_random_convex(rng.randint(1, 40), seed=rng.randrange(10**9), mode=mode)
+            p = random_path(rng, s.n, "UDLR")
+            ok, bad = check_direction_consistency(p, s, backward_embedding(p, s))
+            assert ok, (mode, p, s, bad)
 
 
 # --- one-sided and strip leaf embedders ----------------------------------------
@@ -165,13 +168,13 @@ def test_strip_uu_ends_at_top():
 
 
 def test_strip_guards_its_first_vertex(monkeypatch):
-    # The greedy's walk starts on (0, 0), the bottom and leftmost point;
-    # rotated by one it starts on (2, 1), which is neither.
+    # The walk starts on (0, 0), the bottom and leftmost point; rotated by
+    # one it starts on (2, 1), which is neither.
     def rotated(*args):
-        out = _greedy(*args)
+        out = _walk(*args)
         return out[1:] + out[:1]
 
-    monkeypatch.setattr(embedder, "_greedy", rotated)
+    monkeypatch.setattr(embedder, "_walk", rotated)
     with pytest.raises(InternalCaseError, match=r"strip endpoint guarantee broken \(first vertex\)"):
         embed_ur_strip(DirPath("RUR"), CHAIN4)
 
@@ -266,8 +269,8 @@ def test_plan_covers_slots_and_points(inst):
     assert parts[-1].last_vertex == s.n
     used = []
     for part in parts:
-        assert len(part.points) == part.last_vertex - part.first_vertex + 1
-        used.extend(part.points)
+        assert len(part.pool) == part.last_vertex - part.first_vertex + 1
+        used.extend(part.pool)
     for prev, nxt in zip(parts, parts[1:]):
         # parts either share the boundary vertex or meet across one edge
         assert nxt.first_vertex in (prev.last_vertex, prev.last_vertex + 1)
@@ -296,7 +299,7 @@ def _assert_caps_are_y_picks(plan, s):
         else:
             continue
         by_y = sorted(pool, key=s.ys.__getitem__, reverse=highest)
-        assert part.points == tuple(sorted(by_y[: len(part.points)])), (plan.case_tag, part)
+        assert part.pool == tuple(sorted(by_y[: len(part.pool)])), (plan.case_tag, part)
 
 
 CASE_TAGS = frozenset(
@@ -358,10 +361,10 @@ def _flipped(labels):
     return labels[::-1].translate(_REVERSE_FLIP)
 
 
-def test_two_ended_matches_greedy():
-    # The two-ended walk must be the generic greedy on every pool it runs
-    # on: each non-strip part of the seeded plans, and whole left- and
-    # right-sided sets of every generator mode, a right-sided pool under
+def test_walk_matches_greedy():
+    # The walk must be the generic greedy on every pool it runs on: each
+    # part of the seeded plans, and whole left-sided, right-sided and
+    # strip-tagged sets of every generator mode, a right-sided pool under
     # the labels _right_sided hands over.
     runs = []
     for p, s, plan in _seeded_udr_plans():
@@ -369,32 +372,32 @@ def test_two_ended_matches_greedy():
             labels = p.labels[part.first_vertex - 1 : part.last_vertex - 1]
             if part.method == "right_sided":
                 labels = _flipped(labels)
-            elif part.method == "strip":
-                continue
-            runs.append((part.method, labels, s, part.points))
-    rng = random.Random("two-ended")
+            runs.append((part.method, labels, s, part.pool))
+    rng = random.Random("walk")
     for mode in ALL_MODES:
         for _ in range(40):
             s = generate_random_convex(rng.randint(1, 30), seed=rng.randrange(10**9), mode=mode)
-            labels = random_path(rng, s.n, "UDR").labels
             tags = classify(s)
             if SetTag.LEFT_SIDED in tags:
-                runs.append(("left_sided", labels, s, range(s.n)))
+                runs.append(("left_sided", random_path(rng, s.n, "UDR").labels, s, range(s.n)))
             if SetTag.RIGHT_SIDED in tags:
-                runs.append(("right_sided", _flipped(labels), s, range(s.n)))
+                labels = _flipped(random_path(rng, s.n, "UDR").labels)
+                runs.append(("right_sided", labels, s, range(s.n)))
+            if SetTag.STRIP_CONVEX in tags:
+                runs.append(("strip", random_path(rng, s.n, "UR").labels, s, range(s.n)))
     for method, labels, s, pool in runs:
-        assert _two_ended(labels, s, pool) == _greedy(labels, s, pool), (method, labels, s, pool)
-    assert {m for m, *_ in runs} == set(embedder._RUNNERS) - {"strip"}
-    # R and L steps, the ones that compare the two ends, on both sides.
+        assert _walk(labels, s, pool) == _greedy(labels, s, pool), (method, labels, s, pool)
+    assert {m for m, *_ in runs} == set(embedder._RUNNERS)
+    # R and L steps, the ones where a y-order walk could go wrong, per method.
     steps = Counter(m for m, labels, _, _ in runs for d in labels if d in "RL")
-    assert set(steps) == {"left_sided", "right_sided"} and min(steps.values()) >= 100, steps
+    assert set(steps) == {"left_sided", "right_sided", "strip"}, steps
+    assert min(steps.values()) >= 100, steps
 
-    # On a strip pool the rightmost free point may lie inside the run: this
-    # is why strip parts and backward_embedding keep the generic greedy.
+    # On this strip pool the rightmost free point at the R step, (10, 2),
+    # lies inside the pool's y-order but at an end of the free hull arc.
     s = validate([(11, 20), (1, 15), (0, 0), (10, 2)])
     assert SetTag.STRIP_CONVEX in classify(s)
-    assert _greedy("URU", s, range(4)) == [2, 1, 3, 0]
-    assert _two_ended("URU", s, range(4)) == [2, 3, 1, 0]
+    assert _greedy("URU", s, range(4)) == _walk("URU", s, range(4)) == [2, 1, 3, 0]
 
 
 def test_execute_plan_guards():
@@ -630,8 +633,10 @@ def test_constructive_agrees_with_decider(inst):
 # SHA-256 of _witness_records(). Any change to a witness, a plan's parts or
 # a case tag changes it. Re-recorded once, when classify() stopped tagging
 # sets whose top lies left of their bottom strip-convex: that removed their
-# 59 "strip" records and changed no other record.
-WITNESS_CORPUS_SHA256 = "f9fe9b4b44fa6ba62f626621e1ec78821bd158a0e1f4918b9d238e1ed0f90200"
+# 59 "strip" records and changed no other record. Re-recorded again when
+# CasePart's field points was renamed pool: read back as "points=", every
+# "pool=" in the plan records gives the earlier digest, f9fe9b4b...0f90200.
+WITNESS_CORPUS_SHA256 = "dc62106464825d2b3116f9206a18c8bd9f81e0ed4bd13ced9d735bf9a1a46223"
 LABEL_SUBSETS = tuple(
     "".join(c) for k in range(1, 5) for c in itertools.combinations("UDLR", k)
 )

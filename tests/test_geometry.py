@@ -206,6 +206,8 @@ DOOR_CORPUS = [
      "line 3: coordinates must be integers"),
     ("text-arity3", "text", "1 2 3\n", PreconditionViolated, None,
      "line 1: expected 'x y', got '1 2 3'"),
+    ("text-long", "text", "0 0\n1 2 %s\n" % ("9" * 5000), PreconditionViolated, None,
+     "line 2: expected 'x y', got '1 2 %s'... (5004 chars)" % ("9" * 36)),
     ("text-range", "text", "0 0\n4 99999999999999999999\n", CoordinateRange, None,
      f"line 2: coordinate 99999999999999999999 {_RANGE}"),
     ("text-huge", "text", "0 0\n4 %s\n" % ("9" * 5000), CoordinateRange, None,

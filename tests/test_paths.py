@@ -37,6 +37,11 @@ def test_dirpath_validation():
     assert DirPath("LULRDR").n_vertices == 7
     with pytest.raises(PreconditionViolated):
         DirPath("UDX")
+    # The message names the first non-label, wherever the run of labels breaks.
+    for labels, bad in (("UUxDzR", "x"), ("zUUx", "z"), ("UDLR\n", "\n")):
+        with pytest.raises(PreconditionViolated) as exc:
+            DirPath(labels)
+        assert str(exc.value) == f"path labels must be drawn from UDLR, got {bad!r}"
 
 
 @pytest.mark.parametrize("labels", [["U", "R"], ("U", "R"), 123, None])
