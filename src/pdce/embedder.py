@@ -7,12 +7,14 @@ operators, and the U/D/R case is solved by a divide-and-conquer along the
 line through the bottom and top points (plan_udr_case / execute_plan).
 
 The planner only chooses index ranges and point subsets: its caps are hull
-arcs ending on the bottom or the top point, the middle parts what the caps
-leave. All actual coordinates are handled by one backward walk (_walk) on
-index pools of the canonical set, forwards or, for right-sided parts,
-backwards: a crossing-free walk fills one hull arc with every suffix, so
-the walk turns the pool, already in hull order, and takes an end of the
-free arc at each step. backward_embedding, whose input is any convex set,
+arcs ending on the bottom or the top point, and one rule (_between) carves
+the parts between: a part to the left or right takes the leftmost or
+rightmost points the caps leave, the one part in the middle the rest.
+All actual coordinates are handled by one backward walk (_walk) on index
+pools of the canonical set, forwards or, for right-sided parts, backwards:
+a crossing-free walk fills one hull arc with every suffix, so the walk
+turns the pool, already in hull order, and takes an end of the free arc
+at each step. backward_embedding, whose input is any convex set,
 keeps the generic greedy (_greedy).
 Transformed sets come from rotate_set and mirror_set, by index arithmetic
 on the coordinate columns, never re-validated; planner, executor and walk
@@ -256,22 +258,6 @@ def _arc(s, start: int, count: int) -> tuple[int, ...]:
     return tuple(range(wrap)) + tuple(range(start, n))
 
 
-def _leftmost(s, pool, k, reverse=False):
-    ordered = sorted(pool, key=s.xs.__getitem__, reverse=reverse)
-    if k > len(ordered):
-        raise InternalCaseError(f"asked for {k} points from a pool of {len(ordered)}")
-    return tuple(sorted(ordered[:k]))
-
-
-def _rightmost(s, pool, k):
-    return _leftmost(s, pool, k, reverse=True)
-
-
-def _rest(n: int, taken, extra=()) -> tuple[int, ...]:
-    keep = (set(range(n)) - set(taken)) | set(extra)
-    return tuple(sorted(keep))
-
-
 def _run(labels: str, lo: int, hi: int, inside: str) -> tuple[int, int]:
     # Widen the 1-based edge range lo..hi to the maximal run of edges whose
     # labels are all in inside.
@@ -293,59 +279,31 @@ def _caps(s, L: int, H: int) -> tuple[CasePart, CasePart]:
     )
 
 
-def _strip_plan_parts(s, L: int, H: int) -> tuple[CasePart, ...]:
-    # The strip part carries the U/R stretch v_L..v_H from the left cap's
-    # last point, the bottom, to the right cap's first point, the top.
-    left, right = _caps(s, L, H)
-    strip = _rest(s.n, left.pool + right.pool, (s.bottom_index, s.top_index))
-    return left, CasePart("strip", strip, L, H, "strip"), right
-
-
-def _run_high_plan_parts(s, L: int, a: int, b: int) -> tuple[CasePart, ...]:
-    # The U run v_a..v_{b+1} climbs a column that ends on the top point; a
-    # strip part to its left hosts v_L..v_{a-1} when the run starts later
-    # than the left cap ends.
-    left, right = _caps(s, L, b + 1)
-    if a <= L:
-        column = _rest(s.n, left.pool + right.pool, (s.top_index,))
-        return left, CasePart("column", column, a + 1, b + 1, "sort_up"), right
-    strip = _leftmost(s, _rest(s.n, left.pool, (s.bottom_index,)), a - L)
-    column = _rest(s.n, left.pool + strip + right.pool, (s.top_index,))
-    strip_part = CasePart("strip", strip, L, a - 1, "strip")
-    return left, strip_part, CasePart("column", column, a, b + 1, "sort_up"), right
-
-
-def _run_low_plan_parts(s, a: int, b: int, H: int) -> tuple[CasePart, ...]:
-    # Mirror image of the previous shape: the U run v_a..v_{b+1} climbs a
-    # column out of the bottom point, and a strip part to its right hosts
-    # v_{b+2}..v_H when the run ends before the right cap starts.
-    left, right = _caps(s, a, H)
-    if b >= H - 1:
-        column = _rest(s.n, left.pool + right.pool, (s.bottom_index,))
-        return left, CasePart("column", column, a, b, "sort_up"), right
-    strip = _rightmost(s, _rest(s.n, right.pool, (s.top_index,)), H - 1 - b)
-    column = _rest(s.n, left.pool + strip + right.pool, (s.bottom_index,))
-    strip_part = CasePart("strip", strip, b + 2, H, "strip")
-    return left, CasePart("column", column, a, b + 1, "sort_up"), strip_part, right
-
-
-def _two_runs_plan_parts(s, a: int, b: int, c: int, e: int) -> tuple[CasePart, ...]:
-    # Two U runs: one crossing the height of the bottom point, one crossing
-    # the height of the top point, with an optional U/R stretch between.
-    left, right = _caps(s, a, e + 1)
-    pool = _rest(s.n, left.pool + right.pool, (s.bottom_index, s.top_index))
-    if a == c:
-        # Both labels sit in the same U run.
-        return left, CasePart("column", pool, a, e + 1, "sort_up"), right
-    col_l = _leftmost(s, pool, b - a + 2)
-    col_r = _rightmost(s, pool, e - c + 2)
-    parts = [left, CasePart("left-column", col_l, a, b + 1, "sort_up")]
-    if c > b + 2:
-        strip = tuple(sorted(set(pool) - set(col_l) - set(col_r)))
-        parts.append(CasePart("mid-strip", strip, b + 2, c - 1, "strip"))
-    parts.append(CasePart("right-column", col_r, c, e + 1, "sort_up"))
-    parts.append(right)
-    return tuple(parts)
+def _between(s, left: CasePart, right: CasePart, *pieces) -> tuple[CasePart, ...]:
+    # The parts between two caps share the points the caps leave, plus a
+    # cap's bottom or top point where the piece next to it starts (or ends)
+    # on the cap's boundary vertex. Pieces (name, first, last, method, side)
+    # come in vertex order; a left or right piece takes the last - first + 1
+    # leftmost or rightmost points still free, the one without a side the rest.
+    ends = {s.bottom_index, s.top_index}
+    free = set(range(s.n)).difference(left.pool, right.pool)
+    if pieces[0][1] == left.last_vertex:
+        free |= ends.intersection(left.pool)
+    if pieces[-1][2] == right.first_vertex:
+        free |= ends.intersection(right.pool)
+    picked = {}
+    for name, first, last, _, side in pieces:
+        if side:
+            k = last - first + 1
+            if k > len(free):
+                raise InternalCaseError(f"asked for {k} points from a pool of {len(free)}")
+            picked[name] = sorted(free, key=s.xs.__getitem__, reverse=side == "right")[:k]
+            free.difference_update(picked[name])
+    middle = (
+        CasePart(name, tuple(sorted(picked.get(name, free))), first, last, method)
+        for name, first, last, method, _ in pieces
+    )
+    return (left, *middle, right)
 
 
 _STRIP_TAGS = {  # strip plan tag by (low cut, high cut) of the U/R stretch
@@ -369,7 +327,9 @@ def plan_udr_case(p: DirPath, s: ConvexPointSet) -> CasePlan:
     order y falls along positions 0..k (the top, the left chain, the bottom
     k = m + 1) and rises along k..n (the right chain, the top again at n),
     so the c lowest or highest points of a chain and its end point are the
-    c positions next to that end. The middle parts are what the caps leave.
+    c positions next to that end. _between hands the parts between the caps
+    what the caps leave: leftmost or rightmost points to a sided part, the
+    rest to the one part without a side.
     """
     require_same_size(p, s)
     if not p.directions_used() <= UDR:
@@ -402,15 +362,10 @@ def plan_udr_case(p: DirPath, s: ConvexPointSet) -> CasePlan:
     if d_m == "D" and d_m1 == "D":
         # The caps take the highest points left and the lowest points right.
         a, b = _run(labels, m, m + 1, "D")
-        cap_l, cap_r = _arc(s, 0, a), _arc(s, k, n - b)
-        return plan(
-            "down-run",
-            CasePart("left-cap", cap_l, 1, a, "left_sided"),
-            CasePart("descent", _rest(n, cap_l + cap_r, (0, k)), a, b + 1, "sort_down"),
-            CasePart("right-cap", cap_r, b + 1, n, "right_sided"),
-            a=a,
-            b=b,
-        )
+        left = CasePart("left-cap", _arc(s, 0, a), 1, a, "left_sided")
+        right = CasePart("right-cap", _arc(s, k, n - b), b + 1, n, "right_sided")
+        descent = _between(s, left, right, ("descent", a, b + 1, "sort_down", None))
+        return plan("down-run", *descent, a=a, b=b)
 
     # Both straddling edges are U or R: work with the maximal U/R stretch.
     # Where it reaches the bottom's column (low cut) or the top's (high cut),
@@ -422,19 +377,39 @@ def plan_udr_case(p: DirPath, s: ConvexPointSet) -> CasePlan:
     low_run = low_cut and labels[alpha - 1] == "U"
     high_run = high_cut and labels[beta - 1] == "U"
     if low_run and high_run:
+        # A U run across the bottom's height and one across the top's, with
+        # an optional U/R stretch between; or one U run holds both labels.
         a, b = _run(labels, alpha, alpha, "U")
         c, e = _run(labels, beta, beta, "U")
-        parts = _two_runs_plan_parts(s, a, b, c, e)
+        pieces = [("column", a, e + 1, "sort_up", None)]
+        if a != c:
+            pieces = [("left-column", a, b + 1, "sort_up", "left")]
+            if c > b + 2:
+                pieces.append(("mid-strip", b + 2, c - 1, "strip", None))
+            pieces.append(("right-column", c, e + 1, "sort_up", "right"))
+        parts = _between(s, *_caps(s, a, e + 1), *pieces)
         return plan("two-up-runs", *parts, i=i, j=j, a=a, b=b, c=c, e=e)
     if high_run:
+        # The U run v_a..v_{b+1} climbs a column that ends on the top, after
+        # a strip part v_L..v_{a-1} when the run starts after the left cap ends.
         a, b = _run(labels, beta, beta, "U")
+        pieces = [("column", a + 1, b + 1, "sort_up", None)]
+        if a > L:
+            pieces = [("strip", L, a - 1, "strip", "left"), ("column", a, b + 1, "sort_up", None)]
         tag = "up-run-high-left-cut" if low_cut else "up-run-high"
-        return plan(tag, *_run_high_plan_parts(s, L, a, b), i=i, j=j, a=a, b=b)
+        return plan(tag, *_between(s, *_caps(s, L, b + 1), *pieces), i=i, j=j, a=a, b=b)
     if low_run:
+        # The mirror image: a column out of the bottom, then a strip part
+        # v_{b+2}..v_H when the run ends before the right cap starts.
         a, b = _run(labels, alpha, alpha, "U")
+        pieces = [("column", a, b, "sort_up", None)]
+        if b < H - 1:
+            pieces = [("column", a, b + 1, "sort_up", None), ("strip", b + 2, H, "strip", "right")]
         tag = "up-run-low-right-cut" if high_cut else "up-run-low"
-        return plan(tag, *_run_low_plan_parts(s, a, b, H), i=i, j=j, a=a, b=b)
-    return plan(_STRIP_TAGS[low_cut, high_cut], *_strip_plan_parts(s, L, H), i=i, j=j)
+        return plan(tag, *_between(s, *_caps(s, a, H), *pieces), i=i, j=j, a=a, b=b)
+    # The strip part carries the U/R stretch v_L..v_H from the bottom to the top.
+    strip = _between(s, *_caps(s, L, H), ("strip", L, H, "strip", None))
+    return plan(_STRIP_TAGS[low_cut, high_cut], *strip, i=i, j=j)
 
 
 def execute_plan(p: DirPath, s: ConvexPointSet, plan: CasePlan) -> Embedding:

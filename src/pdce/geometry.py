@@ -56,7 +56,9 @@ def _pair(obj) -> tuple[int, int]:
         x, y = obj
         pair = operator.index(x), operator.index(y)
     except (TypeError, ValueError):
-        raise PreconditionViolated(f"cannot interpret {obj!r} as a point") from None
+        import reprlib  # bounds the echo of long or deeply nested entries
+
+        raise PreconditionViolated(f"cannot interpret {reprlib.repr(obj)} as a point") from None
     if type(x) is bool or type(y) is bool:
         bad = x if type(x) is bool else y
         raise PreconditionViolated(f"coordinates must be plain ints, got {bad!r}")
@@ -501,6 +503,8 @@ def parse_points_json(text: str) -> list[tuple[int, int]]:
         doc = json.loads(text, parse_int=_int_literal)
     except json.JSONDecodeError as exc:
         raise PreconditionViolated(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise PreconditionViolated("invalid JSON: nested too deeply to parse") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("points"), list):
         raise PreconditionViolated('expected an object with a "points" array')
     return [_pair(entry) for entry in doc["points"]]

@@ -377,6 +377,22 @@ def test_long_bad_line_is_echoed_short(tmp_path, capsys, s5_file):
     assert json.loads(out) == {"well_formed": False, "error": error}
 
 
+@pytest.mark.parametrize(
+    "entries",
+    ["[" * 200_000 + "]" * 200_000, "[[0, 0], [%s]]" % ", ".join("1" * 200_000),
+     '[[0, 0], "%s"]' % ("a" * 100_000)],
+    ids=["deep", "long-entry", "long-str"],
+)
+def test_malformed_json_is_one_short_error(tmp_path, capsys, entries):
+    # Nesting past the recursion limit and huge entries are usage errors,
+    # reported in one short line.
+    f = tmp_path / "pts.json"
+    f.write_text('{"points": %s}' % entries)
+    assert run(["decide", "--points", str(f), "--path", "U"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 200 and err.startswith("error:") and err.count("\n") == 1, err
+
+
 def test_json_int_past_conversion_limit_is_usage_error(tmp_path, capsys):
     # int() refuses a literal past Python's digit limit; the JSON door names
     # it out of range, as the range check does where there is no such limit.

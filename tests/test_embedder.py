@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -37,8 +38,9 @@ from pdce.embedder import (
     CasePart,
     CasePlan,
     _arc,
+    _between,
+    _caps,
     _greedy,
-    _leftmost,
     _walk,
     execute_plan,
 )
@@ -276,6 +278,7 @@ def test_plan_covers_slots_and_points(inst):
         assert nxt.first_vertex in (prev.last_vertex, prev.last_vertex + 1)
     assert sorted(set(used)) == list(range(s.n))
     _assert_caps_are_y_picks(plan, s)
+    _assert_middles_are_x_picks(plan, s)
     # the emitted case obeys its own index preconditions
     if plan.case_tag.startswith("mid-strip"):
         lo = plan.parts[0].last_vertex
@@ -300,6 +303,39 @@ def _assert_caps_are_y_picks(plan, s):
             continue
         by_y = sorted(pool, key=s.ys.__getitem__, reverse=highest)
         assert part.pool == tuple(sorted(by_y[: len(part.pool)])), (plan.case_tag, part)
+
+
+def _assert_middles_are_x_picks(plan, s):
+    # The parts between the caps take, in vertex order, the leftmost or
+    # rightmost points still free, and the one part without a side the rest.
+    # Returns the sides checked.
+    if plan.case_tag.startswith("up-run-high"):
+        sides = {"strip": "left"}
+        # With the right cap in the pool the strip would pick the same
+        # points: the cap's points other than the top lie right of the top.
+        right, top = plan.parts[-1], s.top_index
+        assert all(s.xs[i] > s.xs[top] for i in right.pool if i != top), plan
+    elif plan.case_tag.startswith("up-run-low"):
+        sides = {"strip": "right"}
+        left, bottom = plan.parts[0], s.bottom_index
+        assert all(s.xs[i] < s.xs[bottom] for i in left.pool if i != bottom), plan
+    else:
+        sides = {"left-column": "left", "right-column": "right"}
+    middle = [part for part in plan.parts if not part.name.endswith("-cap")]
+    free = {i for part in middle for i in part.pool}
+    checked = []
+    for part in middle:
+        side = sides.get(part.name)
+        if side is None:
+            continue
+        free -= set(part.pool)
+        xs = [s.xs[i] for i in part.pool]
+        if side == "left":
+            assert all(s.xs[i] > max(xs) for i in free), (plan, part.name)
+        else:
+            assert all(s.xs[i] < min(xs) for i in free), (plan, part.name)
+        checked.append(side)
+    return checked
 
 
 CASE_TAGS = frozenset(
@@ -346,14 +382,16 @@ def _seeded_udr_plans():
 
 
 def test_every_case_tag_seeded():
-    # Every plan's caps are checked against the y-sort and every embedding
-    # is validated.
-    hits = Counter()
+    # Every plan's caps are checked against the y-sort, its middle parts
+    # against the x-sort, and every embedding is validated.
+    hits, sides = Counter(), Counter()
     for p, s, plan in _seeded_udr_plans():
         hits[plan.case_tag] += 1
         _assert_caps_are_y_picks(plan, s)
+        sides.update(_assert_middles_are_x_picks(plan, s))
         assert validate_embedding(p, s, embed_udr_convex(p, s)).is_pdce
     assert set(hits) == CASE_TAGS and min(hits.values()) >= 20, hits
+    assert min(sides["left"], sides["right"]) >= 20, sides
 
 
 def _flipped(labels):
@@ -438,8 +476,13 @@ def test_execute_plan_guards():
         _arc(s, 0, 7)
     with pytest.raises(InternalCaseError, match="an arc of -1 points from a set of 6"):
         _arc(s, 0, -1)
-    with pytest.raises(InternalCaseError, match="asked for 3 points from a pool of 2"):
-        _leftmost(s, (0, 1), 3)
+    # Two columns that overlap on vertex 4 between caps on v_1..v_2 and
+    # v_5..v_6: the three free points (the top joins, as v_5 is shared) run
+    # out at the second column.
+    assert s.bottom_index == 3 and s.top_index == 0
+    columns = [("left-column", 3, 4, "sort_up", "left"), ("right-column", 4, 5, "sort_up", "right")]
+    with pytest.raises(InternalCaseError, match="asked for 2 points from a pool of 1"):
+        _between(s, *_caps(s, 2, 5), *columns)
 
 
 # --- full UDR embedder -------------------------------------------------------------
@@ -636,7 +679,9 @@ def test_constructive_agrees_with_decider(inst):
 # 59 "strip" records and changed no other record. Re-recorded again when
 # CasePart's field points was renamed pool: read back as "points=", every
 # "pool=" in the plan records gives the earlier digest, f9fe9b4b...0f90200.
-WITNESS_CORPUS_SHA256 = "dc62106464825d2b3116f9206a18c8bd9f81e0ed4bd13ced9d735bf9a1a46223"
+# Re-recorded when _outcome moved from repr() to the field values: the
+# repr() records of the same planner and embedders gave dc621064...a46223.
+WITNESS_CORPUS_SHA256 = "6916dac6634d0065a14c0943910e98ac851a9c5195c46ac0c0856ec60471eade"
 LABEL_SUBSETS = tuple(
     "".join(c) for k in range(1, 5) for c in itertools.combinations("UDLR", k)
 )
@@ -679,8 +724,10 @@ def _witness_records():
 
 
 def _outcome(fn, p, s):
+    # Plans and embeddings are recorded by field values, so renaming a field
+    # leaves the digest alone.
     try:
-        return repr(fn(p, s))
+        return dataclasses.astuple(fn(p, s))
     except pdce.PdceError as exc:
         return type(exc).__name__
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import random
@@ -232,6 +233,15 @@ DOOR_CORPUS = [
      CoordinateRange, None, f"coordinate 99999999999999999999999 {_RANGE}"),
     ("json-huge", "json", '{"points": [[0, 0], [4, %s]]}' % ("9" * 5000), CoordinateRange, None,
      f"coordinate of 5000 digits {_RANGE}"),
+    # Past the recursion limit, and entries quoted short however long or deep.
+    ("json-deep", "json", '{"points": %s}' % ("[" * 200_000 + "]" * 200_000),
+     PreconditionViolated, None, "invalid JSON: nested too deeply to parse"),
+    ("json-long-entry", "json", '{"points": [[0, 0], [%s]]}' % ", ".join("1" * 200_000),
+     PreconditionViolated, None, "cannot interpret [1, 1, 1, 1, 1, 1, ...] as a point"),
+    ("json-long-str", "json", '{"points": [[0, 0], "%s"]}' % ("a" * 100_000),
+     PreconditionViolated, None, "cannot interpret 'aaaaaaaaaaaa...aaaaaaaaaaaaa' as a point"),
+    ("nested", "validate", [(0, 0), functools.reduce(lambda a, _: [a], range(100_000), [])],
+     PreconditionViolated, None, "cannot interpret [[[[[[[...]]]]]]] as a point"),
 ]
 
 
