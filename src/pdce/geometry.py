@@ -58,7 +58,12 @@ def _pair(obj) -> tuple[int, int]:
     except (TypeError, ValueError):
         import reprlib  # bounds the echo of long or deeply nested entries
 
-        raise PreconditionViolated(f"cannot interpret {reprlib.repr(obj)} as a point") from None
+        try:
+            quote = reprlib.repr(obj)
+        except ValueError:  # it is or holds an int too long for repr()
+            size = f" of length {len(obj)}" if hasattr(obj, "__len__") else ""
+            quote = f"<{type(obj).__name__}{size}>"
+        raise PreconditionViolated(f"cannot interpret {quote} as a point") from None
     if type(x) is bool or type(y) is bool:
         bad = x if type(x) is bool else y
         raise PreconditionViolated(f"coordinates must be plain ints, got {bad!r}")
@@ -129,20 +134,23 @@ class ConvexPointSet:
     """Strictly convex general-position points in canonical hull order.
 
     Point k is (xs[k], ys[k]); point 0 is the topmost and the order runs
-    counterclockwise. Equality and hashing go by the two columns. The
-    constructor trusts its arguments, two equally long tuples of plain ints:
-    outside input goes through validate(), while the symmetry operators
-    build instances directly from an already valid set by index arithmetic.
-
-    Everything else is read from the columns on first use and cached: the
-    four extreme indices (the symmetry operators seed them through
-    _with_extremes instead), the two axis orders, and points, the pairs as
-    unchecked Point tuples for outside callers. So a set built from columns,
-    also by dataclasses.replace, never carries another set's extremes.
+    counterclockwise. Equality and hashing go by the two columns. validate()
+    is the one door for outside input, and the symmetry operators build from
+    a valid set by index arithmetic. The constructor and dataclasses.replace
+    refuse; pickle and copy go through validate(). The four extreme indices
+    (which the symmetry operators seed), the two axis orders and points, the
+    pairs as unchecked Point tuples, are read from the columns on first use
+    and cached.
     """
 
     xs: tuple[int, ...]
     ys: tuple[int, ...]
+
+    def __init__(self, *args, **kwargs) -> None:
+        raise PreconditionViolated("a ConvexPointSet is built by validate(), from (x, y) pairs")
+
+    def __reduce__(self):
+        return validate, (tuple(zip(self.xs, self.ys)),)
 
     @property
     def n(self) -> int:
@@ -181,13 +189,11 @@ class ConvexPointSet:
         return f"ConvexPointSet([{inner}])"
 
 
-def _with_extremes(
-    xs: tuple[int, ...], ys: tuple[int, ...], top: int, bottom: int, left: int, right: int
-) -> ConvexPointSet:
-    # The set of already valid columns whose extreme indices the caller
-    # knows; they become the cache of the four index properties.
-    s = ConvexPointSet(xs, ys)
-    s.__dict__.update(top_index=top, bottom_index=bottom, left_index=left, right_index=right)
+def _sealed(xs: tuple[int, ...], ys: tuple[int, ...], **extremes: int) -> ConvexPointSet:
+    # The set of already valid columns, past the refusing constructor; the
+    # extreme indices a caller knows (top_index, ...) become their cache.
+    s = object.__new__(ConvexPointSet)
+    s.__dict__.update(extremes, xs=xs, ys=ys)
     return s
 
 
@@ -234,7 +240,7 @@ def validate(raw_points: Iterable) -> ConvexPointSet:
         if not all(map(operator.gt, cross, map(operator.mul, ey, ex[1:] + ex[:1]))):
             _monotone_chain(xs, ys, by_x)
             raise InternalCaseError("hull canonicalization broke convexity")
-    return ConvexPointSet(cxs, cys)
+    return _sealed(cxs, cys)
 
 
 def _strict_hull(xs: Sequence[int], ys: Sequence[int], by_x: list[int]) -> list[int]:

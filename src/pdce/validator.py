@@ -15,17 +15,12 @@ orientation tests and no knowledge of hull order: O(n log n) predicates,
 each pair of non-adjacent edges that becomes adjacent on the sweep line
 tested once. It sweeps along the axis a sample of the walk's edges travels
 less, so that fewer edges span the sweep line; along y it sweeps the
-transposed columns (x, y) -> (y, x), on which the same edges meet. Should
-the chosen axis have two equal coordinates the sweep takes the other one;
-should both have, or should the sweep meet a zero orientation (three
-collinear points, which a validated set never has), the verdict comes from
-the scalar pair loop with closed-segment predicates, which is also the
-route's test oracle. The prefix route checks that each prefix of the walk
-occupies a cyclically consecutive arc of hull positions, which
-characterizes the crossing-free walks on a convex point set. Both are kept
-side by side so each one guards the other; callers that need a single
-answer should demand agreement via validate_embedding(). Neither needs
-numpy.
+transposed columns (x, y) -> (y, x), on which the same edges meet. The
+prefix route checks that each prefix of the walk occupies a cyclically
+consecutive arc of hull positions, which characterizes the crossing-free
+walks on a convex point set. Both are kept side by side so each one guards
+the other; callers that need a single answer should demand agreement via
+validate_embedding(). Neither needs numpy.
 """
 
 from __future__ import annotations
@@ -35,7 +30,7 @@ from operator import sub
 from typing import Optional
 
 from .errors import InternalCaseError, InvalidEmbedding, PreconditionViolated, SizeMismatch
-from .geometry import ConvexPointSet, segments_intersect
+from .geometry import ConvexPointSet
 from .paths import DirPath, Embedding
 
 
@@ -151,16 +146,11 @@ def check_planarity_segments(s: ConvexPointSet, e: Embedding) -> bool:
     """Exact test that no two non-adjacent edges of the drawn walk meet.
 
     A Shamos-Hoey sweep (Shamos and Hoey, FOCS 1976), see _sweep, along the
-    axis the walk travels less, so that fewer edges span the sweep line.
-    The travel along each axis is summed over a fixed-stride sample of at
-    most 32 walk edges; a tie goes to x. To sweep along y, the sweep runs on
-    the transposed columns (x, y) -> (y, x): a linear bijection, so two
-    edges meet, and three points are collinear, exactly when their images
-    are. Should the chosen axis have two equal
-    coordinates, the sweep runs along the other one; should both have, or
-    should the sweep meet a zero side, the verdict comes from the scalar
-    pair loop, so closed segments that merely touch still meet. A validated
-    set has neither.
+    axis that a fixed-stride sample of at most 32 walk edges travels less (a
+    tie goes to x), so that fewer edges span the sweep line. Along y it sweeps
+    the transposed columns (x, y) -> (y, x), on which the same edges meet. A
+    validated set has distinct coordinates and no collinear triple, so a zero
+    side is a bug, reported as InternalCaseError.
     """
     require_well_formed(s, e)
     n = s.n
@@ -172,13 +162,10 @@ def check_planarity_segments(s: ConvexPointSet, e: Embedding) -> bool:
     step = -(-(n - 1) // 32)  # edges 0, step, 2 * step, ...: at most 32
     x_travel = sum(map(abs, map(sub, xs[1::step], xs[::step])))
     y_travel = sum(map(abs, map(sub, ys[1::step], ys[::step])))
-    along_x = x_travel <= y_travel
-    if len(set(xs if along_x else ys)) < n:
-        along_x = not along_x
-        if len(set(xs if along_x else ys)) < n:
-            return _segments_scalar(s, e)
-    verdict = _sweep(xs, ys) if along_x else _sweep(ys, xs)
-    return _segments_scalar(s, e) if verdict is None else verdict
+    verdict = _sweep(xs, ys) if x_travel <= y_travel else _sweep(ys, xs)
+    if verdict is None:
+        raise InternalCaseError("segment sweep met a zero side on a validated set")
+    return verdict
 
 
 def _sweep(xs: list, ys: list) -> Optional[bool]:
@@ -260,21 +247,6 @@ def _sweep(xs: list, ys: list) -> Optional[bool]:
             if not (a1 and a2 and b1 and b2):
                 return None
             if (a1 > 0) != (a2 > 0) and (b1 > 0) != (b2 > 0):
-                return False
-    return True
-
-
-def _segments_scalar(s: ConvexPointSet, e: Embedding) -> bool:
-    """The pair loop with exact closed-segment predicates: fallback and oracle."""
-    pts = [(s.xs[i], s.ys[i]) for i in e.assignment]
-    edges = list(zip(pts, pts[1:]))
-    for i in range(len(edges)):
-        for j in range(i + 2, len(edges)):
-            # Edges sharing a vertex cannot overlap elsewhere: no three of
-            # the hosting points are collinear.
-            a, b = edges[i]
-            c, d = edges[j]
-            if segments_intersect(a, b, c, d):
                 return False
     return True
 

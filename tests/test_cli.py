@@ -502,7 +502,7 @@ def test_test_extra_installs_every_skippable_import():
     # A test that a missing module would skip must not be skipped after
     # `pip install -e ".[test]"`: the test extra names each such module.
     text = "".join(f.read_text() for f in PYPROJECT.parent.joinpath("tests").glob("*.py"))
-    skippable = set(re.findall(r'importorskip\("([\w.]+)"\)', text))
+    skippable = set(re.findall(r'importorskip\("([\w.]+)"', text))
     extra = _pyproject()["optional-dependencies"]["test"]
     assert skippable and skippable <= {re.match(r"[\w.-]+", req).group() for req in extra}
 

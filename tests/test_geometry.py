@@ -198,6 +198,13 @@ DOOR_CORPUS = [
      "cannot interpret (1, 2, 3) as a point"),
     ("not-pair", "validate", [(0, 0), 5, (4, 1)], PreconditionViolated, None,
      "cannot interpret 5 as a point"),
+    # An entry that is or holds an int too long for repr() is quoted by its type.
+    ("arity-huge", "validate", [(0, 0), (1, 2, 10**5000)], PreconditionViolated, None,
+     "cannot interpret <tuple of length 3> as a point"),
+    ("str-huge", "validate", [(0, 0), [10**5000, "a"]], PreconditionViolated, None,
+     "cannot interpret <list of length 2> as a point"),
+    ("not-pair-huge", "validate", [(0, 0), 10**5000], PreconditionViolated, None,
+     "cannot interpret <int> as a point"),
     ("empty", "validate", [], PreconditionViolated, None, "point set is empty"),
     ("text-arity", "text", "1 2\n3\n", PreconditionViolated, None,
      "line 2: expected 'x y', got '3'"),
@@ -276,7 +283,8 @@ def test_validate_shuffled_equals_canonical(mode):
 
 def _exact_validate(raw):
     # validate() by its explaining route alone: every entry through _pair,
-    # both sorted duplicate scans, and the monotone chain for the hull.
+    # both sorted duplicate scans, and the monotone chain for the hull. It
+    # returns the canonical columns, which validate() alone makes a set of.
     pairs = [geometry._pair(entry) for entry in raw]
     if not pairs:
         raise PreconditionViolated("point set is empty")
@@ -291,17 +299,23 @@ def _exact_validate(raw):
     hull = geometry._monotone_chain(xs, ys, by_x) if n > 2 else by_x
     k = hull.index(by_y[-1])
     ring = hull[k:] + hull[:k]
-    return ConvexPointSet(tuple(xs[i] for i in ring), tuple(ys[i] for i in ring))
+    return tuple(xs[i] for i in ring), tuple(ys[i] for i in ring)
+
+
+def _validated_columns(entries):
+    s = validate(entries)
+    return s.xs, s.ys
 
 
 def _outcome(door, entries):
+    # The columns door(entries) returns, or its error.
     try:
-        s = door(entries)
+        xs, ys = door(entries)
     except PdceError as exc:
         where = getattr(exc, "indices", getattr(exc, "index", None))
         return type(exc), exc.args, str(exc), where
-    assert set(map(type, s.xs + s.ys)) == {int}
-    return s.xs, s.ys
+    assert set(map(type, xs + ys)) == {int}
+    return xs, ys
 
 
 class _Pair(tuple):
@@ -359,8 +373,8 @@ def test_validate_agrees_with_exact_route(mode):
             cases += _mutants(rng, s, pts)
         for name, entries in cases:
             want = _outcome(_exact_validate, entries)
-            assert _outcome(validate, entries) == want, (mode, n, name)
-            assert _outcome(validate, (e for e in entries)) == want, (mode, n, name)
+            assert _outcome(_validated_columns, entries) == want, (mode, n, name)
+            assert _outcome(_validated_columns, (e for e in entries)) == want, (mode, n, name)
             if name == "valid":
                 assert want == (s.xs, s.ys), (mode, n)
             seen.add(want[0] if len(want) == 4 else "set")

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import pickle
@@ -139,6 +140,12 @@ def _extremes(t):
     return (t.top_index, t.bottom_index, t.left_index, t.right_index)
 
 
+def _column_extremes(t):
+    # The extreme indices read afresh from the columns.
+    return (t.ys.index(max(t.ys)), t.ys.index(min(t.ys)),
+            t.xs.index(min(t.xs)), t.xs.index(max(t.xs)))
+
+
 @pytest.mark.parametrize("mode", ALL_MODES)
 def test_frames_match_transformed_sets(mode):
     # The frame of a transformed set, its extreme indices, is carried over
@@ -150,7 +157,7 @@ def test_frames_match_transformed_sets(mode):
         rotated, mirrored = rotate_set(s), mirror_set(s)
         for t in (rotated, mirrored, mirror_set(rotated)):
             assert t.n == n
-            assert _extremes(t) == _extremes(ConvexPointSet(t.xs, t.ys))
+            assert _extremes(t) == _column_extremes(t)
         assert rotated.top_index == mirrored.top_index == 0
 
 
@@ -163,24 +170,25 @@ def _split_or_error(t):
 
 @pytest.mark.parametrize("mode", ALL_MODES)
 def test_replace_reads_extremes_from_columns(mode):
-    # A set made by dataclasses.replace from another set's columns is a
-    # fresh set: it reads its extremes from its own columns, not the source's.
+    # dataclasses.replace goes through the refusing constructor; the door
+    # builds a set from another set's columns, and that fresh set reads its
+    # extremes from its own columns, not from the source's cache.
     for n in (2, 3, 4, 9, 16, 45):
         s = generate_random_convex(n, seed=2, mode=mode)
         _extremes(s)  # fill the source's cache first
         for t in (rotate_set(s), mirror_set(s), mirror_set(rotate_set(s))):
-            fresh = ConvexPointSet(t.xs, t.ys)
-            replaced = dataclasses.replace(s, xs=t.xs, ys=t.ys)
-            assert replaced == fresh == t and hash(replaced) == hash(fresh)
-            assert _extremes(replaced) == _extremes(fresh) == _extremes(t)
-            assert _split_or_error(replaced) == _split_or_error(fresh)
+            with pytest.raises(PreconditionViolated, match="validate"):
+                dataclasses.replace(s, xs=t.xs, ys=t.ys)
+            fresh = validate(zip(t.xs, t.ys))
+            assert fresh == t and hash(fresh) == hash(t)
+            assert _extremes(fresh) == _column_extremes(t) == _extremes(t)
+            assert _split_or_error(fresh) == _split_or_error(t)
     # The case where the extremes used to go stale: (0, 5, 3, 8) against
     # (0, 4, 1, 6), and a split with m = 4 against m = 3.
-    s = generate_random_convex(9, seed=2)
-    t = rotate_set(s)
-    replaced = dataclasses.replace(s, xs=t.xs, ys=t.ys)
-    assert _extremes(replaced) == (0, 4, 1, 6)
-    assert split_by_bt_line(replaced).m == 3
+    t = rotate_set(generate_random_convex(9, seed=2))
+    fresh = validate(zip(t.xs, t.ys))
+    assert _extremes(fresh) == (0, 4, 1, 6)
+    assert split_by_bt_line(fresh).m == 3
 
 
 def test_set_operators_scan_no_column(monkeypatch):
@@ -188,6 +196,7 @@ def test_set_operators_scan_no_column(monkeypatch):
     # index arithmetic: reading them afterwards runs no max or min.
     s = generate_random_convex(16, seed=5)
     _extremes(s)
+    fresh = validate(zip(s.xs, s.ys))  # reads its extremes from the columns
 
     def scan(*args):
         raise AssertionError("a column was scanned")
@@ -198,11 +207,9 @@ def test_set_operators_scan_no_column(monkeypatch):
     turned_back = mirror_set(rotated)
     seen = [_extremes(t) for t in (rotated, mirrored, turned_back)]
     with pytest.raises(AssertionError, match="scanned"):
-        ConvexPointSet(s.xs, s.ys).top_index
+        fresh.top_index
     monkeypatch.undo()
-    assert seen == [
-        _extremes(ConvexPointSet(t.xs, t.ys)) for t in (rotated, mirrored, turned_back)
-    ]
+    assert seen == [_column_extremes(t) for t in (rotated, mirrored, turned_back)]
 
 
 def test_sets_equal_hash_and_pickle_by_columns(monkeypatch):
@@ -221,23 +228,28 @@ def test_sets_equal_hash_and_pickle_by_columns(monkeypatch):
     assert s.points is points
     monkeypatch.undo()
     assert built == list(points) == list(zip(s.xs, s.ys))
-    fresh = ConvexPointSet(s.xs, s.ys)
+    fresh = validate(zip(s.xs, s.ys))
     assert fresh == s and hash(fresh) == hash(s)
     assert fresh.points == s.points and repr(fresh) == repr(s)
     # The columns are the only fields: the extreme indices, like the points,
-    # are a cache and take no part in equality, hashing or the constructor.
+    # are a cache and take no part in equality or hashing. The constructor
+    # refuses them; only validate() and the symmetry operators build a set.
     assert [f.name for f in dataclasses.fields(s)] == ["xs", "ys"]
+    with pytest.raises(PreconditionViolated, match=r"built by validate\(\)"):
+        ConvexPointSet(s.xs, s.ys)
     assert mirror_set(s) != s and rotate_set(s) != s
     assert mirror_set(mirror_set(s)) == s
     t = s
     for _ in range(4):
         t = rotate_set(t)
     assert t == s and hash(t) == hash(s)
+    # pickle and copy go back through the door.
     for t in (s, fresh, rotate_set(s), mirror_set(s)):
-        back = pickle.loads(pickle.dumps(t))
-        assert back == t and hash(back) == hash(t)
-        assert (back.xs, back.ys, _extremes(back)) == (t.xs, t.ys, _extremes(t))
-        assert back.points == t.points
+        assert t.__reduce__()[0] is validate
+        for back in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+            assert back == t and hash(back) == hash(t)
+            assert (back.xs, back.ys, _extremes(back)) == (t.xs, t.ys, _extremes(t))
+            assert back.points == t.points
 
 
 def _identity_pdce(s):

@@ -8,6 +8,7 @@ from hypothesis import given
 
 from pdce import (
     DirPath,
+    DuplicateY,
     Embedding,
     InternalCaseError,
     InvalidEmbedding,
@@ -27,8 +28,8 @@ from pdce import (
 )
 from pdce import embedder, validator
 from pdce.render import render_svg
-from pdce.geometry import COORD_LIMIT, ConvexPointSet, Point, orientation
-from pdce.validator import _segments_scalar
+from pdce.geometry import COORD_LIMIT, ConvexPointSet, Point, orientation, segments_intersect
+from pdce.validator import _sweep
 from conftest import ALL_MODES, convex_sets, random_path
 
 try:
@@ -109,12 +110,23 @@ def test_report_direction_first():
     assert d["is_pdce"] is False and d["first_violation"][0] == "direction"
 
 
-def test_report_segments_last():
-    # Only a set that is not convex can pass the labels and the prefix arcs
-    # and still cross: the constructor trusts its columns, so build one.
+def test_non_convex_columns_are_refused_at_the_door():
+    # Walking these points in order passes the labels LRLLR and the prefix
+    # arcs, yet crosses: two share a y value and one lies inside the hull of
+    # the rest, so no set holds them.
     pts = [(12, 9), (1, 0), (10, 0), (0, 10), (-1, 4), (4, 5)]
-    s = ConvexPointSet(*map(tuple, zip(*pts)))
-    report = validate_embedding(DirPath("LRLLR"), s, Embedding(tuple(range(6))))
+    with pytest.raises(DuplicateY):
+        validate(pts)
+    with pytest.raises(PreconditionViolated, match=r"built by validate\(\)"):
+        ConvexPointSet(*map(tuple, zip(*pts)))
+
+
+def test_report_segments_last(monkeypatch):
+    # On a set that validate() accepted, a drawing that passes its labels and
+    # the prefix arcs is crossing-free: only a segment route that disagrees
+    # with the prefix route reports ("segments",), so force one.
+    monkeypatch.setattr(validator, "_sweep", lambda xs, ys: False)
+    report = validate_embedding(DirPath("URDU"), S5, URDU_E)
     assert report.direction_consistent and report.planar_prefix
     assert not report.planar_segments
     assert report.first_violation == ("segments",)
@@ -435,32 +447,36 @@ def _at_coordinate_limit():
     return validate(pts)
 
 
-@pytest.fixture
-def count_fallbacks(monkeypatch):
-    calls = []
+def _segments_scalar(xs, ys):
+    """The oracle of the sweep: the pair loop with exact closed-segment
+    predicates over the walk through the points (xs[k], ys[k]). Edges i and
+    i+1 share a vertex and are not tested, as in the sweep."""
+    pts = list(zip(xs, ys))
+    edges = list(zip(pts, pts[1:]))
+    return not any(
+        segments_intersect(*edges[i], *edges[j])
+        for i in range(len(edges))
+        for j in range(i + 2, len(edges))
+    )
 
-    def scalar(s, e):
-        calls.append(s.n)
-        return _segments_scalar(s, e)
 
-    monkeypatch.setattr(validator, "_segments_scalar", scalar)
-    return calls
+def _walk_columns(s, e):
+    return [s.xs[i] for i in e.assignment], [s.ys[i] for i in e.assignment]
 
 
-def _assert_matches_scalar(cases, convex=True):
+def _assert_matches_scalar(cases):
     verdicts = {True: 0, False: 0}
     for s, e in cases:
-        want = _segments_scalar(s, e)
+        want = _segments_scalar(*_walk_columns(s, e))
         assert check_planarity_segments(s, e) == want, (s, e)
-        assert not convex or check_planarity_prefix(s, e) == want
+        assert check_planarity_prefix(s, e) == want
         verdicts[want] += 1
     assert verdicts[True] and verdicts[False], verdicts
     return verdicts
 
 
-def test_segments_match_scalar_on_seeded_corpus(count_fallbacks):
+def test_segments_match_scalar_on_seeded_corpus():
     verdicts = _assert_matches_scalar(_seeded_corpus())
-    assert not count_fallbacks
     print(f"{verdicts[True]} planar, {verdicts[False]} crossing")
 
 
@@ -473,7 +489,7 @@ def _zigzag_walk(n, start=0):
     return walk
 
 
-def test_sweep_zigzag_walks_match_scalar(monkeypatch, count_fallbacks):
+def test_sweep_zigzag_walks_match_scalar(monkeypatch):
     # Each walk also on the quarter-turned set, where it travels along the
     # other axis, so the sweep runs along each axis.
     rng = random.Random(0x2162)
@@ -490,25 +506,23 @@ def test_sweep_zigzag_walks_match_scalar(monkeypatch, count_fallbacks):
                 cases.append((s, Embedding(tuple(bent))))
     cases += [(rotate_set(s), rotate_embedding(e, s)) for s, e in cases]
     _assert_matches_scalar(cases)
-    assert not count_fallbacks
     axes = {axis for s, e in cases for axis in _swept(monkeypatch, s, e)[1]}
     assert axes == {"x", "y"}
 
 
-# Hand-built points in general position, not in convex position. Edge
+# Hand-built points in general position, not in convex position, so no set
+# holds them: the sweep core runs on the columns of their walks. Edge
 # t = (12,9)-(1,0) crosses edge s = (10,0)-(0,10) at x = 119/20, and up to
 # x = 4 the edges (-1,4)-(4,5) and (4,5)-(3,5) run between them.
-_SWEEP_POINTS = (
-    Point(12, 9), Point(1, 0), Point(10, 0), Point(0, 10), Point(-1, 4), Point(4, 5), Point(3, 5)
-)
+_SWEEP_POINTS = ((12, 9), (1, 0), (10, 0), (0, 10), (-1, 4), (4, 5), (3, 5))
 
 
-def _hand_built(pts, turned=False):
-    # An unvalidated set, straight from the coordinate columns of pts, or of
-    # pts turned a quarter counterclockwise, (x, y) -> (-y, x), index by index.
+def _columns(pts, walk, turned=False):
+    # The coordinate columns of the walk through pts, or through pts turned a
+    # quarter counterclockwise, (x, y) -> (-y, x), index by index.
     if turned:
-        pts = [Point(-q.y, q.x) for q in pts]
-    return ConvexPointSet(tuple(q.x for q in pts), tuple(q.y for q in pts))
+        pts = [(-y, x) for x, y in pts]
+    return [pts[i][0] for i in walk], [pts[i][1] for i in walk]
 
 
 def _swept(monkeypatch, s, e):
@@ -544,47 +558,27 @@ def _swept(monkeypatch, s, e):
         (7, (0, 1, 2, 5, 3, 4, 6), False),
     ],
 )
-def test_sweep_events_match_scalar(monkeypatch, count_fallbacks, n, walk, planar):
-    # The points have two pairs of equal y values, so the sweep runs along
-    # x; on the quarter-turned points those are x values, so it runs along
-    # y, through the same events.
-    e = Embedding(walk)
-    for turned, axis in ((False, "x"), (True, "y")):
-        s = _hand_built(_SWEEP_POINTS[:n], turned)
-        assert _swept(monkeypatch, s, e) == (planar, [axis])
-        assert _segments_scalar(s, e) == planar
-    assert not count_fallbacks
+def test_sweep_events_match_scalar(n, walk, planar):
+    # The points have two pairs of equal y values, so they are swept along x;
+    # on the quarter-turned points those are x values, so the turned columns
+    # are swept along y, transposed, through the same events.
+    xs, ys = _columns(_SWEEP_POINTS[:n], walk)
+    assert _sweep(xs, ys) == _segments_scalar(xs, ys) == planar
+    xs, ys = _columns(_SWEEP_POINTS[:n], walk, turned=True)
+    assert _sweep(ys, xs) == _segments_scalar(xs, ys) == planar
 
 
-def test_sweep_every_walk_on_the_hand_built_set(count_fallbacks):
-    for turned in (False, True):
-        s = _hand_built(_SWEEP_POINTS, turned)
-        assert all(orientation(*tri) for tri in itertools.combinations(s.points, 3))
-        assert len({pt.y if turned else pt.x for pt in s.points}) == s.n
-        cases = [(s, Embedding(perm)) for perm in itertools.permutations(range(s.n))]
-        _assert_matches_scalar(cases, convex=False)
-    assert not count_fallbacks
-
-
-def test_sweep_takes_the_other_axis_on_ties(monkeypatch, count_fallbacks):
-    # Two equal x values and none equal in y: every walk is swept along y,
-    # also the ones that travel more along y, for which the sweep would
-    # otherwise run along x.
-    pts = (Point(0, 0), Point(4, 1), Point(1, 10), Point(4, 20), Point(2, 25))
-    s = _hand_built(pts)
-    assert all(orientation(*tri) for tri in itertools.combinations(pts, 3))
-    verdicts, x_preferred = set(), 0
-    for perm in itertools.permutations(range(s.n)):
-        e = Embedding(perm)
-        walk = [pts[i] for i in perm]
-        x_travel = sum(abs(b.x - a.x) for a, b in zip(walk, walk[1:]))
-        y_travel = sum(abs(b.y - a.y) for a, b in zip(walk, walk[1:]))
-        x_preferred += x_travel <= y_travel
-        verdict, axes = _swept(monkeypatch, s, e)
-        assert axes == ["y"] and verdict == _segments_scalar(s, e), perm
-        verdicts.add(verdict)
-    assert x_preferred and verdicts == {True, False}
-    assert not count_fallbacks
+def test_sweep_every_walk_on_the_hand_built_set():
+    assert all(orientation(*tri) for tri in itertools.combinations(_SWEEP_POINTS, 3))
+    verdicts = set()
+    for walk in itertools.permutations(range(len(_SWEEP_POINTS))):
+        xs, ys = _columns(_SWEEP_POINTS, walk)
+        want = _segments_scalar(xs, ys)
+        assert _sweep(xs, ys) == want, walk
+        xs, ys = _columns(_SWEEP_POINTS, walk, turned=True)
+        assert _sweep(ys, xs) == want, walk
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("subset, axis", [("ULR", "y"), ("DLR", "y"), ("UDR", "x"), ("UDL", "x")])
@@ -606,80 +600,80 @@ def test_sweep_axis_of_zigzag_walks(monkeypatch):
         assert _swept(monkeypatch, s, e) == (True, [axis])
 
 
-def test_segments_match_scalar_exhaustive_n_le_7(count_fallbacks):
+def test_segments_match_scalar_exhaustive_n_le_7():
     for seed in range(3):
         for n in range(2, 8):
             s = generate_random_convex(n, seed=seed, mode="general")
             for t in (s, rotate_set(s)):
                 for perm in itertools.permutations(range(n)):
                     e = Embedding(perm)
-                    assert check_planarity_segments(t, e) == _segments_scalar(t, e), (t, e)
-    assert not count_fallbacks
+                    want = _segments_scalar(*_walk_columns(t, e))
+                    assert check_planarity_segments(t, e) == want, (t, e)
 
 
-def test_segments_exact_at_coordinate_limit(count_fallbacks):
+def test_segments_exact_at_coordinate_limit():
     s = _at_coordinate_limit()
     coords = {c for pt in s.points for c in (pt.x, pt.y)}
     assert {-COORD_LIMIT, COORD_LIMIT, COORD_LIMIT - 1} <= coords
     rng = random.Random(0x2_30)
     cases = [(t, e) for t in (s, rotate_set(s)) for e in _walks(rng, s.n, 150)]
     cases += [(s, Embedding(tuple(rng.sample(range(s.n), s.n)))) for _ in range(150)]
+    # A validated set has no collinear triple, so an InternalCaseError from a
+    # zero side would mean a side test judged two unequal terms equal.
     _assert_matches_scalar(cases)
-    # A validated set has no collinear triple, so a fallback would mean a
-    # side test judged two unequal terms equal.
-    assert not count_fallbacks
 
 
-def test_segments_fall_back_on_collinear_points(count_fallbacks):
-    # Hand-built sets, not validated. c and d share an x value, so the pair
-    # loop gives the verdict; the x values of apart are distinct and the
-    # sweep meets no zero side on this walk, so it gives the verdict itself.
-    a, b, c, d = Point(0, 0), Point(4, 0), Point(2, 0), Point(2, 5)
-    touching = _hand_built((a, b, c, d))  # c lies on segment a-b
-    assert not check_planarity_segments(touching, Embedding((0, 1, 3, 2)))
-    assert count_fallbacks == [4]
-    apart = _hand_built((a, Point(1, 0), Point(3, 0), d))  # collinear, disjoint
-    assert check_planarity_segments(apart, Embedding((0, 1, 3, 2)))
-    assert count_fallbacks == [4]
-    for t in (touching, apart):
-        for perm in itertools.permutations(range(4)):
-            e = Embedding(perm)
-            assert check_planarity_segments(t, e) == _segments_scalar(t, e)
+def test_segments_zero_side_is_a_bug(monkeypatch):
+    # A validated set has no zero side: one is reported as a bug, not a verdict.
+    monkeypatch.setattr(validator, "_sweep", lambda xs, ys: None)
+    with pytest.raises(InternalCaseError, match="zero side"):
+        check_planarity_segments(S5, URDU_E)
 
 
-def test_segments_match_scalar_on_grid_sets(count_fallbacks):
-    # Hand-built sets of 3-6 points on a 5x5 grid, with collinear triples and
-    # touching edges; every second set has distinct x values, so the sweep
-    # runs on it until it meets a zero side. Every walk agrees with the pair
-    # loop, and the sweep gives some of the verdicts itself.
+def test_sweep_reports_a_zero_side_on_collinear_points():
+    # Hand-built points with distinct x values and three collinear. On the
+    # first, (2,0) lies on the edge (0,0)-(4,0) that it does not end, a touch
+    # that no crossing test sees: the sweep reports the zero side, where the
+    # pair loop finds the touch. On the second the three are apart, and the
+    # sweep meets no zero side on this walk.
+    walk = (0, 1, 3, 2)
+    touching = _columns(((0, 0), (4, 0), (2, 0), (3, 5)), walk)
+    assert _sweep(*touching) is None and not _segments_scalar(*touching)
+    apart = _columns(((0, 0), (1, 0), (3, 0), (2, 5)), walk)
+    assert _sweep(*apart) is True and _segments_scalar(*apart)
+
+
+def test_segments_match_scalar_on_grid_sets():
+    # Hand-built points of 3-5 distinct x values on a 5x5 grid, with
+    # collinear triples and touching edges. On every walk the sweep either
+    # reports a zero side or gives the pair loop's verdict, and each of the
+    # three happens.
     rng = random.Random(0x5A5)
-    grid = [Point(x, y) for x in range(5) for y in range(5)]
-    verdicts = {True: 0, False: 0}
-    for k in range(60):
-        if k % 2:
-            pts = rng.sample(grid, rng.randint(3, 6))
-        else:
-            pts = [Point(x, rng.randrange(5)) for x in rng.sample(range(5), rng.randint(3, 5))]
-        s = _hand_built(pts)
-        for perm in itertools.permutations(range(s.n)):
-            e = Embedding(perm)
-            want = _segments_scalar(s, e)
-            assert check_planarity_segments(s, e) == want, (s, e)
-            verdicts[want] += 1
-    assert verdicts[True] and verdicts[False], verdicts
-    assert 0 < len(count_fallbacks) < verdicts[True] + verdicts[False]
+    verdicts = {True: 0, False: 0, None: 0}
+    for _ in range(30):
+        pts = [(x, rng.randrange(5)) for x in rng.sample(range(5), rng.randint(3, 5))]
+        for walk in itertools.permutations(range(len(pts))):
+            xs, ys = _columns(pts, walk)
+            got = _sweep(xs, ys)
+            assert got is None or got == _segments_scalar(xs, ys), (pts, walk)
+            verdicts[got] += 1
+    assert all(verdicts.values()), verdicts
 
 
-def test_segments_need_no_convex_position(count_fallbacks):
-    # A hand-built set in general position but not convex: a line through
+def test_segments_need_no_convex_position():
+    # Hand-built points in general position but not convex: a line through
     # one edge can separate another edge that it does not cross, so each
-    # edge of a pair must separate the other.
-    pts = (Point(0, 0), Point(10, 1), Point(5, 3), Point(2, 9), Point(8, 7), Point(4, -6))
+    # edge of a pair must separate the other. Both columns are distinct, so
+    # every walk is swept along each axis.
+    pts = ((0, 0), (10, 1), (5, 3), (2, 9), (8, 7), (4, -6))
     assert all(orientation(*tri) for tri in itertools.combinations(pts, 3))
-    s = _hand_built(pts)
-    cases = [(s, Embedding(perm)) for perm in itertools.permutations(range(s.n))]
-    _assert_matches_scalar(cases, convex=False)
-    assert not count_fallbacks
+    verdicts = set()
+    for walk in itertools.permutations(range(len(pts))):
+        xs, ys = _columns(pts, walk)
+        want = _segments_scalar(xs, ys)
+        assert _sweep(xs, ys) == _sweep(ys, xs) == want, walk
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_segments_within_budget_at_n2000():

@@ -57,3 +57,23 @@ def test_bench_workloads_run_on_the_library():
         for idx, inst in enumerate(setup.instances):
             out = getattr(pdce, inst.fn)(*inst.args)
             assert checker.check(idx, inst, out), (workload, idx, inst.fn)
+
+
+def test_failing_property_test_shows_its_counterexample(tmp_path):
+    # Under the suite's warning filters, a failing @given test must report
+    # its falsifying example, not an INTERNALERROR from hypothesis's report hook.
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(database=None)\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 5\n"
+    )
+    out = _run_child(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_fails.py"],
+        cwd=tmp_path,
+    )
+    assert out.returncode == 1, out.stdout + out.stderr
+    assert "Falsifying example" in out.stdout
+    assert "INTERNALERROR" not in out.stdout + out.stderr
