@@ -38,8 +38,7 @@ stops at the first one and a NO costs only its longest embeddable prefix.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InternalCaseError
 from .geometry import ConvexPointSet, _unimodal_runs
@@ -47,8 +46,7 @@ from .paths import DirPath, Embedding
 from .validator import require_pdce, require_same_size
 
 
-@dataclass
-class DPTable:
+class DPTable(NamedTuple):
     """Reachability table; row r describes prefixes of r+1 placed vertices.
 
     near[r, j] holds when the prefix occupies the arc {j, .., j+r} (mod n)

@@ -31,8 +31,7 @@ a wrong drawing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import FourDirectional, InternalCaseError, PreconditionViolated
 from .geometry import ConvexPointSet, SetTag, classify, split_by_bt_line
@@ -214,8 +213,7 @@ _RUNNERS = {
 }
 
 
-@dataclass(frozen=True)
-class CasePart:
+class CasePart(NamedTuple):
     """One piece of a divide-and-conquer plan.
 
     pool holds indices into the parent canonical set, in hull order; vertex bounds are
@@ -231,8 +229,7 @@ class CasePart:
     method: str  # left_sided | right_sided | strip | sort_up | sort_down
 
 
-@dataclass(frozen=True)
-class CasePlan:
+class CasePlan(NamedTuple):
     case_tag: str
     m: int
     alpha: int

@@ -23,7 +23,6 @@ import operator
 import random
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, repeat
 from typing import Iterable, NamedTuple, Sequence
@@ -129,28 +128,41 @@ def segments_intersect(a, b, c, d) -> bool:
     )
 
 
-@dataclass(frozen=True)
+def _read_only(self, name, *value):
+    # __setattr__ and __delattr__ of the records that are not tuples.
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
 class ConvexPointSet:
     """Strictly convex general-position points in canonical hull order.
 
     Point k is (xs[k], ys[k]); point 0 is the topmost and the order runs
-    counterclockwise. Equality and hashing go by the two columns. validate()
-    is the one door for outside input, and the symmetry operators build from
-    a valid set by index arithmetic. The constructor and dataclasses.replace
-    refuse; pickle and copy go through validate(). The four extreme indices
-    (which the symmetry operators seed), the two axis orders and points, the
-    pairs as unchecked Point tuples, are read from the columns on first use
-    and cached.
+    counterclockwise. Equality and hashing go by the two columns, which are
+    read-only. validate() is the one door for outside input, and the
+    symmetry operators build from a valid set by index arithmetic. The
+    constructor refuses; pickle and copy go through validate(). The four
+    extreme indices (which the symmetry operators seed), the two axis orders
+    and points, the pairs as unchecked Point tuples, are read from the
+    columns on first use and cached.
     """
 
     xs: tuple[int, ...]
     ys: tuple[int, ...]
+    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, *args, **kwargs) -> None:
         raise PreconditionViolated("a ConvexPointSet is built by validate(), from (x, y) pairs")
 
     def __reduce__(self):
         return validate, (tuple(zip(self.xs, self.ys)),)
+
+    def __eq__(self, other):
+        if other.__class__ is not ConvexPointSet:
+            return NotImplemented
+        return self.xs == other.xs and self.ys == other.ys
+
+    def __hash__(self) -> int:
+        return hash((self.xs, self.ys))
 
     @property
     def n(self) -> int:
@@ -321,8 +333,7 @@ def classify(s: ConvexPointSet) -> frozenset[SetTag]:
     return frozenset(tags)
 
 
-@dataclass(frozen=True)
-class SplitDescriptor:
+class SplitDescriptor(NamedTuple):
     """How the directed bottom-to-top line partitions a point set.
 
     m counts points strictly left of the directed line, positions 1..m in

@@ -27,11 +27,10 @@ arithmetic; they scan no column and leave the points view unbuilt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import neg
 
 from .errors import PreconditionViolated
-from .geometry import ConvexPointSet, _sealed
+from .geometry import ConvexPointSet, _read_only, _sealed
 
 LABELS = "UDLR"
 _NOT_LABELS = str.maketrans("", "", LABELS)
@@ -41,22 +40,35 @@ _ROTATE_LABEL = str.maketrans("ULDR", "LDRU")
 _MIRROR_LABEL = str.maketrans("LR", "RL")
 
 
-@dataclass(frozen=True)
 class DirPath:
     """Edge labels of a directed path; the empty string is a single vertex."""
 
-    labels: str
+    __slots__ = ("labels",)
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.labels, str):
-            raise PreconditionViolated(
-                f"path labels must be a str, got {type(self.labels).__name__}"
-            )
-        bad = self.labels.translate(_NOT_LABELS)  # the non-labels, in order
+    def __init__(self, labels: str) -> None:
+        if not isinstance(labels, str):
+            raise PreconditionViolated(f"path labels must be a str, got {type(labels).__name__}")
+        bad = labels.translate(_NOT_LABELS)  # the non-labels, in order
         if bad:
             raise PreconditionViolated(
                 f"path labels must be drawn from {LABELS}, got {bad[0]!r}"
             )
+        object.__setattr__(self, "labels", labels)
+
+    def __reduce__(self):
+        return DirPath, (self.labels,)
+
+    def __eq__(self, other):
+        if other.__class__ is not DirPath:
+            return NotImplemented
+        return self.labels == other.labels
+
+    def __hash__(self) -> int:
+        return hash((self.labels,))
+
+    def __repr__(self) -> str:
+        return f"DirPath(labels={self.labels!r})"
 
     @property
     def n_vertices(self) -> int:
@@ -67,11 +79,28 @@ class DirPath:
         return frozenset(d for d in LABELS if d in self.labels)
 
 
-@dataclass(frozen=True)
 class Embedding:
     """assignment[i] is the point index hosting vertex i+1."""
 
-    assignment: tuple[int, ...]
+    __slots__ = ("assignment",)
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, assignment: tuple[int, ...]) -> None:
+        object.__setattr__(self, "assignment", assignment)
+
+    def __reduce__(self):
+        return Embedding, (self.assignment,)
+
+    def __eq__(self, other):
+        if other.__class__ is not Embedding:
+            return NotImplemented
+        return self.assignment == other.assignment
+
+    def __hash__(self) -> int:
+        return hash((self.assignment,))
+
+    def __repr__(self) -> str:
+        return f"Embedding(assignment={self.assignment!r})"
 
     def __len__(self) -> int:
         return len(self.assignment)

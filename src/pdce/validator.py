@@ -25,9 +25,8 @@ validate_embedding(). Neither needs numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import sub
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InternalCaseError, InvalidEmbedding, PreconditionViolated, SizeMismatch
 from .geometry import ConvexPointSet
@@ -285,8 +284,7 @@ def require_pdce(p: DirPath, s: ConvexPointSet, e: Embedding, context: str) -> E
     raise InternalCaseError(f"{context}: the drawing has a crossing")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     direction_consistent: bool
     planar_prefix: bool
     planar_segments: bool

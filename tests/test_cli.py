@@ -532,18 +532,31 @@ def test_console_script_smoke(tmp_path):
         assert proc.stderr == "", launcher
 
 
-def test_import_loads_no_json_or_hashlib(tmp_path):
+def test_startup_loads_no_json_hashlib_or_dataclasses(tmp_path):
     # Every CLI call and benchmark setup pays the package import, and every
     # CLI call that of pdce.cli; the JSON door, verify's report, the
     # certificate and the packaged counterexample load json, hashlib and
-    # importlib.resources on first use instead. -S keeps the site module's
-    # own imports out of sys.modules.
-    lazy = "{'json', 'hashlib', 'importlib.resources'}"
+    # importlib.resources on first use instead. The records are named tuples
+    # and small classes, so nothing loads dataclasses and the modules it
+    # brings (inspect, ast, dis, tokenize). -S keeps the site module's own
+    # imports out of sys.modules.
+    unwanted = {"json", "hashlib", "importlib.resources", "dataclasses", "inspect", "ast", "dis",
+                "tokenize"}
     for module in ("pdce", "pdce.cli"):
-        probe = f"import sys, {module}; print(sorted({lazy} & set(sys.modules)))"
+        probe = f"import sys, {module}; print(sorted({unwanted!r} & set(sys.modules)))"
         proc = _run_child([sys.executable, "-S", "-c", probe], tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]", module
+    # A whole `python -m pdce decide` call: -X importtime names on stderr
+    # every module the process imports.
+    points = tmp_path / "three.txt"
+    points.write_text("0 2\n-1 0\n1 -1\n")
+    decide = ["decide", "--points", str(points), "--path", "DU"]
+    proc = _run_child([sys.executable, "-S", "-X", "importtime", "-m", "pdce", *decide], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+    assert "pdce.decider" in imported
+    assert sorted(unwanted & imported) == []
 
 
 def test_package_all_lists_each_public_name_once():

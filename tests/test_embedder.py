@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -12,6 +11,7 @@ from hypothesis import given, settings
 import pdce
 from pdce import (
     DirPath,
+    Embedding,
     FourDirectional,
     InternalCaseError,
     PreconditionViolated,
@@ -723,11 +723,20 @@ def _witness_records():
         yield labels, "udr", _outcome(embed_udr_convex, p, s)
 
 
+def _values(out):
+    # A record as the plain tuple of its field values, nested records
+    # included: an Embedding is (assignment,), a plan and its parts are
+    # tuples already.
+    if isinstance(out, Embedding):
+        return (out.assignment,)
+    return tuple(map(_values, out)) if isinstance(out, tuple) else out
+
+
 def _outcome(fn, p, s):
     # Plans and embeddings are recorded by field values, so renaming a field
     # leaves the digest alone.
     try:
-        return dataclasses.astuple(fn(p, s))
+        return _values(fn(p, s))
     except pdce.PdceError as exc:
         return type(exc).__name__
 

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import itertools
 import pickle
 
@@ -14,11 +13,14 @@ from pdce import (
     Embedding,
     PreconditionViolated,
     SetTag,
+    ValidationReport,
     classify,
+    dp_table,
     generate_random_convex,
     mirror_embedding,
     mirror_path,
     mirror_set,
+    plan_udr_case,
     reverse_embedding,
     reverse_path,
     rotate_embedding,
@@ -170,15 +172,19 @@ def _split_or_error(t):
 
 @pytest.mark.parametrize("mode", ALL_MODES)
 def test_replace_reads_extremes_from_columns(mode):
-    # dataclasses.replace goes through the refusing constructor; the door
-    # builds a set from another set's columns, and that fresh set reads its
-    # extremes from its own columns, not from the source's cache.
+    # A set's columns cannot be swapped in place, and copy.replace (Python
+    # 3.13 and later) is refused; the door builds a set from another set's
+    # columns, and that fresh set reads its extremes from its own columns,
+    # not from the source's cache.
     for n in (2, 3, 4, 9, 16, 45):
         s = generate_random_convex(n, seed=2, mode=mode)
         _extremes(s)  # fill the source's cache first
         for t in (rotate_set(s), mirror_set(s), mirror_set(rotate_set(s))):
-            with pytest.raises(PreconditionViolated, match="validate"):
-                dataclasses.replace(s, xs=t.xs, ys=t.ys)
+            with pytest.raises(AttributeError):
+                s.xs = t.xs
+            if hasattr(copy, "replace"):
+                with pytest.raises(TypeError):
+                    copy.replace(s, xs=t.xs, ys=t.ys)
             fresh = validate(zip(t.xs, t.ys))
             assert fresh == t and hash(fresh) == hash(t)
             assert _extremes(fresh) == _column_extremes(t) == _extremes(t)
@@ -232,9 +238,17 @@ def test_sets_equal_hash_and_pickle_by_columns(monkeypatch):
     assert fresh == s and hash(fresh) == hash(s)
     assert fresh.points == s.points and repr(fresh) == repr(s)
     # The columns are the only fields: the extreme indices, like the points,
-    # are a cache and take no part in equality or hashing. The constructor
-    # refuses them; only validate() and the symmetry operators build a set.
-    assert [f.name for f in dataclasses.fields(s)] == ["xs", "ys"]
+    # are a cache and take no part in equality or hashing. Neither can be
+    # assigned, and the constructor refuses them; only validate() and the
+    # symmetry operators build a set.
+    _extremes(s)
+    assert "top_index" in vars(s) and "top_index" not in vars(fresh)
+    assert fresh == s and hash(fresh) == hash(s)
+    for name in ("xs", "ys", "top_index", "points"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, getattr(fresh, name))
+        with pytest.raises(AttributeError):
+            delattr(s, name)
     with pytest.raises(PreconditionViolated, match=r"built by validate\(\)"):
         ConvexPointSet(s.xs, s.ys)
     assert mirror_set(s) != s and rotate_set(s) != s
@@ -294,3 +308,45 @@ def test_embedding_container():
     e = Embedding((2, 0, 1))
     assert len(e) == 3
     assert e[0] == 2 and e[2] == 1
+
+
+def test_records_are_values():
+    # Every public record round-trips through pickle and copy to an equal
+    # value, with an equal hash where it has one, refuses assignment and
+    # keeps the repr its fields spell out. The five records that are named
+    # tuples equal the plain tuple of their fields.
+    s = validate([(5, 6), (1, 4), (-1, 2), (0, 0), (4, 1)])
+    p, e = DirPath("UDUR"), Embedding((0, 1, 2, 3, 4))
+    report, table, split = validate_embedding(p, s, e), dp_table(p, s), split_by_bt_line(s)
+    plan = plan_udr_case(p, s)
+    records = [(p, "labels"), (e, "assignment"), (s, "xs"), (report, "first_violation"),
+               (table, "near_bits"), (split, "m"), (plan, "parts"), (plan.parts[0], "pool")]
+    for r, field in records:
+        for back in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)):
+            assert type(back) is type(r) and back == r, r
+            if r is not table:
+                assert hash(back) == hash(r), r
+        with pytest.raises(AttributeError):
+            setattr(r, field, getattr(r, field))
+        assert isinstance(r, tuple) == (type(r) not in (DirPath, Embedding, ConvexPointSet))
+    with pytest.raises(TypeError):
+        hash(table)  # its rows are lists
+    assert all(r == tuple(r) for r in (report, table, split, plan, plan.parts[0]))
+    assert repr(p) == "DirPath(labels='UDUR')"
+    assert repr(e) == "Embedding(assignment=(0, 1, 2, 3, 4))"
+    assert repr(s) == "ConvexPointSet([(5, 6), (1, 4), (-1, 2), (0, 0), (4, 1)])"
+    # ValidationReport builds positionally, as perfbench/selftest.py builds it.
+    assert repr(ValidationReport(True, True, True, None)) == (
+        "ValidationReport(direction_consistent=True, planar_prefix=True, "
+        "planar_segments=True, first_violation=None)"
+    )
+    assert repr(table) == (
+        "DPTable(n=5, near_bits=[31, 7, 24, 7, 11], far_bits=[31, 24, 23, 30, 22])"
+    )
+    assert repr(split) == "SplitDescriptor(m=2, alpha=1, beta=5)"
+    assert repr(plan) == (
+        "CasePlan(case_tag='down-up', m=2, alpha=1, beta=5, i=None, j=None, a=None, b=None, "
+        "c=None, e=None, parts=(CasePart(name='left-cap', pool=(1, 2, 3), first_vertex=1, "
+        "last_vertex=3, method='left_sided'), CasePart(name='right-cap', pool=(0, 3, 4), "
+        "first_vertex=3, last_vertex=5, method='right_sided')))"
+    )
