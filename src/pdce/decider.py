@@ -22,8 +22,8 @@ DPTable), and is computed bit-parallel over all anchors in a constant number
 of big-int operations, in the style of Myers' bit-vector DP (JACM 1999).
 With d the label of row r:
 
-    near_r = rot1(near) & DOWN_d | rot1(far) & ~C_r
-    far_r  = near & C_r | far & (UP2_d >> (r-1))
+    nn_r   = rot1(near) & DOWN_d          near_r = nn_r | rot1(far) & ~C_r
+    fn_r   = near & C_r                   far_r  = fn_r | far & (UP2_d >> (r-1))
 
 rot1 moves bit j+1 to bit j cyclically; C_r holds the anchors j whose step
 j -> j+r respects d; bit k of UP_d is set iff the step k -> k+1 respects d,
@@ -31,8 +31,15 @@ so UP_d = C_1, DOWN_d is its complement and UP2_d is UP_d doubled to 2n
 bits. For U and R, C_r is one cyclic interval, found from the set's cached
 extreme indices and two binary searches in the sorted column
 (_comparison_state), so any row can be built alone, in any order; D and L
-swap C_r and ~C_r of their axis. An empty row stays empty, so the loop
-stops at the first one and a NO costs only its longest embeddable prefix.
+swap C_r and ~C_r of their axis. An empty row stays empty, so the row
+generator _rows stops at the first one and a NO costs only its longest
+embeddable prefix.
+
+nn_r and fn_r, the choice rows, are the moves from the near end of the
+previous arc. dp_table keeps near_r and far_r; decide_pdce keeps only the
+choice rows and walks back one bit per row: bit j of nn_r (fn_r) set means
+the near (far) state at anchor j came from the near state at j+1 (j), and
+clear means from the far state there. require_pdce checks the witness.
 """
 
 from __future__ import annotations
@@ -40,7 +47,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import InternalCaseError
 from .geometry import ConvexPointSet, _unimodal_runs
 from .paths import DirPath, Embedding
 from .validator import require_pdce, require_same_size
@@ -117,13 +123,15 @@ def _comparison_state(
 _AXIS = {"U": ("ys", False), "D": ("ys", True), "R": ("xs", False), "L": ("xs", True)}
 
 
-def dp_table(p: DirPath, s: ConvexPointSet) -> DPTable:
-    require_same_size(p, s)
+def _rows(labels: str, s: ConvexPointSet):
+    """Yield (near_r, far_r, nn_r, fn_r) for r = 1, 2, .. up to, and not
+    including, the first empty row (see the module docstring)."""
     n = s.n
     full = (1 << n) - 1
+    top = 1 << (n - 1)
     states = {}  # column -> its comparison state: one per axis
     masks = {}  # label -> (DOWN_d, UP2_d, reversed, state of its axis)
-    for d in set(p.labels):
+    for d in set(labels):
         coord, rev = _AXIS[d]
         if coord not in states:
             ends = (s.bottom_index, s.top_index) if coord == "ys" else (s.left_index, s.right_index)
@@ -133,35 +141,44 @@ def dp_table(p: DirPath, s: ConvexPointSet) -> DPTable:
         up = (up | up >> n) & full
         up, down = (full ^ up, up) if rev else (up, full ^ up)
         masks[d] = (down, up | up << n, rev, lo, rising, falling, ordered)
-    near = [0] * n
-    far = [0] * n
-    near[0] = far[0] = nr = fr = full
-    top = n - 1
+    nr = fr = full
     for r in range(1, n):
-        down, up2, rev, lo, rising, falling, ordered = masks[p.labels[r - 1]]
+        down, up2, rev, lo, rising, falling, ordered = masks[labels[r - 1]]
         a = bisect_left(rising, ordered[n - r])
         b = bisect_left(falling, ordered[r])
+        # The axis's C_r is the run of a+b anchors from lo-b; it or its
+        # complement, the run of n-a-b anchors from lo+a, does not wrap.
         start = (lo - b) % n
-        c = ((1 << (a + b)) - 1) << start
-        if start + a + b > n:
-            c = (c | c >> n) & full
-        c, nc = (full ^ c, c) if rev else (c, full ^ c)
+        if start + a + b <= n:
+            c = ((1 << (a + b)) - 1) << start
+            nc = full ^ c
+        else:
+            nc = ((1 << (n - a - b)) - 1) << (start + a + b - n)
+            c = full ^ nc
+        if rev:
+            c, nc = nc, c
         # near: extend the previous arc {j+1, .., j+r} downward to anchor j,
         # the new vertex lands on j, coming from either end of the old arc.
         # far: extend the previous arc {j, .., j+r-1} upward, the new vertex
         # lands on (j+r) mod n.
-        rot_nr = nr >> 1 | (nr & 1) << top
-        rot_fr = fr >> 1 | (fr & 1) << top
-        nr, fr = rot_nr & down | rot_fr & nc, nr & c | fr & up2 >> (r - 1)
+        nn = (nr >> 1 | top if nr & 1 else nr >> 1) & down
+        fn = nr & c
+        nr = nn | (fr >> 1 | top if fr & 1 else fr >> 1) & nc
+        fr = fn | fr & up2 >> (r - 1)
         if not (nr or fr):
-            break
-        near[r] = nr
-        far[r] = fr
+            return
+        yield nr, fr, nn, fn
+
+
+def dp_table(p: DirPath, s: ConvexPointSet) -> DPTable:
+    require_same_size(p, s)
+    n = s.n
+    near = [0] * n
+    far = [0] * n
+    near[0] = far[0] = (1 << n) - 1
+    for r, row in enumerate(_rows(p.labels, s), 1):
+        near[r], far[r] = row[:2]
     return DPTable(n=n, near_bits=near, far_bits=far)
-
-
-def _lowest_bit(x: int) -> int:
-    return (x & -x).bit_length() - 1
 
 
 def decide_pdce(p: DirPath, s: ConvexPointSet) -> Optional[Embedding]:
@@ -171,34 +188,26 @@ def decide_pdce(p: DirPath, s: ConvexPointSet) -> Optional[Embedding]:
     anchor wins, near end before far end, and the same preference applies
     at every step of the backward walk.
     """
-    table = dp_table(p, s)
+    require_same_size(p, s)
     n = s.n
-    near, far = table.near_bits, table.far_bits
+    nn = [0] * n  # nn[r] and fn[r]: the choice rows nn_r and fn_r
+    fn = [0] * n
+    near, last = (1 << n) - 1, 0  # row 0
+    for last, (near, _, nn_r, fn_r) in enumerate(_rows(p.labels, s), 1):
+        nn[last], fn[last] = nn_r, fn_r
+    if last < n - 1:
+        return None
     # Row n-1's arc is the whole hull, so far[n-1, j] is near[n-1, j-1]:
     # the far row is the near row rotated, and adds no full-length state.
-    if not near[n - 1]:
-        return None
-    j, at_far = _lowest_bit(near[n - 1]), False
-
+    j, at_far = (near & -near).bit_length() - 1, False
     assignment = [0] * n
-    # label -> (column, sign): the step a -> b respects the label iff
-    # sign * (col[b] - col[a]) > 0.
-    steps = {d: (getattr(s, coord), -1 if rev else 1) for d, (coord, rev) in _AXIS.items()}
     for r in range(n - 1, 0, -1):
-        pos = (j + r) % n if at_far else j
-        assignment[r] = pos
-        col, sign = steps[p.labels[r - 1]]
         if at_far:
-            prev_anchor = j
-            from_far_pos = (j + r - 1) % n
+            assignment[r] = (j + r) % n
+            at_far = not fn[r] >> j & 1
         else:
-            prev_anchor = (j + 1) % n
-            from_far_pos = (j + r) % n
-        if near[r - 1] >> prev_anchor & 1 and sign * (col[pos] - col[prev_anchor]) > 0:
-            j, at_far = prev_anchor, False
-        elif far[r - 1] >> prev_anchor & 1 and sign * (col[pos] - col[from_far_pos]) > 0:
-            j, at_far = prev_anchor, True
-        else:
-            raise InternalCaseError("witness reconstruction lost the trail")
+            assignment[r] = j
+            at_far = not nn[r] >> j & 1
+            j = (j + 1) % n
     assignment[0] = j
     return require_pdce(p, s, Embedding(tuple(assignment)), "reconstructed witness")

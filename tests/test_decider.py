@@ -84,16 +84,18 @@ def test_counterexample_fixture_is_no(monkeypatch):
     p, s, _ = load_counterexample()
     assert decide_pdce(p, s) is None
     # A full-length state that no earlier row leads to: the backward walk
-    # finds no predecessor and says so instead of inventing one.
-    real = decider.dp_table
+    # follows the choice bits all the same, and the answer check refuses
+    # what it reconstructs, so a forged state never yields a witness.
+    real = decider._rows
 
-    def forged(p, s):
-        t = real(p, s)
-        t.near_bits[-1] |= 1
-        return t
+    def forged(labels, s):
+        rows = list(real(labels, s))
+        assert len(rows) < s.n - 1  # the real rows die before the last
+        rows += [(0, 0, 0, 0)] * (s.n - 2 - len(rows))
+        yield from rows + [(1, 0, 0, 0)]
 
-    monkeypatch.setattr(decider, "dp_table", forged)
-    with pytest.raises(InternalCaseError, match="witness reconstruction lost the trail"):
+    monkeypatch.setattr(decider, "_rows", forged)
+    with pytest.raises(InternalCaseError, match="reconstructed witness"):
         decide_pdce(p, s)
 
 
@@ -185,6 +187,65 @@ def test_three_directional_always_yes():
         assert decide_pdce(p, s) is not None
 
 
+def _oracle_walk(p, s):
+    """The witness walk from the full table, re-deriving every step.
+
+    From each state it tests both predecessor bits of the previous row and
+    the coordinates of both candidate steps, near end before far end;
+    decide_pdce reads the same choice off one bit of its choice rows.
+    Returns the assignment, or None when row n-1 is empty.
+    """
+    t = dp_table(p, s)
+    n = s.n
+    near, far = t.near_bits, t.far_bits
+    if not near[n - 1]:
+        return None
+    j, at_far = (near[n - 1] & -near[n - 1]).bit_length() - 1, False
+    assignment = [0] * n
+    # label -> (column, sign): the step a -> b respects the label iff
+    # sign * (col[b] - col[a]) > 0.
+    steps = {"U": (s.ys, 1), "D": (s.ys, -1), "R": (s.xs, 1), "L": (s.xs, -1)}
+    for r in range(n - 1, 0, -1):
+        pos = (j + r) % n if at_far else j
+        assignment[r] = pos
+        col, sign = steps[p.labels[r - 1]]
+        if at_far:
+            prev_anchor = j
+            from_far_pos = (j + r - 1) % n
+        else:
+            prev_anchor = (j + 1) % n
+            from_far_pos = (j + r) % n
+        if near[r - 1] >> prev_anchor & 1 and sign * (col[pos] - col[prev_anchor]) > 0:
+            j, at_far = prev_anchor, False
+        elif far[r - 1] >> prev_anchor & 1 and sign * (col[pos] - col[from_far_pos]) > 0:
+            j, at_far = prev_anchor, True
+        else:
+            raise AssertionError(f"the walk lost the trail at row {r}")
+    assignment[0] = j
+    return tuple(assignment)
+
+
+def test_walk_matches_oracle_walk():
+    # Seeded instances of every mode at n <= 200, and two at n = 1000: the
+    # one-bit walk gives the oracle's witness on each YES, whatever the
+    # corpus hash says.
+    rng = random.Random("oracle-walk")
+    cases = []
+    for i, mode in enumerate(GENERATOR_MODES * 4):
+        s = generate_random_convex(rng.randint(1, 200), seed=f"ow-{i}", mode=mode)
+        cases += [(random_path(rng, s.n, a), s) for a in ("UDR", "LUR", "LD", "UDLR")]
+    for alphabet in ("UDR", "RDL"):
+        s = generate_random_convex(1000, seed=f"ow-1000-{alphabet}")
+        cases.append((random_path(random.Random(alphabet), s.n, alphabet), s))
+    yes = 0
+    for p, s in cases:
+        w = decide_pdce(p, s)
+        expected = _oracle_walk(p, s)
+        assert (w and w.assignment) == expected, (p.labels, s.n)
+        yes += expected is not None
+    assert yes >= 3 * 4 * len(GENERATOR_MODES) + 2
+
+
 # --- reference recurrence ----------------------------------------------------
 
 
@@ -195,23 +256,28 @@ def _reference_table(p, s):
     the arc {j+1, .., j+r}, and its far end is j+r, reached from the arc
     {j, .., j+r-1}. Either way the previous current vertex is one of the two
     ends of the previous arc, and the step to the new end must respect label
-    r-1.
+    r-1. Returns (near, far, nn, fn): nn and fn hold the first disjunct of
+    near and far, the move from the near end of the previous arc.
     """
     n, pts = s.n, s.points
     near = [[True] * n] + [[False] * n for _ in range(n - 1)]
     far = [[True] * n] + [[False] * n for _ in range(n - 1)]
+    nn = [[False] * n for _ in range(n)]
+    fn = [[False] * n for _ in range(n)]
     for r in range(1, n):
         d = p.labels[r - 1]
         for j in range(n):
             a = (j + 1) % n  # anchor of the arc left when j is removed
-            near[r][j] = (near[r - 1][a] and edge_ok(d, pts[a], pts[j])) or (
+            nn[r][j] = near[r - 1][a] and edge_ok(d, pts[a], pts[j])
+            near[r][j] = nn[r][j] or (
                 far[r - 1][a] and edge_ok(d, pts[(a + r - 1) % n], pts[j])
             )
             b = (j + r) % n  # the far end, added to the arc {j, .., j+r-1}
-            far[r][j] = (near[r - 1][j] and edge_ok(d, pts[j], pts[b])) or (
+            fn[r][j] = near[r - 1][j] and edge_ok(d, pts[j], pts[b])
+            far[r][j] = fn[r][j] or (
                 far[r - 1][j] and edge_ok(d, pts[(j + r - 1) % n], pts[b])
             )
-    return near, far
+    return near, far, nn, fn
 
 
 def _cells(row: int, n: int) -> str:
@@ -224,16 +290,26 @@ def _live_cells(t) -> list[int]:
 
 
 def _assert_matches_reference(p, s) -> bool:
-    """Assert dp_table equals the reference exactly; return the answer."""
+    """Assert dp_table and the choice rows of _rows equal the reference
+    exactly; return the answer."""
     t = dp_table(p, s)
-    ref_near, ref_far = _reference_table(p, s)
+    ref = _reference_table(p, s)
+    ref_cells = [["".join("01"[cell] for cell in row) for row in table] for table in ref]
     assert len(t.near_bits) == len(t.far_bits) == s.n
-    for bits, ref in ((t.near_bits, ref_near), (t.far_bits, ref_far)):
-        for r, (row, ref_row) in enumerate(zip(bits, ref)):
-            assert _cells(row, s.n) == "".join("01"[cell] for cell in ref_row), r
+    for bits, ref_rows in zip((t.near_bits, t.far_bits), ref_cells):
+        for r, row in enumerate(bits):
+            assert _cells(row, s.n) == ref_rows[r], r
     live = _live_cells(t)
-    if 0 in live:
-        assert not any(live[live.index(0):])
+    alive = live.index(0) if 0 in live else s.n
+    assert not any(live[alive:])
+    # _rows yields (near_r, far_r, nn_r, fn_r) for rows 1, 2, .. and stops
+    # at the first empty row: the table's rows and the reference's first
+    # disjuncts, bit for bit.
+    rows = list(decider._rows(p.labels, s))
+    assert len(rows) == alive - 1
+    for r, row in enumerate(rows, 1):
+        assert row[:2] == (t.near_bits[r], t.far_bits[r]), r
+        assert [_cells(x, s.n) for x in row] == [cells[r] for cells in ref_cells], r
     return live[-1] > 0
 
 
@@ -371,8 +447,8 @@ def test_comparison_rows_are_cyclic_intervals():
 
 def test_one_comparison_row_state_per_axis(monkeypatch):
     # A UDLR path builds one state for y (U, D) and one for x (L, R), and
-    # takes each axis's ends from the set's extreme indices: dp_table scans
-    # no column for its min or max.
+    # takes each axis's ends from the set's extreme indices: neither
+    # dp_table nor decide_pdce scans a column for its min or max.
     s = generate_random_convex(40, seed="axes")
     made = []
     real = pdce.decider._comparison_state
@@ -385,8 +461,11 @@ def test_one_comparison_row_state_per_axis(monkeypatch):
     )
     monkeypatch.setattr(pdce.decider, "min", scan, raising=False)
     monkeypatch.setattr(pdce.decider, "max", scan, raising=False)
-    dp_table(DirPath(("UDLR" * 10)[:39]), s)
-    assert len(made) <= 2
+    p = DirPath(("UDLR" * 10)[:39])
+    for run in (dp_table, decide_pdce):
+        made.clear()
+        run(p, s)
+        assert 1 <= len(made) <= 2, run.__name__
 
 
 def test_exact_at_coordinate_limit():
