@@ -217,41 +217,37 @@ def _build_parser() -> argparse.ArgumentParser:
         "direction-consistent embeddings of labeled paths on convex point sets.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    # The options that several subcommands share, each declared once.
+    points = argparse.ArgumentParser(add_help=False)
+    points.add_argument("--points", required=True, metavar="FILE")
+    path = argparse.ArgumentParser(add_help=False)
+    path.add_argument("--path", required=True, metavar="STRING")
+    embedding = argparse.ArgumentParser(add_help=False)
+    embedding.add_argument("--embedding", required=True, metavar="FILE")
 
-    p_embed = sub.add_parser(
-        "embed", help="construct an embedding (at most three labels, or a monotone chain)"
-    )
-    p_embed.add_argument("--points", required=True, metavar="FILE")
-    p_embed.add_argument("--path", required=True, metavar="STRING")
-    p_embed.set_defaults(func=_cmd_embed)
-
-    p_decide = sub.add_parser("decide", help="decide existence; print a witness or NO")
-    p_decide.add_argument("--points", required=True, metavar="FILE")
-    p_decide.add_argument("--path", required=True, metavar="STRING")
-    p_decide.set_defaults(func=_cmd_decide)
-
-    p_verify = sub.add_parser("verify", help="validate a given embedding, report as JSON")
-    p_verify.add_argument("--points", required=True, metavar="FILE")
-    p_verify.add_argument("--path", required=True, metavar="STRING")
-    p_verify.add_argument("--embedding", required=True, metavar="FILE")
-    p_verify.set_defaults(func=_cmd_verify)
+    sub.add_parser(
+        "embed", parents=[points, path],
+        help="construct an embedding (at most three labels, or a monotone chain)",
+    ).set_defaults(func=_cmd_embed)
+    sub.add_parser(
+        "decide", parents=[points, path], help="decide existence; print a witness or NO"
+    ).set_defaults(func=_cmd_decide)
+    sub.add_parser(
+        "verify", parents=[points, path, embedding],
+        help="validate a given embedding, report as JSON",
+    ).set_defaults(func=_cmd_verify)
 
     p_oracle = sub.add_parser("oracle", help="exhaustive ground-truth tools")
     osub = p_oracle.add_subparsers(dest="oracle_mode", required=True)
-
-    p_count = osub.add_parser("count", help="count planar embeddings and plane paths")
-    p_count.add_argument("--points", required=True, metavar="FILE")
-    p_count.set_defaults(func=_cmd_oracle_count)
-
-    p_all = osub.add_parser("all-pdce", help="list every embedding by brute force")
-    p_all.add_argument("--points", required=True, metavar="FILE")
-    p_all.add_argument("--path", required=True, metavar="STRING")
-    p_all.set_defaults(func=_cmd_oracle_all_pdce)
+    osub.add_parser(
+        "count", parents=[points], help="count planar embeddings and plane paths"
+    ).set_defaults(func=_cmd_oracle_count)
+    osub.add_parser(
+        "all-pdce", parents=[points, path], help="list every embedding by brute force"
+    ).set_defaults(func=_cmd_oracle_all_pdce)
 
     p_search = osub.add_parser("search", help="search for a set admitting no embedding")
-    p_search.add_argument(
-        "--path", default=DEFAULT_COUNTEREXAMPLE_LABELS, metavar="STRING"
-    )
+    p_search.add_argument("--path", default=DEFAULT_COUNTEREXAMPLE_LABELS, metavar="STRING")
     p_search.add_argument("--mode", default="left_sided", choices=GENERATOR_MODES)
     p_search.add_argument("--budget", type=int, default=100_000, metavar="N")
     p_search.add_argument("--seed", default=0, metavar="N")
@@ -264,10 +260,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--count", type=int, default=1, metavar="K")
     p_gen.set_defaults(func=_cmd_gen)
 
-    p_render = sub.add_parser("render", help="draw an embedding as SVG")
-    p_render.add_argument("--points", required=True, metavar="FILE")
-    p_render.add_argument("--path", required=True, metavar="STRING")
-    p_render.add_argument("--embedding", required=True, metavar="FILE")
+    p_render = sub.add_parser(
+        "render", parents=[points, path, embedding], help="draw an embedding as SVG"
+    )
     p_render.add_argument("--svg", metavar="FILE", help="output file (default: stdout)")
     p_render.add_argument(
         "--force", action="store_true", help="draw even if the embedding is invalid"

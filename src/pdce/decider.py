@@ -51,6 +51,8 @@ from .geometry import ConvexPointSet, _unimodal_runs
 from .paths import DirPath, Embedding
 from .validator import require_pdce, require_same_size
 
+__all__ = ["DPTable", "decide_pdce", "dp_table"]
+
 
 class DPTable(NamedTuple):
     """Reachability table; row r describes prefixes of r+1 placed vertices.

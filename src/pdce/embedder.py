@@ -49,6 +49,11 @@ from .paths import (
 )
 from .validator import require_pdce, require_same_size
 
+__all__ = [
+    "backward_embedding", "embed_quarter_convex", "embed_three_directional", "embed_udr_convex",
+    "embed_udr_left_sided", "embed_udr_right_sided", "embed_ur_strip", "plan_udr_case",
+]
+
 UDR = frozenset("UDR")
 UR = frozenset("UR")
 

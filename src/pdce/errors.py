@@ -1,5 +1,12 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "BoundExceeded", "CollinearTriple", "CoordinateRange", "DuplicateX", "DuplicateY",
+    "FourDirectional", "GenerationFailed", "InternalCaseError", "InvalidEmbedding",
+    "NotConvexPosition", "NotFoundWithinBudget", "PdceError", "PreconditionViolated",
+    "SizeMismatch",
+]
+
 
 class PdceError(Exception):
     """Base class for all library-specific errors."""

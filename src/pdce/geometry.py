@@ -38,6 +38,12 @@ from .errors import (
     PreconditionViolated,
 )
 
+__all__ = [
+    "COORD_LIMIT", "ConvexPointSet", "GENERATOR_MODES", "SetTag", "SplitDescriptor", "classify",
+    "format_points_text", "generate_random_convex", "orientation", "parse_points_json",
+    "parse_points_text", "segments_intersect", "split_by_bt_line", "validate",
+]
+
 COORD_LIMIT = 1 << 30
 
 

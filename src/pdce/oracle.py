@@ -40,6 +40,11 @@ from .geometry import (
 from .paths import DirPath, Embedding
 from .validator import _verdicts, edge_ok, require_same_size
 
+__all__ = [
+    "brute_force_pdce", "certificate", "count_plane_spanning_paths",
+    "enumerate_planar_embeddings", "load_counterexample", "search_counterexample",
+]
+
 DEFAULT_COUNTEREXAMPLE_LABELS = "LULRDR"
 ENUMERATION_BOUND = 16
 BRUTE_FORCE_BOUND = 20

@@ -28,9 +28,15 @@ arithmetic; they scan no column and leave the points view unbuilt.
 from __future__ import annotations
 
 from operator import neg
+from typing import Iterable
 
 from .errors import PreconditionViolated
 from .geometry import ConvexPointSet, _read_only, _sealed
+
+__all__ = [
+    "DirPath", "Embedding", "mirror_embedding", "mirror_path", "mirror_set",
+    "reverse_embedding", "reverse_path", "rotate_embedding", "rotate_path", "rotate_set",
+]
 
 LABELS = "UDLR"
 _NOT_LABELS = str.maketrans("", "", LABELS)
@@ -85,8 +91,8 @@ class Embedding:
     __slots__ = ("assignment",)
     __setattr__ = __delattr__ = _read_only
 
-    def __init__(self, assignment: tuple[int, ...]) -> None:
-        object.__setattr__(self, "assignment", assignment)
+    def __init__(self, assignment: Iterable[int]) -> None:
+        object.__setattr__(self, "assignment", tuple(assignment))
 
     def __reduce__(self):
         return Embedding, (self.assignment,)

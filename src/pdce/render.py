@@ -9,6 +9,8 @@ from .geometry import ConvexPointSet
 from .paths import DirPath, Embedding
 from .validator import require_same_size, require_well_formed, validate_embedding
 
+__all__ = ["render_svg"]
+
 CANVAS = 720
 MARGIN = 40.0
 NODE_RADIUS = 9.0

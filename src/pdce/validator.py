@@ -32,6 +32,11 @@ from .errors import InternalCaseError, InvalidEmbedding, PreconditionViolated, S
 from .geometry import ConvexPointSet
 from .paths import DirPath, Embedding
 
+__all__ = [
+    "ValidationReport", "check_direction_consistency", "check_planarity_prefix",
+    "check_planarity_segments", "edge_ok", "validate_embedding",
+]
+
 
 def edge_ok(label: str, a, b) -> bool:
     """Whether the step a -> b of (x, y) pairs strictly respects the label. Ties never pass."""

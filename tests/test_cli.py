@@ -567,6 +567,41 @@ def test_package_all_lists_each_public_name_once():
     namespace = {}
     exec("from pdce import *", namespace)
     assert set(names) <= namespace.keys()
+    # Each module states its own public names, and the package's surface is
+    # their concatenation. A class or function is listed only by the module
+    # that defines it, so no module re-exports an import.
+    modules = [pdce.errors, pdce.geometry, pdce.paths, pdce.validator, pdce.embedder,
+               pdce.decider, pdce.oracle, pdce.render]
+    assert names == [name for module in modules for name in module.__all__]
+    for module in modules:
+        assert len(set(module.__all__)) == len(module.__all__), module.__name__
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if callable(obj):
+                assert obj.__module__ == module.__name__, name
+            assert getattr(pdce, name) is obj, name
+
+
+def test_leaf_usage_lines(monkeypatch, capsys):
+    # The options that several subcommands share are declared once and passed
+    # down; each leaf's usage line names its options in the same order and
+    # with the same metavars. A wide terminal keeps each on one line.
+    monkeypatch.setenv("COLUMNS", "200")
+    modes = "{general,left_sided,quarter_dec,quarter_inc,right_sided,strip}"
+    usages = {
+        "embed": "--points FILE --path STRING",
+        "decide": "--points FILE --path STRING",
+        "verify": "--points FILE --path STRING --embedding FILE",
+        "oracle count": "--points FILE",
+        "oracle all-pdce": "--points FILE --path STRING",
+        "oracle search": f"[--path STRING] [--mode {modes}] [--budget N] [--seed N]",
+        "gen": f"--n N [--seed N] [--mode {modes}] [--count K]",
+        "render": "--points FILE --path STRING --embedding FILE [--svg FILE] [--force]",
+    }
+    for command, options in usages.items():
+        assert run([*command.split(), "--help"]) == 0
+        usage = capsys.readouterr().out.splitlines()[0]
+        assert usage == f"usage: pdce {command} [-h] {options}"
 
 
 def test_module_entry_exit_codes(fixture_files, tmp_path):

@@ -305,9 +305,14 @@ def test_operator_calculus_on_hull_walk_pdces(s):
 
 
 def test_embedding_container():
-    e = Embedding((2, 0, 1))
-    assert len(e) == 3
-    assert e[0] == 2 and e[2] == 1
+    # A list assignment is stored as the tuple, so the two embeddings are one
+    # value with one hash.
+    for assignment in ((2, 0, 1), [2, 0, 1]):
+        e = Embedding(assignment)
+        assert len(e) == 3
+        assert e[0] == 2 and e[2] == 1
+        assert e == Embedding((2, 0, 1)) and hash(e) == hash(Embedding((2, 0, 1)))
+        assert e.assignment == (2, 0, 1)
 
 
 def test_records_are_values():
