@@ -12,10 +12,10 @@ the previous one with O(n) work.
 The labels lie on two axes: a step a -> b respects U iff y[b] > y[a], R
 iff x[b] > x[a], and D and L reverse those tests. Keys are Python ints, so
 the test is exact at any coordinate. Each axis the path uses takes the
-set's coordinate column (ys or xs, one key per hull position) and one
-comparison-row state, read by both of its labels: x and y values are
-pairwise distinct, so every mask of D (L) below is the complement of that
-of U (R).
+set's cached order of hull positions by that coordinate (y_order or
+x_order) and one comparison-row state, read by both of its labels: x and y
+values are pairwise distinct, so every mask of D (L) below is the
+complement of that of U (R).
 
 A row is two Python ints used as n-bit sets, bit j for anchor j (see
 DPTable), and is computed bit-parallel over all anchors in a constant number
@@ -29,7 +29,7 @@ rot1 moves bit j+1 to bit j cyclically; C_r holds the anchors j whose step
 j -> j+r respects d; bit k of UP_d is set iff the step k -> k+1 respects d,
 so UP_d = C_1, DOWN_d is its complement and UP2_d is UP_d doubled to 2n
 bits. For U and R, C_r is one cyclic interval, found from the set's cached
-extreme indices and two binary searches in the sorted column
+extreme indices and two entries of one prefix rank count per axis
 (_comparison_state), so any row can be built alone, in any order; D and L
 swap C_r and ~C_r of their axis. An empty row stays empty, so the row
 generator _rows stops at the first one and a NO costs only its longest
@@ -44,10 +44,11 @@ clear means from the far state there. require_pdce checks the witness.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from itertools import accumulate
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
-from .geometry import ConvexPointSet, _unimodal_runs
+from .geometry import ConvexPointSet
 from .paths import DirPath, Embedding
 from .validator import require_pdce, require_same_size
 
@@ -97,32 +98,34 @@ def _unpack(rows: list[int], n: int):
     return np.unpackbits(grid, axis=1, bitorder="little")[:, :n].astype(bool)
 
 
-def _comparison_state(
-    key: Sequence[int], lo: int, hi: int
-) -> tuple[int, Sequence[int], Sequence[int], list[int]]:
-    """Return (lo, rising, falling, ordered): C_r = {j : key[(j+r) % n] >
-    key[j]}, for any 1 <= r < n, is the cyclic interval lo-b_r, .., lo+a_r-1
-    with a_r = bisect_left(rising, ordered[n-r]) and
-    b_r = bisect_left(falling, ordered[r]).
+def _comparison_state(order: Sequence[int], lo: int, hi: int) -> tuple[int, list[int]]:
+    """Return (lo, rc): C_r = {j : key[(j+r) % n] > key[j]}, for any
+    1 <= r < n, is the cyclic run of a_r + b_r anchors from lo-b_r, with
+    a_r = rc[n-r] and b_r = r - rc[r].
 
-    lo and hi are the positions of the smallest and largest key. The key is
-    x or y, and both are cyclically unimodal along a convex hull, with
-    distinct values: the key rises strictly along lo, .., hi and falls
-    strictly along hi, .., lo (mod n). So rising, the keys at lo, .., hi-1,
-    and falling, those at lo-1, lo-2, .., hi+1, both increase (both come
-    from geometry._unimodal_runs); ordered is the key sorted. Let g(j)
-    count the keys above key[j]; those points form one hull arc next to j.
-    On the rising side it is j+1, .., j+g(j), so j is in C_r iff
-    r <= g(j), that is iff key[j] < ordered[n-r]. On the falling side it is
-    j-g(j), .., j-1, so j is in C_r iff r >= n - g(j), that is iff
-    key[j] < ordered[r]. Each side's members thus form one run from lo, of
-    length a_r and b_r. hi is in no C_r, and C_1 is the rising run.
+    order lists the positions by increasing key, from lo, the smallest, to
+    hi, the largest. The key is x or y, and both are cyclically unimodal
+    along a convex hull, with distinct values: the key rises strictly along
+    lo, .., hi and falls strictly along hi, .., lo (mod n). rc[t] counts the
+    t smallest keys on the rising run lo, .., hi-1, a prefix sum of its
+    flags in key order (n + 1 entries, rc[0] = 0). Let g(j) count the keys
+    above key[j]; those points form one hull arc next to j. On the rising
+    side it is j+1, .., j+g(j), so j is in C_r iff r <= g(j), that is iff
+    key[j] is among the n-r smallest: a_r = rc[n-r] such j. On the falling
+    side it is j-g(j), .., j-1, so j is in C_r iff r >= n - g(j), that is
+    iff key[j] is among the r smallest, which leave out key[hi]: b_r =
+    r - rc[r] such j. Each side's members thus form one run from lo. hi is
+    in no C_r, and C_1 is the rising run.
     """
-    return (lo, *_unimodal_runs(key, lo, hi), sorted(key))
+    n = len(order)
+    run = (b"\1" * ((hi - lo) % n)).ljust(n, b"\0")  # the rising run's flags, from lo on
+    flag = run[n - lo :] + run[: n - lo]  # flag[p]: p is on the rising run
+    # itemgetter of one index returns no tuple; one position is its own order.
+    return lo, list(accumulate(itemgetter(*order)(flag) if n > 1 else flag, initial=0))
 
 
-# label -> (coordinate column, whether the label reverses its axis)
-_AXIS = {"U": ("ys", False), "D": ("ys", True), "R": ("xs", False), "L": ("xs", True)}
+# label -> (its axis, whether the label reverses it)
+_AXIS = {"U": ("y", False), "D": ("y", True), "R": ("x", False), "L": ("x", True)}
 
 
 def _rows(labels: str, s: ConvexPointSet):
@@ -131,31 +134,28 @@ def _rows(labels: str, s: ConvexPointSet):
     n = s.n
     full = (1 << n) - 1
     top = 1 << (n - 1)
-    states = {}  # column -> its comparison state: one per axis
+    states = {}  # axis -> its comparison state, built on the set's cached order
     masks = {}  # label -> (DOWN_d, UP2_d, reversed, state of its axis)
-    for d in set(labels):
-        coord, rev = _AXIS[d]
-        if coord not in states:
-            ends = (s.bottom_index, s.top_index) if coord == "ys" else (s.left_index, s.right_index)
-            states[coord] = _comparison_state(getattr(s, coord), *ends)
-        lo, rising, falling, ordered = states[coord]
-        up = ((1 << len(rising)) - 1) << lo  # C_1, the rising run
-        up = (up | up >> n) & full
-        up, down = (full ^ up, up) if rev else (up, full ^ up)
-        masks[d] = (down, up | up << n, rev, lo, rising, falling, ordered)
+    for d in dict.fromkeys(labels):
+        axis, rev = _AXIS[d]
+        if axis not in states:
+            ends = (s.bottom_index, s.top_index) if axis == "y" else (s.left_index, s.right_index)
+            states[axis] = _comparison_state(getattr(s, axis + "_order"), *ends)
+        lo, rc = states[axis]
+        up = full >> (n - rc[n]) << lo  # C_1, the rising run; D and L take its complement
+        up = (up | up >> n) & full ^ (full if rev else 0)
+        masks[d] = (full ^ up, up | up << n, rev, lo, rc)
     nr = fr = full
-    for r in range(1, n):
-        down, up2, rev, lo, rising, falling, ordered = masks[labels[r - 1]]
-        a = bisect_left(rising, ordered[n - r])
-        b = bisect_left(falling, ordered[r])
-        # The axis's C_r is the run of a+b anchors from lo-b; it or its
-        # complement, the run of n-a-b anchors from lo+a, does not wrap.
+    for r, (down, up2, rev, lo, rc) in enumerate(map(masks.__getitem__, labels), 1):
+        # The axis's C_r, size anchors from start, or its complement does not wrap.
+        b = r - rc[r]
+        size = rc[n - r] + b
         start = (lo - b) % n
-        if start + a + b <= n:
-            c = ((1 << (a + b)) - 1) << start
+        if start + size <= n:
+            c = full >> (n - size) << start
             nc = full ^ c
         else:
-            nc = ((1 << (n - a - b)) - 1) << (start + a + b - n)
+            nc = full >> size << (start + size - n)
             c = full ^ nc
         if rev:
             c, nc = nc, c

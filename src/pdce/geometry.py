@@ -148,8 +148,9 @@ class ConvexPointSet:
     symmetry operators build from a valid set by index arithmetic. The
     constructor refuses; pickle and copy go through validate(). The four
     extreme indices (which the symmetry operators seed), the two axis orders
-    and points, the pairs as unchecked Point tuples, are read from the
-    columns on first use and cached.
+    (positions by increasing x or y, which the decider reads) and points,
+    the pairs as unchecked Point tuples, are read from the columns on first
+    use and cached.
     """
 
     xs: tuple[int, ...]

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -32,6 +33,7 @@ from pdce import (
 )
 from pdce import decider
 from pdce.decider import _comparison_state
+from pdce.geometry import _unimodal_runs
 from conftest import instances, random_path
 
 UD_SET = validate([(0, 0), (2, 3), (4, 1)])
@@ -398,6 +400,18 @@ def _label_ends(d, s):
 
 def _row(state, n, r):
     # C_r from an axis's comparison state, one bit at a time.
+    lo, rc = state
+    a, b = rc[n - r], r - rc[r]
+    return sum(1 << (lo - b + i) % n for i in range(a + b))
+
+
+def _bisection_state(key, lo, hi):
+    # The former state, kept as a second oracle: the column's two increasing
+    # runs and the sorted column, read by two bisections per row.
+    return (lo, *_unimodal_runs(key, lo, hi), sorted(key))
+
+
+def _bisection_row(state, n, r):
     lo, rising, falling, ordered = state
     a = bisect_left(rising, ordered[n - r])
     b = bisect_left(falling, ordered[r])
@@ -406,12 +420,14 @@ def _row(state, n, r):
 
 def test_comparison_rows_are_cyclic_intervals():
     # The state answers any r in any order: every r increasing, a shuffled
-    # and a decreasing choice of r. Each C_r equals the brute-force mask, is
-    # one cyclic run of 1s holding lo and not hi, and the up mask
-    # {k : key[k+1] > key[k]} is C_1. The decider reads D and L off the
-    # states of U and R: C_r of the negated key is the complement of C_r.
-    # Sets from the symmetry operators carry seeded extremes, and generated
-    # sets read theirs from the columns; both are checked against min and max.
+    # and a decreasing choice of r. Each C_r equals the brute-force mask and
+    # the two-bisection oracle, is one cyclic run of 1s holding lo and not
+    # hi, and the up mask {k : key[k+1] > key[k]} is C_1. The decider reads
+    # D and L off the states of U and R: C_r of the negated key, whose order
+    # is the reversed one, is the complement of C_r. Sets from the symmetry
+    # operators carry seeded extremes, and generated sets read theirs from
+    # the columns; both are checked against min and max, and each key order
+    # against the set's cached axis order.
     rng = random.Random(0xC7)
     sets = [_at_coordinate_limit()]
     for mode in GENERATOR_MODES:
@@ -426,14 +442,20 @@ def test_comparison_rows_are_cyclic_intervals():
             key = _label_key(d, s)
             lo, hi = _label_ends(d, s)
             assert key[lo] == min(key) and key[hi] == max(key)
-            state = _comparison_state(key, lo, hi)
-            neg = _comparison_state([-v for v in key], hi, lo)
+            order = sorted(range(n), key=key.__getitem__)
+            cached = s.y_order if d in "UD" else s.x_order
+            assert tuple(order) == (cached if d in "UR" else cached[::-1]), d
+            state = _comparison_state(order, lo, hi)
+            neg = _comparison_state(order[::-1], hi, lo)
+            assert len(state[1]) == n + 1 and state[1][0] == 0
+            oracle = _bisection_state(key, lo, hi)
             shuffled = [r for r in range(1, n) if rng.random() < 0.3]
             rng.shuffle(shuffled)
             decreasing = [r for r in range(n - 1, 0, -1) if rng.random() < 0.3]
             for rows in (range(1, n), shuffled, decreasing):
                 for r in rows:
                     mask = _row(state, n, r)
+                    assert mask == _bisection_row(oracle, n, r), (d, r)
                     assert _row(neg, n, r) == full ^ mask, (d, r)
                     if r == 1:
                         up = sum(1 << k for k in range(n) if key[(k + 1) % n] > key[k])
@@ -447,25 +469,74 @@ def test_comparison_rows_are_cyclic_intervals():
 
 def test_one_comparison_row_state_per_axis(monkeypatch):
     # A UDLR path builds one state for y (U, D) and one for x (L, R), and
-    # takes each axis's ends from the set's extreme indices: neither
-    # dp_table nor decide_pdce scans a column for its min or max.
+    # each reads the set's cached axis order and extreme indices: neither
+    # dp_table nor decide_pdce sorts a column or scans it for its min or
+    # max, and a second decide leaves the set's cached orders in place.
     s = generate_random_convex(40, seed="axes")
     made = []
     real = pdce.decider._comparison_state
 
-    def scan(*args):
-        raise AssertionError("a column was scanned")
+    def scan(*args, **kwargs):
+        raise AssertionError("a column was sorted or scanned")
 
     monkeypatch.setattr(
         pdce.decider, "_comparison_state", lambda *args: made.append(args) or real(*args)
     )
-    monkeypatch.setattr(pdce.decider, "min", scan, raising=False)
-    monkeypatch.setattr(pdce.decider, "max", scan, raising=False)
+    for name in ("min", "max", "sorted"):
+        monkeypatch.setattr(pdce.decider, name, scan, raising=False)
     p = DirPath(("UDLR" * 10)[:39])
     for run in (dp_table, decide_pdce):
         made.clear()
         run(p, s)
         assert 1 <= len(made) <= 2, run.__name__
+        assert {id(args[0]) for args in made} == {id(s.x_order), id(s.y_order)}, run.__name__
+    orders = s.x_order, s.y_order
+    decide_pdce(p, s)
+    assert s.x_order is orders[0] and s.y_order is orders[1]
+
+
+def _read_x_order(s):
+    s.x_order
+    return s
+
+
+# Doors other than validate() into the decider, each giving a fresh set:
+# symmetry images, with seeded extremes and axis orders still to compute; a
+# pickle round trip; and a set whose x_order was read before its first decide.
+_DOORS = {
+    "rotate": rotate_set,
+    "mirror": mirror_set,
+    "mirror-rotate": lambda s: mirror_set(rotate_set(s)),
+    "pickle": lambda s: pickle.loads(pickle.dumps(s)),
+    "x_order-read": lambda s: _read_x_order(validate(zip(s.xs, s.ys))),
+}
+
+
+def test_rows_on_derived_and_restored_sets():
+    # On each door's set, fresh, _rows and dp_table equal the reference, and
+    # decide_pdce, fresh too, gives the answer and the witness of the same
+    # points validated anew, whose orders are read on first use. Random
+    # 4-label paths meet NO on general sets of 40 points or more.
+    rng = random.Random(0xD005)
+    answers = {True: 0, False: 0}
+    for i in range(60):
+        mode = GENERATOR_MODES[i % len(GENERATOR_MODES)]
+        n = rng.randint(40, 56) if mode == "general" else rng.randint(2, 24)
+        base = generate_random_convex(n, seed=f"doors-{i}", mode=mode)
+        for door, make in _DOORS.items():
+            p = random_path(rng, n, "UDR" if i % 4 == 1 else "UDLR")
+            fresh = make(base)
+            cached = {"x_order"} if door == "x_order-read" else set()
+            assert {"x_order", "y_order"} & vars(fresh).keys() == cached, door
+            w = decide_pdce(p, fresh)
+            yes = _assert_matches_reference(p, make(base))
+            twin = validate(zip(fresh.xs, fresh.ys))
+            assert twin == fresh
+            expected = decide_pdce(p, twin)
+            assert yes == (w is not None), (door, i)
+            assert (w and w.assignment) == (expected and expected.assignment), (door, i)
+            answers[yes] += 1
+    assert answers[True] >= 60 and answers[False] >= 20, answers
 
 
 def test_exact_at_coordinate_limit():
