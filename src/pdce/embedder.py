@@ -2,9 +2,13 @@
 
 The entry point for arbitrary convex sets is embed_three_directional, which
 handles every path that avoids at least one of the four labels. It reduces
-everything to the U/D/R case via the reversal, rotation and mirror
-operators, and the U/D/R case is solved by a divide-and-conquer along the
-line through the bottom and top points (plan_udr_case / execute_plan).
+everything to the U/D/R case, solved by a divide-and-conquer along the line
+through the bottom and top points (plan_udr_case / execute_plan). Each call
+picks one frame from the set's extreme points and the labels: plain, mirror
+(x -> -x), quarter turn, or turn+mirror, the transpose (x, y) -> (y, x).
+The core runs once on the frame's set, and its answer returns by one
+gather through the frame's index table (k -> -k, k + r or r - k mod n,
+r = right_index), read backwards if the path was reversed.
 
 The planner only chooses index ranges and point subsets: its caps are hull
 arcs ending on the bottom or the top point, and one rule (_between) carves
@@ -16,9 +20,10 @@ a crossing-free walk fills one hull arc with every suffix, so the walk
 turns the pool, already in hull order, and takes an end of the free arc
 at each step. backward_embedding, whose input is any convex set,
 keeps the generic greedy (_greedy).
-Transformed sets come from rotate_set and mirror_set, by index arithmetic
-on the coordinate columns, never re-validated; planner, executor and walk
-read only n, xs, ys and the extreme indices, never the points view.
+The frame's set comes from rotate_set, mirror_set or paths._transposed_set,
+cut from the coordinate columns with its extremes seeded by index
+arithmetic, never re-validated; planner, executor and walk read only n, xs,
+ys and the extreme indices, never the points view.
 
 Each public entry checks its preconditions, runs an unchecked private core
 and checks the answer once with validator.require_pdce: a type check of
@@ -31,6 +36,7 @@ a wrong drawing.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .errors import FourDirectional, InternalCaseError, PreconditionViolated
@@ -39,10 +45,9 @@ from .paths import (
     _REVERSE_FLIP,
     DirPath,
     Embedding,
-    mirror_embedding,
+    _transposed_set,
     mirror_path,
     mirror_set,
-    reverse_embedding,
     reverse_path,
     rotate_path,
     rotate_set,
@@ -95,6 +100,14 @@ def _greedy(labels: str, s, pool) -> list[int]:
     return out
 
 
+def _extreme(pick, col, pool) -> int:
+    # pick(pool, key=col.__getitem__) by one gather and one column search, as
+    # coordinates are distinct; itemgetter of one index returns no tuple.
+    if len(pool) == 1:
+        return pool[0]
+    return col.index(pick(itemgetter(*pool)(col)))
+
+
 def _walk(labels: str, s, pool) -> list[int]:
     """_greedy on a pool in hull order, when its answer is crossing-free.
 
@@ -109,7 +122,7 @@ def _walk(labels: str, s, pool) -> list[int]:
     ring = list(pool)
     if labels:
         col, up = way[labels[-1]]
-        k = ring.index((max if up else min)(ring, key=col.__getitem__))
+        k = ring.index(_extreme(max if up else min, col, ring))
         ring = ring[k:] + ring[:k]
     lo, hi = 0, len(ring) - 1
     out = []
@@ -136,7 +149,7 @@ def _right_sided(labels: str, s, pool) -> list[int]:
 def _strip(labels: str, s, pool) -> list[int]:
     out = _walk(labels, s, pool)
     if len(pool) >= 2:
-        ends = (min(pool, key=s.ys.__getitem__), min(pool, key=s.xs.__getitem__))
+        ends = (_extreme(min, s.ys, pool), _extreme(min, s.xs, pool))
         if out[0] not in ends:
             raise InternalCaseError("strip endpoint guarantee broken (first vertex)")
     return out
@@ -466,19 +479,6 @@ def embed_udr_convex(p: DirPath, s: ConvexPointSet) -> Embedding:
     return execute_plan(p, s, plan_udr_case(p, s))
 
 
-def _embed_udr_any(p: DirPath, s: ConvexPointSet) -> Embedding:
-    if s.n == 1:
-        return Embedding((0,))
-    if s.xs[s.top_index] > s.xs[s.bottom_index]:
-        return _execute_plan(p, s, plan_udr_case(p, s))
-    # Mirroring puts the top right of the bottom; reversing first keeps the
-    # label set inside U/D/R. Mirroring sm gives s back, by index (-i) mod n.
-    sm = mirror_set(s)
-    pm = mirror_path(reverse_path(p))
-    em = _execute_plan(pm, sm, plan_udr_case(pm, sm))
-    return reverse_embedding(mirror_embedding(em, sm))
-
-
 def embed_three_directional(p: DirPath, s: ConvexPointSet) -> Embedding:
     """Embed any path that avoids at least one label on any convex set."""
     require_same_size(p, s)
@@ -490,19 +490,31 @@ def embed_three_directional(p: DirPath, s: ConvexPointSet) -> Embedding:
 
 
 def _embed_three_directional(p: DirPath, s: ConvexPointSet) -> Embedding:
-    used = p.directions_used()
-    if used <= UDR:
-        return _embed_udr_any(p, s)
-    if used <= frozenset("UDL"):
-        return reverse_embedding(_embed_udr_any(reverse_path(p), s))
-    # A quarter turn takes U/L/R to L/D/U and D/L/R to R/D/U; index k of the
-    # turned set is index (k + right_index) mod n of s.
-    if used <= frozenset("ULR"):
-        e = reverse_embedding(_embed_udr_any(reverse_path(rotate_path(p)), rotate_set(s)))
+    # Paths with L and R take a quarter turn: U/L/R to L/D/U, then reversed,
+    # and D/L/R to R/D/U. Other paths are reversed if they use L. When the
+    # frame's top would lie left of its bottom (for the turned set: when s's
+    # right point lies above its left one), a mirror and one more reversal
+    # follow. Index k of the frame's set is point table[k] of s.
+    n, r = s.n, s.right_index
+    if n == 1:
+        return Embedding((0,))
+    if "L" in p.labels and "R" in p.labels:
+        backwards, mirrored = "D" not in p.labels, s.ys[r] > s.ys[s.left_index]
+        p = rotate_path(p)
+        if mirrored:
+            t, table = _transposed_set(s), (*range(r, -1, -1), *range(n - 1, r, -1))
+        else:
+            t, table = rotate_set(s), (*range(r, n), *range(r))
     else:
-        e = _embed_udr_any(rotate_path(p), rotate_set(s))
-    r, n = s.right_index, s.n
-    return Embedding(tuple((i + r) % n for i in e.assignment))
+        backwards, mirrored = "L" in p.labels, s.xs[s.top_index] < s.xs[s.bottom_index]
+        t, table = (mirror_set(s), (0, *range(n - 1, 0, -1))) if mirrored else (s, None)
+    backwards ^= mirrored
+    if backwards:
+        p = reverse_path(p)
+    if mirrored:
+        p = mirror_path(p)
+    e = _execute_plan(p, t, plan_udr_case(p, t)).assignment[:: -1 if backwards else 1]
+    return Embedding(e if table is None else itemgetter(*e)(table))
 
 
 _QUARTER_INC_COLLAPSE = str.maketrans("RL", "UD")

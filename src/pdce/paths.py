@@ -17,12 +17,15 @@ operator on sets and embeddings pure index arithmetic on an n-point set s:
   holds old point (k + s.right_index) mod n, and old index i becomes
   (i - s.right_index) mod n;
 - mirror: the top stays first and the cycle runs the other way, so new
-  index k holds old point (-k) mod n, and old index i becomes (-i) mod n.
+  index k holds old point (-k) mod n, and old index i becomes (-i) mod n;
+- mirror after rotation, the transpose (x, y) -> (y, x): new index k holds
+  old point (s.right_index - k) mod n.
 
 No operator re-validates: a transformed valid set is valid. rotate_set and
-mirror_set cut and negate the source's coordinate columns and hand
-geometry._sealed the new extreme indices, found by the same index
-arithmetic; they scan no column and leave the points view unbuilt.
+mirror_set cut and negate the source's coordinate columns, _transposed_set
+only cuts them (two reversed slices each), and all hand geometry._sealed
+the new extreme indices, found by the same index arithmetic; they scan no
+column and leave the points view unbuilt.
 """
 
 from __future__ import annotations
@@ -151,6 +154,20 @@ def mirror_set(s: ConvexPointSet) -> ConvexPointSet:
         bottom_index=-s.bottom_index % n,
         left_index=-s.right_index % n,
         right_index=-s.left_index % n,
+    )
+
+
+def _transposed_set(s: ConvexPointSet) -> ConvexPointSet:
+    # mirror_set(rotate_set(s)), (x, y) -> (y, x): the old right, bottom,
+    # left and top points become the new top, left, bottom and right.
+    r, n, xs, ys = s.right_index, s.n, s.xs, s.ys
+    return _sealed(
+        ys[r::-1] + ys[:r:-1],
+        xs[r::-1] + xs[:r:-1],
+        top_index=0,
+        bottom_index=(r - s.left_index) % n,
+        left_index=(r - s.bottom_index) % n,
+        right_index=(r - s.top_index) % n,
     )
 
 

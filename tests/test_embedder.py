@@ -27,8 +27,14 @@ from pdce import (
     embed_udr_right_sided,
     embed_ur_strip,
     generate_random_convex,
+    mirror_embedding,
+    mirror_path,
     mirror_set,
     plan_udr_case,
+    reverse_embedding,
+    reverse_path,
+    rotate_path,
+    rotate_set,
     split_by_bt_line,
     validate,
     validate_embedding,
@@ -594,20 +600,86 @@ def test_quarter_four_label_sound(inst):
     assert validate_embedding(p, s, e).is_pdce
 
 
+def _udr_by_round_trip(p, s, frames, turned):
+    # The U/D/R core on s, or, when s's top lies left of its bottom, on the
+    # mirror image of s with the path reversed, carried back by
+    # mirror_embedding and reverse_embedding.
+    mirrored = s.n > 1 and _top_left_of_bottom(s)
+    frames.add((turned, mirrored))
+    if not mirrored:
+        return embed_udr_convex(p, s)
+    sm = mirror_set(s)
+    em = embed_udr_convex(mirror_path(reverse_path(p)), sm)
+    return reverse_embedding(mirror_embedding(em, sm))
+
+
+def _embed_by_round_trip(p, s, frames):
+    """The three-directional reductions as round trips through transformed
+    sets: U/D/L paths reversed, U/L/R and D/L/R paths on the quarter-turned
+    set (U/L/R ones reversed too), whose index k is point (k + r) mod n of s."""
+    used = p.directions_used()
+    if used <= frozenset("UDR"):
+        return _udr_by_round_trip(p, s, frames, False)
+    if used <= frozenset("UDL"):
+        return reverse_embedding(_udr_by_round_trip(reverse_path(p), s, frames, False))
+    if used <= frozenset("ULR"):
+        q = reverse_path(rotate_path(p))
+        e = reverse_embedding(_udr_by_round_trip(q, rotate_set(s), frames, True))
+    else:
+        e = _udr_by_round_trip(rotate_path(p), rotate_set(s), frames, True)
+    r, n = s.right_index, s.n
+    return Embedding((i + r) % n for i in e.assignment)
+
+
+_COLLAPSE = {
+    SetTag.QUARTER_INC: str.maketrans("RL", "UD"),
+    SetTag.QUARTER_DEC: str.maketrans("RL", "DU"),
+}
+
+
+def test_frames_match_round_trip_oracle():
+    # Each reduction's one frame and one gather give, byte for byte, the
+    # answer of the round trips through rotate_set and mirror_set, on every
+    # set class, each set's mirror image and every three-label subset. The
+    # chains also take four-label paths through embed_quarter_convex, whose
+    # collapsed labels go through the same reductions.
+    rng = random.Random("round-trip")
+    frames, chains = set(), Counter()
+    for mode in ALL_MODES:
+        for n in (2, 3, 4, 5, 8, 40, 300):
+            s = generate_random_convex(n, seed=rng.randrange(1 << 30), mode=mode)
+            for t in (s, mirror_set(s)):
+                for subset in ("UDR", "UDL", "ULR", "DLR"):
+                    p = random_path(rng, n, subset)
+                    want = _embed_by_round_trip(p, t, frames)
+                    assert repr(embed_three_directional(p, t)) == repr(want), (mode, n, p)
+                for tag, table in _COLLAPSE.items():
+                    if tag in classify(t):
+                        chains[tag] += 1
+                        p = random_path(rng, n, "UDLR")
+                        want = _embed_by_round_trip(DirPath(p.labels.translate(table)), t, frames)
+                        assert repr(embed_quarter_convex(p, t)) == repr(want), (mode, n, p)
+    assert frames == {(False, False), (False, True), (True, False), (True, True)}
+    assert min(chains[tag] for tag in _COLLAPSE) >= 7, chains
+
+
 def test_validate_once_check_once(monkeypatch):
     # Transformed sets and plan parts come from index arithmetic, and only
     # the outermost public call checks its answer: no validate() call and
     # one verdict pass per top-level call, which passes, so the per-rule
-    # direction and prefix checks never run. At most one rotate_set
-    # (U/L/R and D/L/R paths only) and one mirror_set (only when the reduced
-    # set's top lies left of its bottom) runs per call; the U/D/R primitives
-    # run on the set itself, without a half turn. No Point is built.
+    # direction and prefix checks never run. Each call builds at most one
+    # set, that of its frame: rotate_set (U/L/R and D/L/R paths), mirror_set
+    # (the other paths, when the set's top lies left of its bottom) or, when
+    # the quarter-turned set's top lies left of its bottom, the transposed
+    # set in place of rotate_set and mirror_set both. The answer comes back
+    # by one gather, with no embedding operator; the U/D/R primitives run on
+    # the frame's set, without a half turn. No Point is built.
     general = generate_random_convex(40, seed=3, mode="general")
     turned = mirror_set(general)
     assert _top_left_of_bottom(general) != _top_left_of_bottom(turned)
     # general's top lies left of its bottom and its right point above its
-    # left one, so a D/L/R path on it takes the quarter-turned set, whose
-    # top then lies left of its bottom, and that set's mirror.
+    # left one, so a D/L/R path on it takes the quarter-turned set's mirror,
+    # the transposed set.
     assert _top_left_of_bottom(general)
     assert general.ys[general.right_index] > general.ys[general.left_index]
     chains = [
@@ -620,6 +692,10 @@ def test_validate_once_check_once(monkeypatch):
         "_first_prefix_failure": pdce.validator._first_prefix_failure,
         "rotate_set": pdce.paths.rotate_set,
         "mirror_set": pdce.paths.mirror_set,
+        "_transposed_set": pdce.paths._transposed_set,
+        "rotate_embedding": pdce.paths.rotate_embedding,
+        "mirror_embedding": pdce.paths.mirror_embedding,
+        "reverse_embedding": pdce.paths.reverse_embedding,
     }
 
     def expected(used, s):
@@ -627,7 +703,12 @@ def test_validate_once_check_once(monkeypatch):
         reduced = originals["rotate_set"](s) if rotated else s
         mirrored = _top_left_of_bottom(reduced)
         branches.add((rotated, mirrored))
-        return +Counter(_verdicts=1, rotate_set=int(rotated), mirror_set=int(mirrored))
+        return +Counter(
+            _verdicts=1,
+            rotate_set=int(rotated and not mirrored),
+            mirror_set=int(mirrored and not rotated),
+            _transposed_set=int(rotated and mirrored),
+        )
 
     calls = Counter()
     for mod_name, mod in list(sys.modules.items()):

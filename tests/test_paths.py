@@ -30,7 +30,9 @@ from pdce import (
     validate,
     validate_embedding,
 )
+from pdce.paths import _transposed_set
 from conftest import ALL_MODES, convex_sets, instances
+from test_embedder import HEX_A1, HEX_A2, S6
 
 paths = st.text(alphabet="UDLR", max_size=12).map(DirPath)
 
@@ -163,6 +165,22 @@ def test_frames_match_transformed_sets(mode):
         assert rotated.top_index == mirrored.top_index == 0
 
 
+def test_transposed_set_is_mirror_of_rotation():
+    # The reductions' turn+mirror frame, built from four slices: both
+    # columns equal mirror_set(rotate_set(s)), and the four extreme indices
+    # it seeds equal the round trip's and the ones read from its columns.
+    sets = [
+        generate_random_convex(n, seed=n, mode=mode)
+        for mode in ALL_MODES
+        for n in (1, 2, 3, 4, 5, 6, 200)
+    ]
+    for s in (*sets, S6, HEX_A1, HEX_A2):
+        t, want = _transposed_set(s), mirror_set(rotate_set(s))
+        assert (t.xs, t.ys) == (want.xs, want.ys)
+        seeded = tuple(vars(t)[f"{k}_index"] for k in ("top", "bottom", "left", "right"))
+        assert seeded == _extremes(want) == _column_extremes(t)
+
+
 def _split_or_error(t):
     try:
         return split_by_bt_line(t)
@@ -198,8 +216,8 @@ def test_replace_reads_extremes_from_columns(mode):
 
 
 def test_set_operators_scan_no_column(monkeypatch):
-    # rotate_set and mirror_set seed the extremes of the set they build by
-    # index arithmetic: reading them afterwards runs no max or min.
+    # rotate_set, mirror_set and _transposed_set seed the extremes of the set
+    # they build by index arithmetic: reading them afterwards runs no max or min.
     s = generate_random_convex(16, seed=5)
     _extremes(s)
     fresh = validate(zip(s.xs, s.ys))  # reads its extremes from the columns
@@ -209,13 +227,12 @@ def test_set_operators_scan_no_column(monkeypatch):
 
     monkeypatch.setattr(geometry, "max", scan, raising=False)
     monkeypatch.setattr(geometry, "min", scan, raising=False)
-    rotated, mirrored = rotate_set(s), mirror_set(s)
-    turned_back = mirror_set(rotated)
-    seen = [_extremes(t) for t in (rotated, mirrored, turned_back)]
+    built = (rotate_set(s), mirror_set(s), mirror_set(rotate_set(s)), _transposed_set(s))
+    seen = [_extremes(t) for t in built]
     with pytest.raises(AssertionError, match="scanned"):
         fresh.top_index
     monkeypatch.undo()
-    assert seen == [_column_extremes(t) for t in (rotated, mirrored, turned_back)]
+    assert seen == [_column_extremes(t) for t in built]
 
 
 def test_sets_equal_hash_and_pickle_by_columns(monkeypatch):
