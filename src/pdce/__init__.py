@@ -5,12 +5,14 @@ convex position so that the straight-line drawing is crossing-free and
 every edge points strictly the way its label says. The package provides
 constructive embedders for the always-solvable regimes, a quadratic
 decision procedure for the general four-label case, exhaustive oracles
-for ground truth at small sizes, and a command line interface.
+for ground truth at small sizes, and a command line interface. Seeded
+instances of every set class come from one module, generate.
 """
 
-from . import errors, geometry, paths, validator, embedder, decider, oracle, render
+from . import errors, geometry, generate, paths, validator, embedder, decider, oracle, render
 from .errors import *
 from .geometry import *
+from .generate import *
 from .paths import *
 from .validator import *
 from .embedder import *
@@ -20,5 +22,5 @@ from .render import *
 
 __version__ = "0.1.0"
 
-__all__ = (errors.__all__ + geometry.__all__ + paths.__all__ + validator.__all__
+__all__ = (errors.__all__ + geometry.__all__ + generate.__all__ + paths.__all__ + validator.__all__
            + embedder.__all__ + decider.__all__ + oracle.__all__ + render.__all__)

@@ -22,15 +22,14 @@ from .errors import (
     PdceError,
     PreconditionViolated,
 )
+from .generate import GENERATOR_MODES, generate_random_convex
 from .geometry import (
-    GENERATOR_MODES,
     ConvexPointSet,
     SetTag,
     _echo,
     _int_literal,
     classify,
     format_points_text,
-    generate_random_convex,
     parse_points_json,
     parse_points_text,
     validate,

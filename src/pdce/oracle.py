@@ -6,18 +6,17 @@ both. Enumeration walks all placements whose prefixes stay cyclically
 consecutive on the hull, which are exactly the crossing-free placements;
 the equivalence itself is exercised against the segment-intersection
 checker in the test suite. Two tools lean on the other modules:
-search_counterexample asks decide_pdce for its NO and certifies it by
-brute force for n <= 20, and certificate reads each candidate's first bad
-edge from the validator's verdict pass (validator._verdicts). Sets above
-ENUMERATION_BOUND points (enumeration, counting, certificates) or
-BRUTE_FORCE_BOUND points (brute force) raise BoundExceeded.
+search_counterexample draws its candidates from the generate module, asks
+decide_pdce for its NO and certifies it by brute force for n <= 20, and
+certificate reads each candidate's first bad edge from the validator's
+verdict pass (validator._verdicts). Sets above ENUMERATION_BOUND points
+(enumeration, counting, certificates) or BRUTE_FORCE_BOUND points (brute
+force) raise BoundExceeded.
 """
 
 from __future__ import annotations
 
-# hashlib, json and importlib.resources load on first use: import pdce pays for none.
-import math
-import random
+# hashlib, json, importlib.resources and random load on first use: import pdce pays for none.
 from typing import Iterator, Optional
 
 from .decider import decide_pdce
@@ -25,18 +24,10 @@ from .errors import (
     BoundExceeded,
     InternalCaseError,
     NotFoundWithinBudget,
-    PdceError,
     PreconditionViolated,
 )
-from .geometry import (
-    _MODE_ARC,
-    _MODE_TAG,
-    ConvexPointSet,
-    GENERATOR_MODES,
-    classify,
-    generate_random_convex,
-    validate,
-)
+from .generate import _checked, _sample_one_sided, generate_random_convex
+from .geometry import ConvexPointSet, validate
 from .paths import DirPath, Embedding
 from .validator import _verdicts, edge_ok, require_same_size
 
@@ -173,25 +164,6 @@ def certificate(p: DirPath, s: ConvexPointSet) -> dict:
     }
 
 
-def _sample_one_sided(rng: random.Random, n: int, mode: str) -> Optional[ConvexPointSet]:
-    # Small-coordinate sampler: a semicircle inside [0, 64]^2 keeps found
-    # sets easy to print and to freeze in fixtures.
-    lo, hi = _MODE_ARC[mode]
-    for _ in range(200):
-        angles = sorted(rng.uniform(lo, hi) for _ in range(n))
-        coords = [
-            (round(32 + 31.5 * math.cos(a)), round(32 + 31.5 * math.sin(a)))
-            for a in angles
-        ]
-        try:
-            s = validate(coords)
-        except PdceError:
-            continue
-        if _MODE_TAG[mode] in classify(s):
-            return s
-    return None
-
-
 def search_counterexample(
     path: Optional[DirPath] = None,
     mode: str = "left_sided",
@@ -206,14 +178,14 @@ def search_counterexample(
     sequence), since existence only depends on it. A hit is certified
     twice: by the decision procedure and, for small n, by pruned exhaustive
     search. Raises NotFoundWithinBudget after the given number of sampled
-    candidates, and PreconditionViolated for a budget below 1.
+    candidates, and PreconditionViolated for an unknown mode or a budget
+    that is not an int of at least 1.
     """
+    import random
+
     p = path if path is not None else DirPath(DEFAULT_COUNTEREXAMPLE_LABELS)
     n = p.n_vertices
-    if mode not in GENERATOR_MODES:
-        raise PreconditionViolated(f"unknown mode {mode!r}")
-    if budget < 1:
-        raise PreconditionViolated("budget must be at least 1")
+    budget = _checked(mode, budget, "budget")
     rng = random.Random(f"search:{seed}:{mode}:{n}:{p.labels}")
     seen = set()
     for k in range(budget):

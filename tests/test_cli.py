@@ -536,12 +536,13 @@ def test_startup_loads_no_json_hashlib_or_dataclasses(tmp_path):
     # Every CLI call and benchmark setup pays the package import, and every
     # CLI call that of pdce.cli; the JSON door, verify's report, the
     # certificate and the packaged counterexample load json, hashlib and
-    # importlib.resources on first use instead. The records are named tuples
+    # importlib.resources on first use instead, and the generator and the
+    # counterexample search load random. The records are named tuples
     # and small classes, so nothing loads dataclasses and the modules it
     # brings (inspect, ast, dis, tokenize). -S keeps the site module's own
     # imports out of sys.modules.
     unwanted = {"json", "hashlib", "importlib.resources", "dataclasses", "inspect", "ast", "dis",
-                "tokenize"}
+                "tokenize", "random"}
     for module in ("pdce", "pdce.cli"):
         probe = f"import sys, {module}; print(sorted({unwanted!r} & set(sys.modules)))"
         proc = _run_child([sys.executable, "-S", "-c", probe], tmp_path)
@@ -570,8 +571,8 @@ def test_package_all_lists_each_public_name_once():
     # Each module states its own public names, and the package's surface is
     # their concatenation. A class or function is listed only by the module
     # that defines it, so no module re-exports an import.
-    modules = [pdce.errors, pdce.geometry, pdce.paths, pdce.validator, pdce.embedder,
-               pdce.decider, pdce.oracle, pdce.render]
+    modules = [pdce.errors, pdce.geometry, pdce.generate, pdce.paths, pdce.validator,
+               pdce.embedder, pdce.decider, pdce.oracle, pdce.render]
     assert names == [name for module in modules for name in module.__all__]
     for module in modules:
         assert len(set(module.__all__)) == len(module.__all__), module.__name__

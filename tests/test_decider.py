@@ -34,6 +34,7 @@ from pdce import (
 from pdce import decider
 from pdce.decider import _comparison_state
 from pdce.geometry import _unimodal_runs
+import _circle
 from conftest import instances, random_path
 
 UD_SET = validate([(0, 0), (2, 3), (4, 1)])
@@ -234,10 +235,10 @@ def test_walk_matches_oracle_walk():
     rng = random.Random("oracle-walk")
     cases = []
     for i, mode in enumerate(GENERATOR_MODES * 4):
-        s = generate_random_convex(rng.randint(1, 200), seed=f"ow-{i}", mode=mode)
+        s = _circle.generate_random_convex(rng.randint(1, 200), seed=f"ow-{i}", mode=mode)
         cases += [(random_path(rng, s.n, a), s) for a in ("UDR", "LUR", "LD", "UDLR")]
     for alphabet in ("UDR", "RDL"):
-        s = generate_random_convex(1000, seed=f"ow-1000-{alphabet}")
+        s = _circle.generate_random_convex(1000, seed=f"ow-1000-{alphabet}")
         cases.append((random_path(random.Random(alphabet), s.n, alphabet), s))
     yes = 0
     for p, s in cases:
@@ -327,7 +328,7 @@ def test_table_matches_reference_seeded_corpus():
     answers = {True: 0, False: 0}
     for i in range(240):
         mode = GENERATOR_MODES[i % len(GENERATOR_MODES)]
-        s = generate_random_convex(rng.randint(1, 60), seed=f"ref-{i}", mode=mode)
+        s = _circle.generate_random_convex(rng.randint(1, 60), seed=f"ref-{i}", mode=mode)
         answers[_assert_matches_reference(random_path(rng, s.n), s)] += 1
     p, s, _ = load_counterexample()
     answers[_assert_matches_reference(p, s)] += 1
@@ -588,24 +589,24 @@ def _decider_corpus():
     # two instances at n=1000, one YES and one NO. Only general sets meet NO
     # on random 4-label paths, so they get 300 extra instances.
     for n in (4, 5, 6):
-        s = generate_random_convex(n, seed=f"c2-exh-{n}")
+        s = _circle.generate_random_convex(n, seed=f"c2-exh-{n}")
         for labels in itertools.product("UDLR", repeat=n - 1):
             yield DirPath("".join(labels)), s
     rng = random.Random(0xC2)
     for i in range(2000):
         n = rng.randint(1, 10)
-        s = generate_random_convex(n, seed=f"c2-rnd-{i}")
+        s = _circle.generate_random_convex(n, seed=f"c2-rnd-{i}")
         yield random_path(rng, n), s
     rng = random.Random("decider-corpus")
     cases = [(mode, a) for mode in GENERATOR_MODES for a in ("UDR", "UDLR", "LD")]
     cases = cases * 30 + [("general", "UDLR")] * 300
     for i, (mode, alphabet) in enumerate(cases):
-        s = generate_random_convex(rng.randint(1, 200), seed=f"dc-{i}", mode=mode)
+        s = _circle.generate_random_convex(rng.randint(1, 200), seed=f"dc-{i}", mode=mode)
         yield random_path(rng, s.n, alphabet), s
     p, s, _ = load_counterexample()
     yield p, s
     for alphabet in ("UDR", "UDLR"):
-        s = generate_random_convex(1000, seed=f"dc-1000-{alphabet}")
+        s = _circle.generate_random_convex(1000, seed=f"dc-1000-{alphabet}")
         yield random_path(random.Random(alphabet), s.n, alphabet), s
 
 

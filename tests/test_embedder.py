@@ -52,6 +52,7 @@ from pdce.embedder import (
 )
 from pdce.geometry import Point
 from pdce.paths import _REVERSE_FLIP
+import _circle
 from conftest import ALL_MODES, convex_sets, instances, random_path
 
 S5 = validate([(4, 0), (3, 6), (1, 5), (0, 3), (2, 1)])
@@ -375,7 +376,7 @@ def _seeded_udr_plans():
     out = []
     for _ in range(12000):
         n = rng.randint(4, 15)
-        s = generate_random_convex(n, seed=rng.randrange(10**9), mode="general")
+        s = _circle.generate_random_convex(n, seed=rng.randrange(10**9), mode="general")
         if _top_left_of_bottom(s):
             s = mirror_set(s)
         p = random_path(rng, n, rng.choice(("UDR", "UURD", "URRD")))
@@ -420,7 +421,8 @@ def test_walk_matches_greedy():
     rng = random.Random("walk")
     for mode in ALL_MODES:
         for _ in range(40):
-            s = generate_random_convex(rng.randint(1, 30), seed=rng.randrange(10**9), mode=mode)
+            n, seed = rng.randint(1, 30), rng.randrange(10**9)
+            s = _circle.generate_random_convex(n, seed=seed, mode=mode)
             tags = classify(s)
             if SetTag.LEFT_SIDED in tags:
                 runs.append(("left_sided", random_path(rng, s.n, "UDR").labels, s, range(s.n)))
@@ -647,7 +649,7 @@ def test_frames_match_round_trip_oracle():
     frames, chains = set(), Counter()
     for mode in ALL_MODES:
         for n in (2, 3, 4, 5, 8, 40, 300):
-            s = generate_random_convex(n, seed=rng.randrange(1 << 30), mode=mode)
+            s = _circle.generate_random_convex(n, seed=rng.randrange(1 << 30), mode=mode)
             for t in (s, mirror_set(s)):
                 for subset in ("UDR", "UDL", "ULR", "DLR"):
                     p = random_path(rng, n, subset)
@@ -775,7 +777,7 @@ def _witness_records():
     rng = random.Random("witness-corpus")
     for mode in ALL_MODES:
         for n in (1, 2, 3, 4, 5, 6, 8, 11, 16, 23, 32, 45, 60):
-            s = generate_random_convex(n, seed=7000 + n, mode=mode)
+            s = _circle.generate_random_convex(n, seed=7000 + n, mode=mode)
             cls = classify(s)
             for subset in LABEL_SUBSETS:
                 p = random_path(rng, n, subset)

@@ -29,12 +29,14 @@ from pdce import (
     orientation,
     parse_points_json,
     parse_points_text,
+    search_counterexample,
     segments_intersect,
     split_by_bt_line,
     validate,
 )
+import _circle
 from conftest import convex_sets
-from pdce import geometry
+from pdce import generate, geometry
 from pdce.geometry import Point
 
 try:
@@ -365,7 +367,7 @@ def test_validate_agrees_with_exact_route(mode):
     rng = random.Random(f"exact-route:{mode}")
     seen = set()
     for n in range(1, 301):
-        s = generate_random_convex(n, seed=rng.randrange(1 << 30), mode=mode)
+        s = _circle.generate_random_convex(n, seed=rng.randrange(1 << 30), mode=mode)
         pts = list(zip(s.xs, s.ys))
         rng.shuffle(pts)
         cases = [("valid", pts)]
@@ -498,13 +500,15 @@ def test_generator_n40_validates():
 def test_generator_guards(monkeypatch):
     with pytest.raises(PreconditionViolated, match="unknown mode 'spiral'; choose one of"):
         generate_random_convex(5, mode="spiral")
+    with pytest.raises(PreconditionViolated, match=r"unknown mode \['general'\]; choose one of"):
+        generate_random_convex(5, mode=["general"])
 
     # Every attempt rejected: the error keeps the count and the last reason.
     def duplicate(coords):
         raise DuplicateX(0, 1)
 
     with monkeypatch.context() as m:
-        m.setattr(geometry, "validate", duplicate)
+        m.setattr(generate, "validate", duplicate)
         with pytest.raises(GenerationFailed) as info:
             generate_random_convex(5, seed=0)
     assert info.value.attempts == 64
@@ -513,9 +517,32 @@ def test_generator_guards(monkeypatch):
         "(DuplicateX: points 0 and 1 share an x-coordinate)"
     )
     # Every attempt valid but of the wrong class.
-    monkeypatch.setattr(geometry, "classify", lambda s: frozenset({SetTag.GENERAL_CONVEX}))
+    monkeypatch.setattr(generate, "classify", lambda s: frozenset({SetTag.GENERAL_CONVEX}))
     with pytest.raises(GenerationFailed, match=r"\(rounded set lost the left_sided property\)$"):
         generate_random_convex(5, seed=0, mode="left_sided")
+
+
+@pytest.mark.parametrize("value", [2.5, "5", True, None])
+@pytest.mark.parametrize("entry, name", [
+    (lambda v: generate_random_convex(v), "n"),
+    (lambda v: search_counterexample(budget=v), "budget"),
+], ids=["generate_random_convex", "search_counterexample"])
+def test_count_arguments_follow_the_coordinate_rule(entry, name, value):
+    # A count is index-like and not a bool, as a coordinate is: a float, a
+    # string, True or None is refused by name before anything is drawn.
+    with pytest.raises(PreconditionViolated, match=f"^{name} must be an int, not "):
+        entry(value)
+
+
+@pytest.mark.parametrize("mode", GENERATOR_MODES)
+def test_circle_copy_matches_library(mode):
+    # The engine pins draw from the frozen copy in tests/_circle.py; while
+    # the library generator is unchanged, both give equal sets.
+    for n in (*range(1, 9), 60, 200, 1000):
+        for seed in (n, f"copy-{n}"):
+            want = _circle.generate_random_convex(n, seed=seed, mode=mode)
+            got = generate_random_convex(n, seed=seed, mode=mode)
+            assert got == want and (got.xs, got.ys) == (want.xs, want.ys), (n, seed)
 
 
 @pytest.mark.parametrize("mode", GENERATOR_MODES)

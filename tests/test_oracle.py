@@ -26,7 +26,7 @@ from pdce import (
     validate,
     validate_embedding,
 )
-from pdce import oracle
+from pdce import generate, oracle
 from conftest import instances
 
 TRI = validate([(0, 0), (2, 3), (4, 1)])
@@ -162,13 +162,15 @@ def test_search_guards(monkeypatch):
     def reject(coords):
         raise PreconditionViolated("rejected")
 
-    monkeypatch.setattr(oracle, "validate", reject)
+    monkeypatch.setattr(generate, "validate", reject)
     with pytest.raises(NotFoundWithinBudget):
         search_counterexample(budget=3, seed=0)
 
 
 def test_search_rejects_unknown_mode():
-    with pytest.raises(PreconditionViolated):
+    # The generator's mode rule: the message lists the six modes.
+    with pytest.raises(PreconditionViolated, match="unknown mode 'spiral'; choose one of general, "
+                       "left_sided, quarter_dec, quarter_inc, right_sided, strip$"):
         search_counterexample(mode="spiral", budget=10, seed=0)
 
 
