@@ -15,7 +15,11 @@ the test is exact at any coordinate. Each axis the path uses takes the
 set's cached order of hull positions by that coordinate (y_order or
 x_order) and one comparison-row state, read by both of its labels: x and y
 values are pairwise distinct, so every mask of D (L) below is the
-complement of that of U (R).
+complement of that of U (R). These states and each label's masks are work
+per set, not per path: _state builds them for the axes and labels a path
+uses and caches them on the set (ConvexPointSet._decider), n + 1 ints per
+axis and two masks of n and 2n bits per label. So the first decide on a
+set pays for them, and a later one runs only the row loop, _rows.
 
 A row is two Python ints used as n-bit sets, bit j for anchor j (see
 DPTable), and is computed bit-parallel over all anchors in a constant number
@@ -128,25 +132,37 @@ def _comparison_state(order: Sequence[int], lo: int, hi: int) -> tuple[int, list
 _AXIS = {"U": ("y", False), "D": ("y", True), "R": ("x", False), "L": ("x", True)}
 
 
-def _rows(labels: str, s: ConvexPointSet):
-    """Yield (near_r, far_r, nn_r, fn_r) for r = 1, 2, .. up to, and not
-    including, the first empty row (see the module docstring)."""
-    n = s.n
-    full = (1 << n) - 1
-    top = 1 << (n - 1)
-    states = {}  # axis -> its comparison state, built on the set's cached order
-    masks = {}  # label -> (DOWN_d, UP2_d, reversed, state of its axis)
-    for d in dict.fromkeys(labels):
-        axis, rev = _AXIS[d]
-        if axis not in states:
+def _state(labels: str, s: ConvexPointSet) -> dict:
+    """Return the set's decider state, holding every label in labels: axis
+    -> its comparison state (lo, rc), label -> (DOWN_d, UP2_d, reversed, lo,
+    rc). It lives on the set (ConvexPointSet._decider) and grows on first
+    use of an axis or a label, so only a set's first decide builds it.
+    Entries are only added, each a function of the columns alone, so two
+    threads deciding on one set at once at worst build one twice."""
+    state = s._decider
+    for d, (axis, rev) in _AXIS.items():
+        if d in state or d not in labels:
+            continue
+        if axis not in state:
             ends = (s.bottom_index, s.top_index) if axis == "y" else (s.left_index, s.right_index)
-            states[axis] = _comparison_state(getattr(s, axis + "_order"), *ends)
-        lo, rc = states[axis]
+            state[axis] = _comparison_state(getattr(s, axis + "_order"), *ends)
+        lo, rc = state[axis]
+        n = s.n
+        full = (1 << n) - 1
         up = full >> (n - rc[n]) << lo  # C_1, the rising run; D and L take its complement
         up = (up | up >> n) & full ^ (full if rev else 0)
-        masks[d] = (full ^ up, up | up << n, rev, lo, rc)
+        state[d] = (full ^ up, up | up << n, rev, lo, rc)
+    return state
+
+
+def _rows(labels: str, state: dict, n: int):
+    """Yield (near_r, far_r, nn_r, fn_r) for r = 1, 2, .. up to, and not
+    including, the first empty row (see the module docstring); state is
+    _state(labels, s) of an n-point set s."""
+    full = (1 << n) - 1
+    top = 1 << (n - 1)
     nr = fr = full
-    for r, (down, up2, rev, lo, rc) in enumerate(map(masks.__getitem__, labels), 1):
+    for r, (down, up2, rev, lo, rc) in enumerate(map(state.__getitem__, labels), 1):
         # The axis's C_r, size anchors from start, or its complement does not wrap.
         b = r - rc[r]
         size = rc[n - r] + b
@@ -178,7 +194,7 @@ def dp_table(p: DirPath, s: ConvexPointSet) -> DPTable:
     near = [0] * n
     far = [0] * n
     near[0] = far[0] = (1 << n) - 1
-    for r, row in enumerate(_rows(p.labels, s), 1):
+    for r, row in enumerate(_rows(p.labels, _state(p.labels, s), n), 1):
         near[r], far[r] = row[:2]
     return DPTable(n=n, near_bits=near, far_bits=far)
 
@@ -195,7 +211,7 @@ def decide_pdce(p: DirPath, s: ConvexPointSet) -> Optional[Embedding]:
     nn = [0] * n  # nn[r] and fn[r]: the choice rows nn_r and fn_r
     fn = [0] * n
     near, last = (1 << n) - 1, 0  # row 0
-    for last, (near, _, nn_r, fn_r) in enumerate(_rows(p.labels, s), 1):
+    for last, (near, _, nn_r, fn_r) in enumerate(_rows(p.labels, _state(p.labels, s), n), 1):
         nn[last], fn[last] = nn_r, fn_r
     if last < n - 1:
         return None

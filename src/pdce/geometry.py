@@ -147,7 +147,12 @@ class ConvexPointSet:
     extreme indices (which the symmetry operators seed), the two axis orders
     (positions by increasing x or y, which the decider reads) and points,
     the pairs as unchecked Point tuples, are read from the columns on first
-    use and cached.
+    use and cached. So is the decider's per-set state, which the first
+    decide on the set pays for: a rank count of n + 1 ints per axis the path
+    uses, and two masks per label, of n and 2n bits, so at most 8 masks of
+    at most 2n bits. Every cache dies with the set and takes no part in
+    equality, hashing, pickle or copy; the symmetry images start without
+    the decider's.
     """
 
     xs: tuple[int, ...]
@@ -199,6 +204,11 @@ class ConvexPointSet:
     @cached_property
     def y_order(self) -> tuple[int, ...]:
         return tuple(sorted(range(self.n), key=self.ys.__getitem__))
+
+    @cached_property
+    def _decider(self) -> dict:
+        # The decider's per-set state, filled by decider._state on first use.
+        return {}
 
     def __repr__(self) -> str:
         inner = ", ".join(f"({x}, {y})" for x, y in zip(self.xs, self.ys))

@@ -91,10 +91,10 @@ def test_counterexample_fixture_is_no(monkeypatch):
     # what it reconstructs, so a forged state never yields a witness.
     real = decider._rows
 
-    def forged(labels, s):
-        rows = list(real(labels, s))
-        assert len(rows) < s.n - 1  # the real rows die before the last
-        rows += [(0, 0, 0, 0)] * (s.n - 2 - len(rows))
+    def forged(labels, state, n):
+        rows = list(real(labels, state, n))
+        assert len(rows) < n - 1  # the real rows die before the last
+        rows += [(0, 0, 0, 0)] * (n - 2 - len(rows))
         yield from rows + [(1, 0, 0, 0)]
 
     monkeypatch.setattr(decider, "_rows", forged)
@@ -292,6 +292,10 @@ def _live_cells(t) -> list[int]:
     return [a.bit_count() + b.bit_count() for a, b in zip(t.near_bits, t.far_bits)]
 
 
+def _row_list(p, s):
+    return list(decider._rows(p.labels, decider._state(p.labels, s), s.n))
+
+
 def _assert_matches_reference(p, s) -> bool:
     """Assert dp_table and the choice rows of _rows equal the reference
     exactly; return the answer."""
@@ -308,7 +312,7 @@ def _assert_matches_reference(p, s) -> bool:
     # _rows yields (near_r, far_r, nn_r, fn_r) for rows 1, 2, .. and stops
     # at the first empty row: the table's rows and the reference's first
     # disjuncts, bit for bit.
-    rows = list(decider._rows(p.labels, s))
+    rows = _row_list(p, s)
     assert len(rows) == alive - 1
     for r, row in enumerate(rows, 1):
         assert row[:2] == (t.near_bits[r], t.far_bits[r]), r
@@ -469,11 +473,13 @@ def test_comparison_rows_are_cyclic_intervals():
 
 
 def test_one_comparison_row_state_per_axis(monkeypatch):
-    # A UDLR path builds one state for y (U, D) and one for x (L, R), and
-    # each reads the set's cached axis order and extreme indices: neither
-    # dp_table nor decide_pdce sorts a column or scans it for its min or
-    # max, and a second decide leaves the set's cached orders in place.
-    s = generate_random_convex(40, seed="axes")
+    # A set's first dp_table or decide_pdce on a UDLR path builds one state
+    # for y (U, D) and one for x (L, R), and each reads the set's cached axis
+    # order and extreme indices: no column is sorted or scanned for its min
+    # or max. A first decide on a UD path builds the y state alone, and a
+    # later UDLR path adds only the x state. Every later call on the set, by
+    # either entry and on any path, builds none and leaves the set's cached
+    # orders in place.
     made = []
     real = pdce.decider._comparison_state
 
@@ -486,14 +492,25 @@ def test_one_comparison_row_state_per_axis(monkeypatch):
     for name in ("min", "max", "sorted"):
         monkeypatch.setattr(pdce.decider, name, scan, raising=False)
     p = DirPath(("UDLR" * 10)[:39])
-    for run in (dp_table, decide_pdce):
+    ud = DirPath(("UD" * 20)[:39])
+    for first in (dp_table, decide_pdce):
+        s = generate_random_convex(40, seed="axes")
         made.clear()
-        run(p, s)
-        assert 1 <= len(made) <= 2, run.__name__
-        assert {id(args[0]) for args in made} == {id(s.x_order), id(s.y_order)}, run.__name__
-    orders = s.x_order, s.y_order
-    decide_pdce(p, s)
-    assert s.x_order is orders[0] and s.y_order is orders[1]
+        first(p, s)
+        assert len(made) == 2, first.__name__
+        assert {id(args[0]) for args in made} == {id(s.x_order), id(s.y_order)}, first.__name__
+        orders = s.x_order, s.y_order
+        made.clear()
+        for run in (dp_table, decide_pdce):
+            for q in (p, ud, DirPath("L" * 39), DirPath(p.labels[::-1])):
+                run(q, s)
+        assert not made, first.__name__
+        assert s.x_order is orders[0] and s.y_order is orders[1]
+    s = generate_random_convex(40, seed="axes")
+    for q, order in ((ud, s.y_order), (p, s.x_order), (p, None), (ud, None)):
+        made.clear()
+        decide_pdce(q, s)
+        assert [id(args[0]) for args in made] == ([id(order)] if order else [])
 
 
 def _read_x_order(s):
@@ -501,25 +518,37 @@ def _read_x_order(s):
     return s
 
 
-# Doors other than validate() into the decider, each giving a fresh set:
-# symmetry images, with seeded extremes and axis orders still to compute; a
-# pickle round trip; and a set whose x_order was read before its first decide.
+def _warm(s):
+    # A twin already decided on a one-axis path: it holds the y state and
+    # the U and D masks, and no x state.
+    t = validate(zip(s.xs, s.ys))
+    decide_pdce(DirPath(("UD" * s.n)[: s.n - 1]), t)
+    return t
+
+
+# Doors other than validate() into the decider, each giving a set whose
+# decider state is still to build, or half built: symmetry images, with
+# seeded extremes and axis orders still to compute; a pickle round trip; a
+# set whose x_order was read before its first decide; and a warm set.
 _DOORS = {
     "rotate": rotate_set,
     "mirror": mirror_set,
     "mirror-rotate": lambda s: mirror_set(rotate_set(s)),
     "pickle": lambda s: pickle.loads(pickle.dumps(s)),
     "x_order-read": lambda s: _read_x_order(validate(zip(s.xs, s.ys))),
+    "warm": _warm,
 }
+_CACHED = {"x_order-read": {"x_order"}, "warm": {"y_order", "_decider"}}
 
 
 def test_rows_on_derived_and_restored_sets():
-    # On each door's set, fresh, _rows and dp_table equal the reference, and
-    # decide_pdce, fresh too, gives the answer and the witness of the same
-    # points validated anew, whose orders are read on first use. Random
+    # On each door's set, _rows and dp_table equal the reference and the
+    # rows of the same points validated anew, and decide_pdce gives the
+    # answer and the witness of that fresh twin, whose orders and decider
+    # state are built on first use. Every door meets both answers: random
     # 4-label paths meet NO on general sets of 40 points or more.
     rng = random.Random(0xD005)
-    answers = {True: 0, False: 0}
+    answers = dict.fromkeys(itertools.product(_DOORS, (True, False)), 0)
     for i in range(60):
         mode = GENERATOR_MODES[i % len(GENERATOR_MODES)]
         n = rng.randint(40, 56) if mode == "general" else rng.randint(2, 24)
@@ -527,17 +556,22 @@ def test_rows_on_derived_and_restored_sets():
         for door, make in _DOORS.items():
             p = random_path(rng, n, "UDR" if i % 4 == 1 else "UDLR")
             fresh = make(base)
-            cached = {"x_order"} if door == "x_order-read" else set()
-            assert {"x_order", "y_order"} & vars(fresh).keys() == cached, door
+            cached = {"x_order", "y_order", "_decider"} & vars(fresh).keys()
+            assert cached == _CACHED.get(door, set()), door
+            if door == "warm":
+                assert {"y", "U"} <= fresh._decider.keys() <= {"y", "U", "D"}
             w = decide_pdce(p, fresh)
             yes = _assert_matches_reference(p, make(base))
             twin = validate(zip(fresh.xs, fresh.ys))
             assert twin == fresh
+            assert _row_list(p, make(base)) == _row_list(p, twin), (door, i)
             expected = decide_pdce(p, twin)
             assert yes == (w is not None), (door, i)
             assert (w and w.assignment) == (expected and expected.assignment), (door, i)
-            answers[yes] += 1
-    assert answers[True] >= 60 and answers[False] >= 20, answers
+            answers[door, yes] += 1
+    assert all(answers.values()), answers
+    assert sum(answers[door, True] for door in _DOORS) >= 60, answers
+    assert sum(answers[door, False] for door in _DOORS) >= 20, answers
 
 
 def test_exact_at_coordinate_limit():

@@ -15,7 +15,9 @@ from pdce import (
     SetTag,
     ValidationReport,
     classify,
+    decide_pdce,
     dp_table,
+    embed_three_directional,
     generate_random_convex,
     mirror_embedding,
     mirror_path,
@@ -281,6 +283,29 @@ def test_sets_equal_hash_and_pickle_by_columns(monkeypatch):
             assert back == t and hash(back) == hash(t)
             assert (back.xs, back.ys, _extremes(back)) == (t.xs, t.ys, _extremes(t))
             assert back.points == t.points
+    # The decider's per-set state is a cache too: after a decide it takes no
+    # part in equality or hashing, and pickle, copy and the symmetry images
+    # start without it. The embedder and the validator build none, neither on
+    # the sets they are given nor on the frame sets they derive from them.
+    decide_pdce(DirPath("UDLR" * 2), s)
+    assert s._decider.keys() == {"x", "y", *"UDLR"}
+    assert fresh == s and hash(fresh) == hash(s) and "_decider" not in vars(fresh)
+    images = (rotate_set(s), mirror_set(s), _transposed_set(s))
+    for back in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s), *images):
+        assert "_decider" not in vars(back)
+    sealed = []
+    real = geometry._sealed
+
+    def sealing(*args, **extremes):
+        sealed.append(real(*args, **extremes))
+        return sealed[-1]
+
+    monkeypatch.setattr("pdce.paths._sealed", sealing)
+    for labels in ("UDR", "UDL", "ULR", "DLR"):
+        p = DirPath((labels * 3)[: s.n - 1])
+        assert validate_embedding(p, fresh, embed_three_directional(p, fresh)).is_pdce
+    assert len(sealed) >= 3
+    assert not any("_decider" in vars(t) for t in (fresh, *sealed))
 
 
 def _identity_pdce(s):
