@@ -209,70 +209,93 @@ def _cmd_render(args) -> int:
 # Parser plumbing
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _points(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--points", required=True, metavar="FILE")
+
+
+def _path(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--path", required=True, metavar="STRING")
+
+
+def _embedding(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--embedding", required=True, metavar="FILE")
+
+
+def _search(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--path", default=DEFAULT_COUNTEREXAMPLE_LABELS, metavar="STRING")
+    p.add_argument("--mode", default="left_sided", choices=GENERATOR_MODES)
+    p.add_argument("--budget", type=int, default=100_000, metavar="N")
+    p.add_argument("--seed", default=0, metavar="N")
+
+
+def _gen(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True, metavar="N")
+    p.add_argument("--seed", default=0, metavar="N")
+    p.add_argument("--mode", default="general", choices=GENERATOR_MODES)
+    p.add_argument("--count", type=int, default=1, metavar="K")
+
+
+def _render(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--svg", metavar="FILE", help="output file (default: stdout)")
+    p.add_argument("--force", action="store_true", help="draw even if the embedding is invalid")
+
+
+# (name, help line, handler, what adds its arguments), in help order.
+_ORACLE_MODES = (
+    ("count", "count planar embeddings and plane paths", _cmd_oracle_count, (_points,)),
+    ("all-pdce", "list every embedding by brute force", _cmd_oracle_all_pdce, (_points, _path)),
+    ("search", "search for a set admitting no embedding", _cmd_oracle_search, (_search,)),
+)
+# The same; oracle's handler is its table of modes.
+_COMMANDS = (
+    ("embed", "construct an embedding (at most three labels, or a monotone chain)", _cmd_embed,
+     (_points, _path)),
+    ("decide", "decide existence; print a witness or NO", _cmd_decide, (_points, _path)),
+    ("verify", "validate a given embedding, report as JSON", _cmd_verify,
+     (_points, _path, _embedding)),
+    ("oracle", "exhaustive ground-truth tools", _ORACLE_MODES, ()),
+    ("gen", "generate random convex instances", _cmd_gen, (_gen,)),
+    ("render", "draw an embedding as SVG", _cmd_render, (_points, _path, _embedding, _render)),
+)
+
+
+def _declare(sub, commands, words: list[str]) -> None:
+    # Every command gets its help line; only words[0], the one the command
+    # line names, gets its arguments, and under oracle the mode words[1].
+    for name, help_line, handler, adders in commands:
+        p = sub.add_parser(name, help=help_line)
+        if not words or name != words[0]:
+            continue
+        for add in adders:
+            add(p)
+        if callable(handler):
+            p.set_defaults(func=handler)
+        else:
+            _declare(p.add_subparsers(dest="oracle_mode", required=True), handler, words[1:])
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for argv. Neither pdce nor oracle has an option that takes
+    a value, so the first word of argv not starting with "-" names the
+    subcommand argparse picks, and the next one the oracle mode; a word that
+    argparse picks and this skips starts with "-" and is no subcommand. Only
+    the subcommand named gets its arguments: argparse formats each argument
+    as it is added, so the others would only cost time, and every help
+    screen and usage error is the same as with the whole tree."""
     ap = argparse.ArgumentParser(
         prog="pdce",
         description="Construct, decide, verify, and draw planar "
         "direction-consistent embeddings of labeled paths on convex point sets.",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-    # The options that several subcommands share, each declared once.
-    points = argparse.ArgumentParser(add_help=False)
-    points.add_argument("--points", required=True, metavar="FILE")
-    path = argparse.ArgumentParser(add_help=False)
-    path.add_argument("--path", required=True, metavar="STRING")
-    embedding = argparse.ArgumentParser(add_help=False)
-    embedding.add_argument("--embedding", required=True, metavar="FILE")
-
-    sub.add_parser(
-        "embed", parents=[points, path],
-        help="construct an embedding (at most three labels, or a monotone chain)",
-    ).set_defaults(func=_cmd_embed)
-    sub.add_parser(
-        "decide", parents=[points, path], help="decide existence; print a witness or NO"
-    ).set_defaults(func=_cmd_decide)
-    sub.add_parser(
-        "verify", parents=[points, path, embedding],
-        help="validate a given embedding, report as JSON",
-    ).set_defaults(func=_cmd_verify)
-
-    p_oracle = sub.add_parser("oracle", help="exhaustive ground-truth tools")
-    osub = p_oracle.add_subparsers(dest="oracle_mode", required=True)
-    osub.add_parser(
-        "count", parents=[points], help="count planar embeddings and plane paths"
-    ).set_defaults(func=_cmd_oracle_count)
-    osub.add_parser(
-        "all-pdce", parents=[points, path], help="list every embedding by brute force"
-    ).set_defaults(func=_cmd_oracle_all_pdce)
-
-    p_search = osub.add_parser("search", help="search for a set admitting no embedding")
-    p_search.add_argument("--path", default=DEFAULT_COUNTEREXAMPLE_LABELS, metavar="STRING")
-    p_search.add_argument("--mode", default="left_sided", choices=GENERATOR_MODES)
-    p_search.add_argument("--budget", type=int, default=100_000, metavar="N")
-    p_search.add_argument("--seed", default=0, metavar="N")
-    p_search.set_defaults(func=_cmd_oracle_search)
-
-    p_gen = sub.add_parser("gen", help="generate random convex instances")
-    p_gen.add_argument("--n", type=int, required=True, metavar="N")
-    p_gen.add_argument("--seed", default=0, metavar="N")
-    p_gen.add_argument("--mode", default="general", choices=GENERATOR_MODES)
-    p_gen.add_argument("--count", type=int, default=1, metavar="K")
-    p_gen.set_defaults(func=_cmd_gen)
-
-    p_render = sub.add_parser(
-        "render", parents=[points, path, embedding], help="draw an embedding as SVG"
-    )
-    p_render.add_argument("--svg", metavar="FILE", help="output file (default: stdout)")
-    p_render.add_argument(
-        "--force", action="store_true", help="draw even if the embedding is invalid"
-    )
-    p_render.set_defaults(func=_cmd_render)
-
+    words = [a for a in argv if not a.startswith("-")]
+    _declare(ap.add_subparsers(dest="command", required=True), _COMMANDS, words)
     return ap
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

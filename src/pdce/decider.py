@@ -17,9 +17,10 @@ x_order) and one comparison-row state, read by both of its labels: x and y
 values are pairwise distinct, so every mask of D (L) below is the
 complement of that of U (R). These states and each label's masks are work
 per set, not per path: _state builds them for the axes and labels a path
-uses and caches them on the set (ConvexPointSet._decider), n + 1 ints per
-axis and two masks of n and 2n bits per label. So the first decide on a
-set pays for them, and a later one runs only the row loop, _rows.
+uses and caches them on the set (ConvexPointSet._decider), two lists of
+n + 1 ints per axis and two masks of n and 2n bits per label. So the first
+decide on a set pays for them, and a later one runs only the row loop,
+_rows.
 
 A row is two Python ints used as n-bit sets, bit j for anchor j (see
 DPTable), and is computed bit-parallel over all anchors in a constant number
@@ -33,23 +34,35 @@ rot1 moves bit j+1 to bit j cyclically; C_r holds the anchors j whose step
 j -> j+r respects d; bit k of UP_d is set iff the step k -> k+1 respects d,
 so UP_d = C_1, DOWN_d is its complement and UP2_d is UP_d doubled to 2n
 bits. For U and R, C_r is one cyclic interval, found from the set's cached
-extreme indices and two entries of one prefix rank count per axis
-(_comparison_state), so any row can be built alone, in any order; D and L
-swap C_r and ~C_r of their axis. An empty row stays empty, so the row
-generator _rows stops at the first one and a NO costs only its longest
-embeddable prefix.
+extreme indices and its two run lengths, which the axis's state lists for
+every r (_comparison_state), so any row can be built alone, in any order;
+D and L swap C_r and ~C_r of their axis. An empty row stays empty, so the
+row loop _rows stops at the first one and a NO costs only its longest
+embeddable prefix. The loop starts from any row's pair (near_r, far_r) and
+runs to a given row, so the rows can be computed in blocks, and any block
+again from its first pair.
 
 nn_r and fn_r, the choice rows, are the moves from the near end of the
-previous arc. dp_table keeps near_r and far_r; decide_pdce keeps only the
-choice rows and walks back one bit per row: bit j of nn_r (fn_r) set means
-the near (far) state at anchor j came from the near state at j+1 (j), and
-clear means from the far state there. require_pdce checks the witness.
+previous arc. dp_table steps the loop one row at a time and keeps near_r
+and far_r; decide_pdce keeps only the choice rows and walks back one bit
+per row: bit j of nn_r (fn_r) set means the near (far) state at anchor j
+came from the near state at j+1 (j), and clear means from the far state
+there. require_pdce checks the witness. decide_pdce holds at most
+_CHOICE_BYTES, 64 MiB, of choice rows at once: up to n of about 16000 that
+is all of them, in one block. A larger set runs its rows in blocks of as
+many rows as the budget holds and keeps the first pair of each block as a
+checkpoint, so a NO holds at most one block. The walk back then computes
+each earlier block again from its checkpoint (Hirschberg, CACM 1975, in the
+checkpoint form of Grice, Hughey and Speck, CABIOS 1997), on the few
+anchors the walk can reach in that block alone (_window), which costs far
+less than the first pass.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import itemgetter
+from operator import itemgetter, sub
+from sys import getsizeof
 from typing import NamedTuple, Optional, Sequence
 
 from .geometry import ConvexPointSet
@@ -71,11 +84,13 @@ class DPTable(NamedTuple):
     Rows after the first empty one stay all False.
 
     Row r is stored as two ints below 2^n, near_bits[r] and far_bits[r],
-    whose bit j is near[r, j] and far[r, j]: two bits per (row, anchor) and
-    at most n^2/4 bytes for the whole table. The properties near and far
-    unpack them into fresh (n, n) bool numpy arrays, importing numpy on
-    first use; numpy is not a dependency of the package, and this view is
-    kept only because the benchmark harness (perfbench/run.py,
+    whose bit j is near[r, j] and far[r, j]: two bits per (row, anchor). A
+    CPython int of n bits takes 24 + 4*ceil(n/30) bytes (424 at n = 3000),
+    so a table of dense rows takes about 4n^2/15 bytes (37 MiB at n =
+    12000); rows past the first empty one take none. The properties near
+    and far unpack them into fresh (n, n) bool numpy arrays, importing
+    numpy on first use; numpy is not a dependency of the package, and this
+    view is kept only because the benchmark harness (perfbench/run.py,
     rows_alive_frac) still reads table.near and table.far. It goes once
     that harness reads near_bits and far_bits instead.
     """
@@ -102,30 +117,32 @@ def _unpack(rows: list[int], n: int):
     return np.unpackbits(grid, axis=1, bitorder="little")[:, :n].astype(bool)
 
 
-def _comparison_state(order: Sequence[int], lo: int, hi: int) -> tuple[int, list[int]]:
-    """Return (lo, rc): C_r = {j : key[(j+r) % n] > key[j]}, for any
-    1 <= r < n, is the cyclic run of a_r + b_r anchors from lo-b_r, with
-    a_r = rc[n-r] and b_r = r - rc[r].
+def _comparison_state(
+    order: Sequence[int], lo: int, hi: int,
+) -> tuple[int, list[int], list[int]]:
+    """Return (lo, A, B): C_r = {j : key[(j+r) % n] > key[j]}, for any
+    1 <= r < n, is the cyclic run of A[r] + B[r] anchors from lo - B[r].
 
     order lists the positions by increasing key, from lo, the smallest, to
     hi, the largest. The key is x or y, and both are cyclically unimodal
     along a convex hull, with distinct values: the key rises strictly along
-    lo, .., hi and falls strictly along hi, .., lo (mod n). rc[t] counts the
-    t smallest keys on the rising run lo, .., hi-1, a prefix sum of its
-    flags in key order (n + 1 entries, rc[0] = 0). Let g(j) count the keys
-    above key[j]; those points form one hull arc next to j. On the rising
-    side it is j+1, .., j+g(j), so j is in C_r iff r <= g(j), that is iff
-    key[j] is among the n-r smallest: a_r = rc[n-r] such j. On the falling
-    side it is j-g(j), .., j-1, so j is in C_r iff r >= n - g(j), that is
-    iff key[j] is among the r smallest, which leave out key[hi]: b_r =
-    r - rc[r] such j. Each side's members thus form one run from lo. hi is
-    in no C_r, and C_1 is the rising run.
+    lo, .., hi and falls strictly along hi, .., lo (mod n). Let rc[t] count
+    the t smallest keys on the rising run lo, .., hi-1, a prefix sum of its
+    flags in key order (rc[0] = 0), and g(j) count the keys above key[j];
+    those points form one hull arc next to j. On the rising side it is
+    j+1, .., j+g(j), so j is in C_r iff r <= g(j), that is iff key[j] is
+    among the n-r smallest: a_r = rc[n-r] such j. On the falling side it is
+    j-g(j), .., j-1, so j is in C_r iff r >= n - g(j), that is iff key[j]
+    is among the r smallest, which leave out key[hi]: b_r = r - rc[r] such
+    j. Each side's members thus form one run from lo. hi is in no C_r, and
+    C_1 is the rising run. A[r] = a_r and B[r] = b_r, n + 1 entries each.
     """
     n = len(order)
     run = (b"\1" * ((hi - lo) % n)).ljust(n, b"\0")  # the rising run's flags, from lo on
     flag = run[n - lo :] + run[: n - lo]  # flag[p]: p is on the rising run
     # itemgetter of one index returns no tuple; one position is its own order.
-    return lo, list(accumulate(itemgetter(*order)(flag) if n > 1 else flag, initial=0))
+    rc = list(accumulate(itemgetter(*order)(flag) if n > 1 else flag, initial=0))
+    return lo, rc[::-1], list(map(sub, range(n + 1), rc))
 
 
 # label -> (its axis, whether the label reverses it)
@@ -134,9 +151,9 @@ _AXIS = {"U": ("y", False), "D": ("y", True), "R": ("x", False), "L": ("x", True
 
 def _state(labels: str, s: ConvexPointSet) -> dict:
     """Return the set's decider state, holding every label in labels: axis
-    -> its comparison state (lo, rc), label -> (DOWN_d, UP2_d, reversed, lo,
-    rc). It lives on the set (ConvexPointSet._decider) and grows on first
-    use of an axis or a label, so only a set's first decide builds it.
+    -> its comparison state (lo, A, B), label -> (DOWN_d, UP2_d, reversed,
+    lo, A, B). It lives on the set (ConvexPointSet._decider) and grows on
+    first use of an axis or a label, so only a set's first decide builds it.
     Entries are only added, each a function of the columns alone, so two
     threads deciding on one set at once at worst build one twice."""
     state = s._decider
@@ -146,26 +163,30 @@ def _state(labels: str, s: ConvexPointSet) -> dict:
         if axis not in state:
             ends = (s.bottom_index, s.top_index) if axis == "y" else (s.left_index, s.right_index)
             state[axis] = _comparison_state(getattr(s, axis + "_order"), *ends)
-        lo, rc = state[axis]
+        lo, A, B = state[axis]
         n = s.n
         full = (1 << n) - 1
-        up = full >> (n - rc[n]) << lo  # C_1, the rising run; D and L take its complement
+        up = full >> (n - A[0]) << lo  # C_1, the rising run; D and L take its complement
         up = (up | up >> n) & full ^ (full if rev else 0)
-        state[d] = (full ^ up, up | up << n, rev, lo, rc)
+        state[d] = (full ^ up, up | up << n, rev, lo, A, B)
     return state
 
 
-def _rows(labels: str, state: dict, n: int):
-    """Yield (near_r, far_r, nn_r, fn_r) for r = 1, 2, .. up to, and not
-    including, the first empty row (see the module docstring); state is
-    _state(labels, s) of an n-point set s."""
+def _rows(
+    labels: str, state: dict, n: int, r: int, near: int, far: int, stop: int,
+    nn: list[int], fn: list[int],
+) -> tuple[int, int, int]:
+    """Compute rows r+1, .., stop from row r's pair (near, far), writing
+    each row t's choice rows nn_t and fn_t to nn[t] and fn[t] (see the
+    module docstring), and return (last, near_last, far_last) for the last
+    row computed that is not empty: last is stop, or the row before the
+    first empty one. state is _state(labels, s) of an n-point set s."""
     full = (1 << n) - 1
     top = 1 << (n - 1)
-    nr = fr = full
-    for r, (down, up2, rev, lo, rc) in enumerate(map(state.__getitem__, labels), 1):
-        # The axis's C_r, size anchors from start, or its complement does not wrap.
-        b = r - rc[r]
-        size = rc[n - r] + b
+    for t, (down, up2, rev, lo, A, B) in enumerate(map(state.__getitem__, labels[r:stop]), r + 1):
+        # The axis's C_t, size anchors from start, or its complement does not wrap.
+        b = B[t]
+        size = A[t] + b
         start = (lo - b) % n
         if start + size <= n:
             c = full >> (n - size) << start
@@ -175,28 +196,92 @@ def _rows(labels: str, state: dict, n: int):
             c = full ^ nc
         if rev:
             c, nc = nc, c
-        # near: extend the previous arc {j+1, .., j+r} downward to anchor j,
+        # near: extend the previous arc {j+1, .., j+t} downward to anchor j,
         # the new vertex lands on j, coming from either end of the old arc.
-        # far: extend the previous arc {j, .., j+r-1} upward, the new vertex
-        # lands on (j+r) mod n.
-        nn = (nr >> 1 | top if nr & 1 else nr >> 1) & down
-        fn = nr & c
-        nr = nn | (fr >> 1 | top if fr & 1 else fr >> 1) & nc
-        fr = fn | fr & up2 >> (r - 1)
-        if not (nr or fr):
-            return
-        yield nr, fr, nn, fn
+        # far: extend the previous arc {j, .., j+t-1} upward, the new vertex
+        # lands on (j+t) mod n.
+        nn_t = (near >> 1 | top if near & 1 else near >> 1) & down
+        fn_t = near & c
+        near_t = nn_t | (far >> 1 | top if far & 1 else far >> 1) & nc
+        far_t = fn_t | far & up2 >> (t - 1)
+        if not (near_t or far_t):
+            return t - 1, near, far
+        nn[t] = nn_t
+        fn[t] = fn_t
+        near, far = near_t, far_t
+    return stop, near, far
 
 
 def dp_table(p: DirPath, s: ConvexPointSet) -> DPTable:
     require_same_size(p, s)
     n = s.n
+    labels, state = p.labels, _state(p.labels, s)
     near = [0] * n
     far = [0] * n
     near[0] = far[0] = (1 << n) - 1
-    for r, row in enumerate(_rows(p.labels, _state(p.labels, s), n), 1):
-        near[r], far[r] = row[:2]
+    choice = [0] * n  # the loop's choice rows, which the table does not keep
+    for r in range(1, n):
+        last, near_r, far_r = _rows(labels, state, n, r - 1, near[r - 1], far[r - 1], r,
+                                    choice, choice)
+        if last < r:
+            break
+        near[r], far[r] = near_r, far_r
     return DPTable(n=n, near_bits=near, far_bits=far)
+
+
+def _window(
+    state: dict, n: int, w: int, width: int, start: int, stop: int, near: int, far: int,
+) -> tuple[dict, int, int]:
+    """Return a state under which _rows, run with width for n, computes the
+    rows start+1, .., stop of the anchors w, .., w+width-1 (mod n) alone,
+    anchor w+i on bit i, and row start's pair (near, far) cut the same way.
+    The state holds every label of state.
+
+    Each label keeps its DOWN_d turned and cut to the window, and UP2_d
+    turned and cut to the bits rows start+1..stop read; each axis's C_t
+    meets the window in one cyclic run of the width-bit circle, given as
+    lo = 0 and the run lengths A[t], B[t] of that run. The loop wraps bit 0
+    into bit width-1, where anchor w+width belongs: so row start+i is exact
+    on its low width-i bits only, which is all a walk back from anchor w at
+    row stop reads when width > stop-start. With width = n it is exact."""
+    full = (1 << n) - 1
+    cut = (1 << width) - 1
+
+    def turn(bits: int) -> int:  # anchor w on bit 0
+        return (bits >> w | bits << (n - w)) & full
+
+    runs = {}
+    out = {}
+    for d, (axis, _) in _AXIS.items():
+        if d not in state:
+            continue
+        down, up2, rev, lo, A, B = state[d]
+        if axis not in runs:
+            a_w = [0] * (stop + 1)
+            b_w = [0] * (stop + 1)
+            for t in range(start + 1, stop + 1):
+                # C_t runs size anchors from anchor w+first: on the window,
+                # from bit first up to width, and wrapped past anchor w+n-1
+                # onto the bits below over.
+                size = A[t] + B[t]
+                first = (lo - B[t] - w) % n
+                over = max(0, min(first + size - n, width))
+                if first < width:
+                    size = min(first + size, width) - first + over
+                else:
+                    first, size = 0, over
+                a_w[t] = size + first
+                b_w[t] = -first
+            runs[axis] = a_w, b_w
+        up = turn(up2)
+        up = (up | up << n) & (1 << (stop - 1 + width)) - 1
+        out[d] = (turn(down) & cut, up, rev, 0, *runs[axis])
+    return out, turn(near) & cut, turn(far) & cut
+
+
+# Bytes of choice rows decide_pdce holds at once; up to n of about 16000
+# they all fit, in one block, and no row is computed twice.
+_CHOICE_BYTES = 64 << 20
 
 
 def decide_pdce(p: DirPath, s: ConvexPointSet) -> Optional[Embedding]:
@@ -208,24 +293,47 @@ def decide_pdce(p: DirPath, s: ConvexPointSet) -> Optional[Embedding]:
     """
     require_same_size(p, s)
     n = s.n
-    nn = [0] * n  # nn[r] and fn[r]: the choice rows nn_r and fn_r
-    fn = [0] * n
-    near, last = (1 << n) - 1, 0  # row 0
-    for last, (near, _, nn_r, fn_r) in enumerate(_rows(p.labels, _state(p.labels, s), n), 1):
-        nn[last], fn[last] = nn_r, fn_r
-    if last < n - 1:
-        return None
+    labels, state = p.labels, _state(p.labels, s)
+    near = far = (1 << n) - 1  # row 0
+    # A block takes as many rows as the budget holds; a choice row is an int
+    # of up to n bits, of at most the size of far.
+    k = _CHOICE_BYTES // (2 * getsizeof(far)) or 1
+    marks = []  # (r, near_r, far_r) at the first row of each block
+    r = 0
+    for stop in (*range(k, n - 1, k), n - 1):
+        marks.append((r, near, far))
+        nn, fn = [0] * n, [0] * n  # nn[t] and fn[t]: the block's choice rows
+        r, near, far = _rows(labels, state, n, r, near, far, stop, nn, fn)
+        if r < stop:
+            return None
     # Row n-1's arc is the whole hull, so far[n-1, j] is near[n-1, j-1]:
     # the far row is the near row rotated, and adds no full-length state.
     j, at_far = (near & -near).bit_length() - 1, False
     assignment = [0] * n
-    for r in range(n - 1, 0, -1):
-        if at_far:
-            assignment[r] = (j + r) % n
-            at_far = not fn[r] >> j & 1
-        else:
-            assignment[r] = j
-            at_far = not nn[r] >> j & 1
-            j = (j + 1) % n
-    assignment[0] = j
+    w = 0  # the anchor on bit 0 of the block's choice rows
+    stop = n - 1
+    for start, near, far in reversed(marks):
+        if stop < n - 1:
+            # An earlier block, computed again from its checkpoint. Walking
+            # back from anchor j at row stop reaches anchors j, .., j+stop-start
+            # alone, so the rows are cut to the window from j on.
+            w, j = (w + j) % n, 0
+            width = stop - start + 1 if stop - start + 1 < n else n
+            nn, fn = [0] * n, [0] * n  # the later block's rows go first
+            window, near, far = _window(state, n, w, width, start, stop, near, far)
+            _rows(labels, window, width, start, near, far, stop, nn, fn)
+            del window  # before the next block builds its own
+        for r in range(stop, start, -1):
+            if at_far:
+                assignment[r] = (j + r) % n
+                at_far = not fn[r] >> j & 1
+            else:
+                assignment[r] = j
+                at_far = not nn[r] >> j & 1
+                j = (j + 1) % n
+        if w:  # positions on the window, counted from anchor w
+            block = assignment[start + 1 : stop + 1]
+            assignment[start + 1 : stop + 1] = [(w + a) % n for a in block]
+        stop = start
+    assignment[0] = (w + j) % n
     return require_pdce(p, s, Embedding(tuple(assignment)), "reconstructed witness")

@@ -148,9 +148,10 @@ class ConvexPointSet:
     (positions by increasing x or y, which the decider reads) and points,
     the pairs as unchecked Point tuples, are read from the columns on first
     use and cached. So is the decider's per-set state, which the first
-    decide on the set pays for: a rank count of n + 1 ints per axis the path
-    uses, and two masks per label, of n and 2n bits, so at most 8 masks of
-    at most 2n bits. Every cache dies with the set and takes no part in
+    decide on the set pays for: two lists of n + 1 ints per axis the path
+    uses, the run lengths of its comparison rows, and two masks per label,
+    of n and 2n bits, so at most 8 masks of at most 2n bits. Every cache
+    dies with the set and takes no part in
     equality, hashing, pickle or copy; the symmetry images start without
     the decider's.
     """

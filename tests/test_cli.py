@@ -605,6 +605,35 @@ def test_leaf_usage_lines(monkeypatch, capsys):
         assert usage == f"usage: pdce {command} [-h] {options}"
 
 
+CLI_TEXTS = Path(__file__).resolve().parent / "cli_texts.json"
+
+
+def _options(parser):
+    return [a.dest for a in parser._actions if a.dest != "help"]
+
+
+def test_help_and_usage_errors_match_the_whole_tree(monkeypatch, capsys):
+    # A subcommand gets its arguments only when the command line names it,
+    # and oracle's modes likewise. Every help screen and usage error is still
+    # the text that the parser holding the whole tree printed, captured in
+    # cli_texts.json. argparse words its texts differently from one Python
+    # version to the next, so the pin holds on the version they came from.
+    commands = cli._build_parser(["oracle", "search", "--path", "gen"])._actions[-1].choices
+    assert [name for name, p in commands.items() if _options(p)] == ["oracle"]
+    modes = commands["oracle"]._actions[-1].choices
+    assert {name: _options(p) for name, p in modes.items()} == {
+        "count": [], "all-pdce": [], "search": ["path", "mode", "budget", "seed"]
+    }
+    doc = json.loads(CLI_TEXTS.read_text())
+    if "%d.%d" % sys.version_info[:2] != doc["python"]:
+        pytest.skip(f"the texts come from Python {doc['python']}")
+    monkeypatch.setenv("COLUMNS", str(doc["columns"]))
+    for case in doc["cases"]:
+        code = run(case["argv"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (case["code"], case["out"], case["err"]), case["argv"]
+
+
 def test_module_entry_exit_codes(fixture_files, tmp_path):
     points_file, labels = fixture_files
     module = [sys.executable, "-m", "pdce"]

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from bisect import bisect_left
 from pathlib import Path
 
@@ -83,23 +84,38 @@ def test_single_point_yes():
     assert w is not None and w.assignment == (0,)
 
 
+def _block_budget(n, rows):
+    # A choice-row budget that gives decide_pdce blocks of the given rows.
+    return rows * 2 * sys.getsizeof((1 << n) - 1)
+
+
 def test_counterexample_fixture_is_no(monkeypatch):
     p, s, _ = load_counterexample()
     assert decide_pdce(p, s) is None
-    # A full-length state that no earlier row leads to: the backward walk
-    # follows the choice bits all the same, and the answer check refuses
-    # what it reconstructs, so a forged state never yields a witness.
+    # A full-length state that no earlier row leads to: where the real rows
+    # die, the loop reports its block's last row alive, holding anchor 0
+    # alone, with the choice rows past the dead row left empty. The backward
+    # walk follows the choice bits all the same, and the answer check
+    # refuses what it reconstructs, so a forged state never yields a
+    # witness, in one block or in blocks of 1, 2 and 3 rows.
     real = decider._rows
 
-    def forged(labels, state, n):
-        rows = list(real(labels, state, n))
-        assert len(rows) < n - 1  # the real rows die before the last
-        rows += [(0, 0, 0, 0)] * (n - 2 - len(rows))
-        yield from rows + [(1, 0, 0, 0)]
+    def forged(labels, state, n, r, near, far, stop, nn, fn):
+        last, near, far = real(labels, state, n, r, near, far, stop, nn, fn)
+        if last == stop:
+            return last, near, far
+        forged_at.append(last)
+        return stop, 1, 0
 
-    monkeypatch.setattr(decider, "_rows", forged)
-    with pytest.raises(InternalCaseError, match="reconstructed witness"):
-        decide_pdce(p, s)
+    for block in (None, 1, 2, 3):
+        forged_at = []
+        if block:
+            monkeypatch.setattr(decider, "_CHOICE_BYTES", _block_budget(s.n, block))
+        monkeypatch.setattr(decider, "_rows", forged)
+        with pytest.raises(InternalCaseError, match="reconstructed witness"):
+            decide_pdce(p, s)
+        assert forged_at and forged_at[0] < s.n - 1, block  # the real rows die before the last
+        monkeypatch.undo()
 
 
 def _rotl1(row, n):
@@ -293,7 +309,15 @@ def _live_cells(t) -> list[int]:
 
 
 def _row_list(p, s):
-    return list(decider._rows(p.labels, decider._state(p.labels, s), s.n))
+    """One uninterrupted run of the row loop from row 0: (last, near_last,
+    far_last, nn_1, fn_1, .., nn_last, fn_last)."""
+    n = s.n
+    nn, fn = [None] * n, [None] * n
+    full = (1 << n) - 1
+    last, near, far = decider._rows(p.labels, decider._state(p.labels, s), n, 0, full, full,
+                                    n - 1, nn, fn)
+    assert nn[last + 1 :] == fn[last + 1 :] == [None] * (n - 1 - last)  # nothing past last
+    return last, near, far, *itertools.chain.from_iterable(zip(nn[1 : last + 1], fn[1 : last + 1]))
 
 
 def _assert_matches_reference(p, s) -> bool:
@@ -309,14 +333,16 @@ def _assert_matches_reference(p, s) -> bool:
     live = _live_cells(t)
     alive = live.index(0) if 0 in live else s.n
     assert not any(live[alive:])
-    # _rows yields (near_r, far_r, nn_r, fn_r) for rows 1, 2, .. and stops
-    # at the first empty row: the table's rows and the reference's first
-    # disjuncts, bit for bit.
-    rows = _row_list(p, s)
-    assert len(rows) == alive - 1
-    for r, row in enumerate(rows, 1):
-        assert row[:2] == (t.near_bits[r], t.far_bits[r]), r
-        assert [_cells(x, s.n) for x in row] == [cells[r] for cells in ref_cells], r
+    # One run of _rows from row 0 stops at the row before the first empty
+    # one, returns that row's pair as the table holds it, and writes the
+    # choice rows of rows 1, .., last: the reference's first disjuncts, bit
+    # for bit.
+    last, near, far, *choice = _row_list(p, s)
+    assert last == alive - 1
+    assert (near, far) == (t.near_bits[last], t.far_bits[last])
+    for r in range(1, last + 1):
+        got = [_cells(x, s.n) for x in choice[2 * r - 2 : 2 * r]]
+        assert got == [ref_cells[2][r], ref_cells[3][r]], r
     return live[-1] > 0
 
 
@@ -405,34 +431,39 @@ def _label_ends(d, s):
 
 def _row(state, n, r):
     # C_r from an axis's comparison state, one bit at a time.
-    lo, rc = state
-    a, b = rc[n - r], r - rc[r]
-    return sum(1 << (lo - b + i) % n for i in range(a + b))
+    lo, A, B = state
+    return sum(1 << (lo - B[r] + i) % n for i in range(A[r] + B[r]))
 
 
 def _bisection_state(key, lo, hi):
-    # The former state, kept as a second oracle: the column's two increasing
+    # An earlier state, kept as a second oracle: the column's two increasing
     # runs and the sorted column, read by two bisections per row.
     return (lo, *_unimodal_runs(key, lo, hi), sorted(key))
 
 
-def _bisection_row(state, n, r):
+def _bisection_runs(state, n, r):
+    # (a_r, b_r): how many of the n-r smallest keys lie on the rising run,
+    # and how many of the r smallest on the falling one.
     lo, rising, falling, ordered = state
-    a = bisect_left(rising, ordered[n - r])
-    b = bisect_left(falling, ordered[r])
-    return sum(1 << (lo - b + i) % n for i in range(a + b))
+    return bisect_left(rising, ordered[n - r]), bisect_left(falling, ordered[r])
+
+
+def _bisection_row(state, n, r):
+    a, b = _bisection_runs(state, n, r)
+    return sum(1 << (state[0] - b + i) % n for i in range(a + b))
 
 
 def test_comparison_rows_are_cyclic_intervals():
-    # The state answers any r in any order: every r increasing, a shuffled
-    # and a decreasing choice of r. Each C_r equals the brute-force mask and
-    # the two-bisection oracle, is one cyclic run of 1s holding lo and not
-    # hi, and the up mask {k : key[k+1] > key[k]} is C_1. The decider reads
-    # D and L off the states of U and R: C_r of the negated key, whose order
-    # is the reversed one, is the complement of C_r. Sets from the symmetry
-    # operators carry seeded extremes, and generated sets read theirs from
-    # the columns; both are checked against min and max, and each key order
-    # against the set's cached axis order.
+    # The state answers any r in any order: every r increasing, a shuffled and
+    # a decreasing choice of r. Its run lengths A[r] and B[r] equal the two
+    # bisections of an earlier state. Each C_r equals the brute-force mask and
+    # the two-bisection oracle, is one cyclic run of 1s holding lo and not hi,
+    # and the up mask {k : key[k+1] > key[k]} is C_1. The decider reads D and
+    # L off the states of U and R: C_r of the negated key, whose order is the
+    # reversed one, is the complement of C_r. Sets from the symmetry operators
+    # carry seeded extremes, and generated sets read theirs from the columns;
+    # both are checked against min and max, and each key order against the
+    # set's cached axis order.
     rng = random.Random(0xC7)
     sets = [_at_coordinate_limit()]
     for mode in GENERATOR_MODES:
@@ -452,8 +483,10 @@ def test_comparison_rows_are_cyclic_intervals():
             assert tuple(order) == (cached if d in "UR" else cached[::-1]), d
             state = _comparison_state(order, lo, hi)
             neg = _comparison_state(order[::-1], hi, lo)
-            assert len(state[1]) == n + 1 and state[1][0] == 0
+            lo_, A, B = state
+            assert lo_ == lo and len(A) == len(B) == n + 1 and A[n] == B[0] == 0
             oracle = _bisection_state(key, lo, hi)
+            assert all((A[r], B[r]) == _bisection_runs(oracle, n, r) for r in range(1, n)), d
             shuffled = [r for r in range(1, n) if rng.random() < 0.3]
             rng.shuffle(shuffled)
             decreasing = [r for r in range(n - 1, 0, -1) if rng.random() < 0.3]
@@ -680,3 +713,155 @@ def test_decide_and_embed_do_not_import_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# --- resumable row loop and checkpointed walk ---------------------------------
+
+
+def test_rows_resume_from_any_row():
+    # Resumed from row r's pair, for every third row r that lives, the loop
+    # computes what one uninterrupted run from row 0 does: the same last row
+    # and pair, the same choice rows past r, and nothing at or before r.
+    # Stopped at any later row, it returns that row's pair as dp_table holds
+    # it, or the pair of the row before the first empty one.
+    # Random 4-label paths meet NO on general sets of 40 points or more.
+    rng = random.Random(0x5E5)
+    answers = {True: 0, False: 0}
+    for i in range(150):
+        mode = "general" if i % 2 else GENERATOR_MODES[i // 2 % len(GENERATOR_MODES)]
+        n = rng.randint(40, 80) if i % 2 else rng.randint(2, 40)
+        s = _circle.generate_random_convex(n, seed=f"resume-{i}", mode=mode)
+        p = random_path(rng, s.n, "UDR" if i % 4 == 0 else "UDLR")
+        n, state, t = s.n, decider._state(p.labels, s), dp_table(p, s)
+        last, *whole = _row_list(p, s)
+        for r in range(0, last + 1, 3):
+            row = t.near_bits[r], t.far_bits[r]
+            nn, fn = [None] * n, [None] * n
+            got = decider._rows(p.labels, state, n, r, *row, n - 1, nn, fn)
+            assert got == (last, *whole[:2]), (i, r)
+            assert nn[: r + 1] == fn[: r + 1] == [None] * (r + 1), (i, r)
+            choice = itertools.chain.from_iterable(zip(nn[r + 1 : last + 1], fn[r + 1 : last + 1]))
+            assert list(choice) == whole[2 + 2 * r :], (i, r)
+            stop = rng.randint(r, n - 1)
+            end = stop if stop < last else last
+            got = decider._rows(p.labels, state, n, r, *row, stop, nn, fn)
+            assert got == (end, t.near_bits[end], t.far_bits[end]), (i, r, stop)
+        answers[last == n - 1] += 1
+    assert answers[True] >= 40 and answers[False] >= 20, answers
+
+
+def test_checkpointed_walk_matches_one_block(monkeypatch):
+    # With the budget patched to blocks of 1, 2, 3 and 7 rows, decide_pdce
+    # keeps a checkpoint per block, computes each block but the last again
+    # on the window of width rows+1 that the walk back can reach, and
+    # returns the one-block witness, or None, on every instance of the
+    # decider corpus.
+    cases = list(_decider_corpus())
+    expected = [decide_pdce(p, s) for p, s in cases]
+    real = decider._rows
+    calls = []
+
+    def spy(labels, state, n, r, near, far, stop, nn, fn):
+        calls.append((stop - r, n))
+        return real(labels, state, n, r, near, far, stop, nn, fn)
+
+    monkeypatch.setattr(decider, "_rows", spy)
+    for block in (1, 2, 3, 7):
+        windows = 0
+        for (p, s), e in zip(cases, expected):
+            monkeypatch.setattr(decider, "_CHOICE_BYTES", _block_budget(s.n, block))
+            calls.clear()
+            w = decide_pdce(p, s)
+            assert (w and w.assignment) == (e and e.assignment), (block, p.labels)
+            n = s.n
+            stops = [*range(block, n - 1, block), n - 1]
+            spans = [(b - a, n) for a, b in zip([0, *stops], stops)]
+            if w is None:
+                assert calls == spans[: len(calls)], (block, p.labels)
+                continue
+            width = block + 1 if block + 1 < n else n
+            again = [(rows, width) for rows, _ in spans[-2::-1]]
+            assert calls == spans + again, (block, p.labels)
+            if width < n:
+                windows += len(again)
+        assert windows >= 500, block
+
+
+def test_checkpoints_bound_peak_memory(monkeypatch):
+    # A YES at n = 2000 with a budget of an eighth of its rows peaks at no
+    # more than a quarter of what the one-block walk allocates, and gives
+    # its witness.
+    s = generate_random_convex(2000, seed="checkpoints-2000")
+    p = random_path(random.Random(2000), s.n, "UDR")
+    decide_pdce(p, s)  # builds the set's decider state
+
+    def peak():
+        tracemalloc.start()
+        try:
+            w = decide_pdce(p, s)
+            return tracemalloc.get_traced_memory()[1], w
+        finally:
+            tracemalloc.stop()
+
+    whole, w = peak()
+    monkeypatch.setattr(decider, "_CHOICE_BYTES", _block_budget(s.n, (s.n - 1) // 8))
+    eighth, w8 = peak()
+    assert w is not None and w8.assignment == w.assignment
+    assert eighth <= whole / 4, (eighth, whole)
+
+
+_STEP = {
+    "U": lambda xs, ys, a, b: ys[b] > ys[a],
+    "D": lambda xs, ys, a, b: ys[b] < ys[a],
+    "R": lambda xs, ys, a, b: xs[b] > xs[a],
+    "L": lambda xs, ys, a, b: xs[b] < xs[a],
+}
+
+
+def _longest_arc_walk(labels, xs, ys):
+    """The most vertices a label-respecting arc walk places, by enumeration:
+    start on any position, then step to lo-1 or hi+1 (mod n) of the arc
+    {lo, .., hi} placed so far."""
+    n = len(xs)
+    best = 1
+
+    def walk(lo, size, cur):
+        nonlocal best
+        best = max(best, size)
+        if size == n:
+            return
+        step = _STEP[labels[size - 1]]
+        for nxt, lo_next in (((lo - 1) % n, (lo - 1) % n), ((lo + size) % n, lo)):
+            if step(xs, ys, cur, nxt):
+                walk(lo_next, size + 1, nxt)
+
+    for start in range(n):
+        walk(start, 1, start)
+    return best
+
+
+def test_no_depth_matches_arc_walks():
+    # The row the loop stops at is one less than the longest prefix of the
+    # path that some label-respecting arc walk places; on a YES that is the
+    # whole path. This is the depth a NO reaches. Random 4-label paths on
+    # sets of every mode at n = 5..8 are YES all but never, so every second
+    # path goes on a general set of 40 to 60 points, where most are NO, and
+    # the packaged counterexample adds a NO at n = 7.
+    rng = random.Random(0xDE9)
+    p, s, _ = load_counterexample()
+    cases = [(p, s)]
+    for i in range(200):
+        if i % 2:
+            s = _circle.generate_random_convex(rng.randint(40, 60), seed=f"depth-{i}")
+        else:
+            mode = GENERATOR_MODES[i // 2 % len(GENERATOR_MODES)]
+            s = _circle.generate_random_convex(rng.randint(5, 8), seed=f"depth-{i}", mode=mode)
+        cases.append((random_path(rng, s.n), s))
+    answers = {True: 0, False: 0}
+    for p, s in cases:
+        n, full = s.n, (1 << s.n) - 1
+        state = decider._state(p.labels, s)
+        last, _, _ = decider._rows(p.labels, state, n, 0, full, full, n - 1, [0] * n, [0] * n)
+        assert _longest_arc_walk(p.labels, s.xs, s.ys) == last + 1, (p.labels, s)
+        answers[last == n - 1] += 1
+    assert answers[True] >= 100 and answers[False] >= 50, answers
