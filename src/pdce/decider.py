@@ -33,14 +33,16 @@ With d the label of row r:
 rot1 moves bit j+1 to bit j cyclically; C_r holds the anchors j whose step
 j -> j+r respects d; bit k of UP_d is set iff the step k -> k+1 respects d,
 so UP_d = C_1, DOWN_d is its complement and UP2_d is UP_d doubled to 2n
-bits. For U and R, C_r is one cyclic interval, found from the set's cached
-extreme indices and its two run lengths, which the axis's state lists for
-every r (_comparison_state), so any row can be built alone, in any order;
-D and L swap C_r and ~C_r of their axis. An empty row stays empty, so the
-row loop _rows stops at the first one and a NO costs only its longest
-embeddable prefix. The loop starts from any row's pair (near_r, far_r) and
-runs to a given row, so the rows can be computed in blocks, and any block
-again from its first pair.
+bits. C_r is one cyclic range of anchors, S[r], .., E[r] - 1 (mod n),
+wrapping past n - 1 when S[r] > E[r]. The axis's state lists both ends for
+every r (_comparison_state), from the set's cached extreme indices, so any
+row can be built alone, in any order. U and R read the axis's (S, E), and D
+and L the same two lists swapped, (E, S): S[r] != E[r], so the swapped
+range is the complement. An empty row stays empty, so the row loop _rows
+stops at the first one and a NO costs only its longest embeddable prefix.
+The loop starts from any row's pair (near_r, far_r) and runs to a given
+row, so the rows can be computed in blocks, and any block again from its
+first pair.
 
 nn_r and fn_r, the choice rows, are the moves from the near end of the
 previous arc. dp_table steps the loop one row at a time and keeps near_r
@@ -61,7 +63,7 @@ less than the first pass.
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import itemgetter, sub
+from operator import itemgetter
 from sys import getsizeof
 from typing import NamedTuple, Optional, Sequence
 
@@ -119,9 +121,9 @@ def _unpack(rows: list[int], n: int):
 
 def _comparison_state(
     order: Sequence[int], lo: int, hi: int,
-) -> tuple[int, list[int], list[int]]:
-    """Return (lo, A, B): C_r = {j : key[(j+r) % n] > key[j]}, for any
-    1 <= r < n, is the cyclic run of A[r] + B[r] anchors from lo - B[r].
+) -> tuple[list[int], list[int]]:
+    """Return (S, E): C_r = {j : key[(j+r) % n] > key[j]}, for any
+    1 <= r < n, is the cyclic range of anchors S[r], .., E[r] - 1 (mod n).
 
     order lists the positions by increasing key, from lo, the smallest, to
     hi, the largest. The key is x or y, and both are cyclically unimodal
@@ -134,15 +136,18 @@ def _comparison_state(
     among the n-r smallest: a_r = rc[n-r] such j. On the falling side it is
     j-g(j), .., j-1, so j is in C_r iff r >= n - g(j), that is iff key[j]
     is among the r smallest, which leave out key[hi]: b_r = r - rc[r] such
-    j. Each side's members thus form one run from lo. hi is in no C_r, and
-    C_1 is the rising run. A[r] = a_r and B[r] = b_r, n + 1 entries each.
+    j. Each side's members thus form one run from lo, and C_r runs from
+    S[r] = lo - b_r up to E[r] = lo + a_r (mod n), n + 1 entries each. lo
+    is in every C_r and hi in none, so S[r] != E[r], and C_1 is the rising
+    run.
     """
     n = len(order)
     run = (b"\1" * ((hi - lo) % n)).ljust(n, b"\0")  # the rising run's flags, from lo on
     flag = run[n - lo :] + run[: n - lo]  # flag[p]: p is on the rising run
     # itemgetter of one index returns no tuple; one position is its own order.
     rc = list(accumulate(itemgetter(*order)(flag) if n > 1 else flag, initial=0))
-    return lo, rc[::-1], list(map(sub, range(n + 1), rc))
+    ring = [*range(n)] * 2  # S and E share its ints
+    return [ring[lo + n - r + c] for r, c in enumerate(rc)], [ring[lo + c] for c in reversed(rc)]
 
 
 # label -> (its axis, whether the label reverses it)
@@ -151,11 +156,13 @@ _AXIS = {"U": ("y", False), "D": ("y", True), "R": ("x", False), "L": ("x", True
 
 def _state(labels: str, s: ConvexPointSet) -> dict:
     """Return the set's decider state, holding every label in labels: axis
-    -> its comparison state (lo, A, B), label -> (DOWN_d, UP2_d, reversed,
-    lo, A, B). It lives on the set (ConvexPointSet._decider) and grows on
-    first use of an axis or a label, so only a set's first decide builds it.
-    Entries are only added, each a function of the columns alone, so two
-    threads deciding on one set at once at worst build one twice."""
+    -> its comparison state (S, E), label -> (DOWN_d, UP2_d, S_d, E_d), with
+    (S_d, E_d) the axis's (S, E) for U and R and the same two lists swapped,
+    (E, S), for D and L. It lives on the set (ConvexPointSet._decider) and
+    grows on first use of an axis or a label, so only a set's first decide
+    builds it. Entries are only added, each a function of the columns
+    alone, so two threads deciding on one set at once at worst build one
+    twice."""
     state = s._decider
     for d, (axis, rev) in _AXIS.items():
         if d in state or d not in labels:
@@ -163,12 +170,12 @@ def _state(labels: str, s: ConvexPointSet) -> dict:
         if axis not in state:
             ends = (s.bottom_index, s.top_index) if axis == "y" else (s.left_index, s.right_index)
             state[axis] = _comparison_state(getattr(s, axis + "_order"), *ends)
-        lo, A, B = state[axis]
+        S, E = state[axis][::-1] if rev else state[axis]
         n = s.n
         full = (1 << n) - 1
-        up = full >> (n - A[0]) << lo  # C_1, the rising run; D and L take its complement
-        up = (up | up >> n) & full ^ (full if rev else 0)
-        state[d] = (full ^ up, up | up << n, rev, lo, A, B)
+        a, b = S[1], E[1]  # C_1, a cyclic range, as in _rows
+        up = (1 << b) - (1 << a) if a <= b else full ^ ((1 << a) - (1 << b))
+        state[d] = (full ^ up, up | up << n, S, E)
     return state
 
 
@@ -183,19 +190,15 @@ def _rows(
     first empty one. state is _state(labels, s) of an n-point set s."""
     full = (1 << n) - 1
     top = 1 << (n - 1)
-    for t, (down, up2, rev, lo, A, B) in enumerate(map(state.__getitem__, labels[r:stop]), r + 1):
-        # The axis's C_t, size anchors from start, or its complement does not wrap.
-        b = B[t]
-        size = A[t] + b
-        start = (lo - b) % n
-        if start + size <= n:
-            c = full >> (n - size) << start
+    for t, (down, up2, S, E) in enumerate(map(state.__getitem__, labels[r:stop]), r + 1):
+        # C_t, the anchors S[t], .., E[t]-1, or its complement does not wrap.
+        a, b = S[t], E[t]
+        if a <= b:
+            c = (1 << b) - (1 << a)
             nc = full ^ c
         else:
-            nc = full >> size << (start + size - n)
+            nc = (1 << a) - (1 << b)
             c = full ^ nc
-        if rev:
-            c, nc = nc, c
         # near: extend the previous arc {j+1, .., j+t} downward to anchor j,
         # the new vertex lands on j, coming from either end of the old arc.
         # far: extend the previous arc {j, .., j+t-1} upward, the new vertex
@@ -237,45 +240,34 @@ def _window(
     anchor w+i on bit i, and row start's pair (near, far) cut the same way.
     The state holds every label of state.
 
-    Each label keeps its DOWN_d turned and cut to the window, and UP2_d
-    turned and cut to the bits rows start+1..stop read; each axis's C_t
-    meets the window in one cyclic run of the width-bit circle, given as
-    lo = 0 and the run lengths A[t], B[t] of that run. The loop wraps bit 0
-    into bit width-1, where anchor w+width belongs: so row start+i is exact
-    on its low width-i bits only, which is all a walk back from anchor w at
-    row stop reads when width > stop-start. With width = n it is exact."""
+    Each label keeps its DOWN_d turned and cut to the window, its UP2_d
+    turned and cut to the bits rows start+1..stop read, and its own C_t cut
+    to the window, a range of the width-bit circle in the same form: an
+    empty cut has S[t] == E[t], and a whole one is (0, width). The loop
+    wraps bit 0 into bit width-1, where anchor w+width belongs: so row
+    start+i is exact on its low width-i bits only, which is all a walk back
+    from anchor w at row stop reads when width > stop-start. With width = n
+    it is exact."""
     full = (1 << n) - 1
     cut = (1 << width) - 1
 
     def turn(bits: int) -> int:  # anchor w on bit 0
         return (bits >> w | bits << (n - w)) & full
 
-    runs = {}
     out = {}
-    for d, (axis, _) in _AXIS.items():
+    for d in _AXIS:
         if d not in state:
             continue
-        down, up2, rev, lo, A, B = state[d]
-        if axis not in runs:
-            a_w = [0] * (stop + 1)
-            b_w = [0] * (stop + 1)
-            for t in range(start + 1, stop + 1):
-                # C_t runs size anchors from anchor w+first: on the window,
-                # from bit first up to width, and wrapped past anchor w+n-1
-                # onto the bits below over.
-                size = A[t] + B[t]
-                first = (lo - B[t] - w) % n
-                over = max(0, min(first + size - n, width))
-                if first < width:
-                    size = min(first + size, width) - first + over
-                else:
-                    first, size = 0, over
-                a_w[t] = size + first
-                b_w[t] = -first
-            runs[axis] = a_w, b_w
+        down, up2, S, E = state[d]
+        S_w, E_w = [0] * (stop + 1), [0] * (stop + 1)
+        for t in range(start + 1, stop + 1):  # the ends from anchor w, cut to the window
+            f = (S[t] - w) % n
+            g = (E[t] - w) % n
+            S_w[t] = f if f < width else (width if f < g else 0)
+            E_w[t] = g if g < width else width
         up = turn(up2)
         up = (up | up << n) & (1 << (stop - 1 + width)) - 1
-        out[d] = (turn(down) & cut, up, rev, 0, *runs[axis])
+        out[d] = (turn(down) & cut, up, S_w, E_w)
     return out, turn(near) & cut, turn(far) & cut
 
 

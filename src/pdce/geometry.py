@@ -149,9 +149,9 @@ class ConvexPointSet:
     the pairs as unchecked Point tuples, are read from the columns on first
     use and cached. So is the decider's per-set state, which the first
     decide on the set pays for: two lists of n + 1 ints per axis the path
-    uses, the run lengths of its comparison rows, and two masks per label,
-    of n and 2n bits, so at most 8 masks of at most 2n bits. Every cache
-    dies with the set and takes no part in
+    uses, the start and end anchors of its comparison rows' cyclic ranges,
+    and two masks per label, of n and 2n bits, so at most 8 masks of at
+    most 2n bits. Every cache dies with the set and takes no part in
     equality, hashing, pickle or copy; the symmetry images start without
     the decider's.
     """

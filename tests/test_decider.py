@@ -429,10 +429,11 @@ def _label_ends(d, s):
     }[d]
 
 
-def _row(state, n, r):
-    # C_r from an axis's comparison state, one bit at a time.
-    lo, A, B = state
-    return sum(1 << (lo - B[r] + i) % n for i in range(A[r] + B[r]))
+def _row(pair, n, r):
+    # C_r from a comparison state (S, E), one bit at a time: the anchors
+    # S[r], .., E[r] - 1 (mod n).
+    S, E = pair
+    return sum(1 << (S[r] + i) % n for i in range((E[r] - S[r]) % n))
 
 
 def _bisection_state(key, lo, hi):
@@ -455,15 +456,17 @@ def _bisection_row(state, n, r):
 
 def test_comparison_rows_are_cyclic_intervals():
     # The state answers any r in any order: every r increasing, a shuffled and
-    # a decreasing choice of r. Its run lengths A[r] and B[r] equal the two
-    # bisections of an earlier state. Each C_r equals the brute-force mask and
-    # the two-bisection oracle, is one cyclic run of 1s holding lo and not hi,
-    # and the up mask {k : key[k+1] > key[k]} is C_1. The decider reads D and
-    # L off the states of U and R: C_r of the negated key, whose order is the
-    # reversed one, is the complement of C_r. Sets from the symmetry operators
-    # carry seeded extremes, and generated sets read theirs from the columns;
-    # both are checked against min and max, and each key order against the
-    # set's cached axis order.
+    # a decreasing choice of r. Its range ends S[r] = lo - b_r and E[r] =
+    # lo + a_r (mod n) follow the two bisections of an earlier state, and
+    # differ. Each C_r equals the brute-force mask and the two-bisection
+    # oracle, is one cyclic run of 1s holding lo and not hi, and the up mask
+    # {k : key[k+1] > key[k]} is C_1. The decider reads D and L off the
+    # states of U and R: their entries hold the axis's two lists swapped,
+    # whose range is the complement, and so is C_r of the negated key, whose
+    # order is the reversed one. Sets from the symmetry operators carry
+    # seeded extremes, and generated sets read theirs from the columns; both
+    # are checked against min and max, and each key order against the set's
+    # cached axis order.
     rng = random.Random(0xC7)
     sets = [_at_coordinate_limit()]
     for mode in GENERATOR_MODES:
@@ -474,6 +477,7 @@ def test_comparison_rows_are_cyclic_intervals():
                 sets += [rotate_set(s), mirror_set(s), mirror_set(rotate_set(s))]
     for s in sets:
         n, full = s.n, (1 << s.n) - 1
+        decided = decider._state("UDLR", s)
         for d in "UDLR":
             key = _label_key(d, s)
             lo, hi = _label_ends(d, s)
@@ -483,10 +487,17 @@ def test_comparison_rows_are_cyclic_intervals():
             assert tuple(order) == (cached if d in "UR" else cached[::-1]), d
             state = _comparison_state(order, lo, hi)
             neg = _comparison_state(order[::-1], hi, lo)
-            lo_, A, B = state
-            assert lo_ == lo and len(A) == len(B) == n + 1 and A[n] == B[0] == 0
+            S, E = state
+            assert len(S) == len(E) == n + 1 and S[0] == E[n] == lo  # b_0 = a_n = 0
+            axis = decided["y" if d in "UD" else "x"]
+            entry = decided[d][2:]
+            shared = axis if d in "UR" else axis[::-1]
+            assert all(x is y for x, y in zip(entry, shared)) and len(entry) == 2, d
             oracle = _bisection_state(key, lo, hi)
-            assert all((A[r], B[r]) == _bisection_runs(oracle, n, r) for r in range(1, n)), d
+            for r in range(1, n):
+                a, b = _bisection_runs(oracle, n, r)
+                assert (S[r], E[r]) == ((lo - b) % n, (lo + a) % n), (d, r)
+                assert S[r] != E[r], (d, r)
             shuffled = [r for r in range(1, n) if rng.random() < 0.3]
             rng.shuffle(shuffled)
             decreasing = [r for r in range(n - 1, 0, -1) if rng.random() < 0.3]
@@ -495,9 +506,11 @@ def test_comparison_rows_are_cyclic_intervals():
                     mask = _row(state, n, r)
                     assert mask == _bisection_row(oracle, n, r), (d, r)
                     assert _row(neg, n, r) == full ^ mask, (d, r)
+                    assert _row(entry, n, r) == mask, (d, r)
+                    assert _row(entry[::-1], n, r) == full ^ mask, (d, r)
                     if r == 1:
                         up = sum(1 << k for k in range(n) if key[(k + 1) % n] > key[k])
-                        assert mask == up, d
+                        assert mask == up == full ^ decided[d][0], d
                     bits = [mask >> j & 1 for j in range(n)]
                     assert mask >> n == 0
                     assert bits == [int(key[(j + r) % n] > key[j]) for j in range(n)], (d, r)
@@ -785,6 +798,56 @@ def test_checkpointed_walk_matches_one_block(monkeypatch):
             if width < n:
                 windows += len(again)
         assert windows >= 500, block
+
+
+def test_windowed_rows_are_exact_on_the_bits_the_walk_reads():
+    # On seeded sets of every mode, a window of width = stop-start+1 < n
+    # anchors from a random anchor w: the loop under _window, stepped from
+    # row start's cut pair, gives each row start+i and its choice rows as
+    # the full rows turned to anchor w, on their low width-i bits. The cuts
+    # of C_t meet both conventions: empty, S[t] == E[t], and whole, (0, width).
+    rng = random.Random(0x3D0)
+    cuts = {"empty": 0, "whole": 0}
+    windows = 0
+    for i in range(240):
+        mode = GENERATOR_MODES[i % len(GENERATOR_MODES)]
+        s = _circle.generate_random_convex(rng.randint(3, 80), seed=f"window-{i}", mode=mode)
+        p = random_path(rng, s.n, ("UDR", "UDLR", "LD")[i % 3])
+        n, full = s.n, (1 << s.n) - 1
+        state, t = decider._state(p.labels, s), dp_table(p, s)
+        last, _, _, *choice = _row_list(p, s)
+        if last < 1:
+            continue
+        start = rng.randint(0, last - 1)
+        stop = rng.randint(start + 1, min(last, start + n - 2))
+        width, w = stop - start + 1, rng.randrange(n)
+
+        def turn(bits):
+            return (bits >> w | bits << (n - w)) & full
+
+        window, near, far = decider._window(
+            state, n, w, width, start, stop, t.near_bits[start], t.far_bits[start]
+        )
+        assert window.keys() == state.keys() & set("UDLR")
+        for d in set(p.labels):
+            S_w, E_w = window[d][2:]
+            for u in range(start + 1, stop + 1):
+                assert 0 <= S_w[u] <= width and 0 <= E_w[u] <= width, (i, d, u)
+                cuts["empty"] += S_w[u] == E_w[u]
+                cuts["whole"] += (S_w[u], E_w[u]) == (0, width)
+        cut = (1 << width) - 1
+        assert (near, far) == (turn(t.near_bits[start]) & cut, turn(t.far_bits[start]) & cut)
+        for u in range(start + 1, stop + 1):
+            nn, fn = [0] * (stop + 1), [0] * (stop + 1)  # a dead row writes none
+            got, near, far = decider._rows(p.labels, window, width, u - 1, near, far, u, nn, fn)
+            if got < u:
+                near = far = 0
+            low = (1 << (width - (u - start))) - 1
+            rows = (near, far, nn[u], fn[u])
+            whole = (t.near_bits[u], t.far_bits[u], *choice[2 * u - 2 : 2 * u])
+            assert [x & low for x in rows] == [turn(x) & low for x in whole], (i, u)
+        windows += 1
+    assert windows >= 200 and all(cuts.values()), (windows, cuts)
 
 
 def test_checkpoints_bound_peak_memory(monkeypatch):
