@@ -36,9 +36,10 @@ so UP_d = C_1, DOWN_d is its complement and UP2_d is UP_d doubled to 2n
 bits. C_r is one cyclic range of anchors, S[r], .., E[r] - 1 (mod n),
 wrapping past n - 1 when S[r] > E[r]. The axis's state lists both ends for
 every r (_comparison_state), from the set's cached extreme indices, so any
-row can be built alone, in any order. U and R read the axis's (S, E), and D
-and L the same two lists swapped, (E, S): S[r] != E[r], so the swapped
-range is the complement. An empty row stays empty, so the row loop _rows
+row can be built alone, in any order; both lists, like the witness, hold
+the int objects of the shared index tuple (geometry._indices). U and R
+read the axis's (S, E), and D and L the same two lists swapped, (E, S):
+S[r] != E[r], so the swapped range is the complement. An empty row stays empty, so the row loop _rows
 stops at the first one and a NO costs only its longest embeddable prefix.
 The loop starts from any row's pair (near_r, far_r) and runs to a given
 row, so the rows can be computed in blocks, and any block again from its
@@ -67,7 +68,7 @@ from operator import itemgetter
 from sys import getsizeof
 from typing import NamedTuple, Optional, Sequence
 
-from .geometry import ConvexPointSet
+from .geometry import ConvexPointSet, _indices
 from .paths import DirPath, Embedding
 from .validator import require_pdce, require_same_size
 
@@ -146,7 +147,7 @@ def _comparison_state(
     flag = run[n - lo :] + run[: n - lo]  # flag[p]: p is on the rising run
     # itemgetter of one index returns no tuple; one position is its own order.
     rc = list(accumulate(itemgetter(*order)(flag) if n > 1 else flag, initial=0))
-    ring = [*range(n)] * 2  # S and E share its ints
+    ring = _indices(n) * 2  # S and E share its ints
     return [ring[lo + n - r + c] for r, c in enumerate(rc)], [ring[lo + c] for c in reversed(rc)]
 
 
@@ -301,6 +302,7 @@ def decide_pdce(p: DirPath, s: ConvexPointSet) -> Optional[Embedding]:
     # Row n-1's arc is the whole hull, so far[n-1, j] is near[n-1, j-1]:
     # the far row is the near row rotated, and adds no full-length state.
     j, at_far = (near & -near).bit_length() - 1, False
+    ring = _indices(n) * 2  # ring[i] = i % n for 0 <= i < 2n: no new index ints
     assignment = [0] * n
     w = 0  # the anchor on bit 0 of the block's choice rows
     stop = n - 1
@@ -317,15 +319,15 @@ def decide_pdce(p: DirPath, s: ConvexPointSet) -> Optional[Embedding]:
             del window  # before the next block builds its own
         for r in range(stop, start, -1):
             if at_far:
-                assignment[r] = (j + r) % n
+                assignment[r] = ring[j + r]
                 at_far = not fn[r] >> j & 1
             else:
                 assignment[r] = j
                 at_far = not nn[r] >> j & 1
-                j = (j + 1) % n
+                j = ring[j + 1]
         if w:  # positions on the window, counted from anchor w
             block = assignment[start + 1 : stop + 1]
-            assignment[start + 1 : stop + 1] = [(w + a) % n for a in block]
+            assignment[start + 1 : stop + 1] = [ring[w + a] for a in block]
         stop = start
-    assignment[0] = (w + j) % n
+    assignment[0] = ring[w + j]
     return require_pdce(p, s, Embedding(tuple(assignment)), "reconstructed witness")

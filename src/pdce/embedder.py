@@ -8,7 +8,9 @@ picks one frame from the set's extreme points and the labels: plain, mirror
 (x -> -x), quarter turn, or turn+mirror, the transpose (x, y) -> (y, x).
 The core runs once on the frame's set, and its answer returns by one
 gather through the frame's index table (k -> -k, k + r or r - k mod n,
-r = right_index), read backwards if the path was reversed.
+r = right_index), read backwards if the path was reversed. The tables and
+the planner's pools are cut from geometry._indices, the shared tuple of
+index ints, so an embed builds no index int of its own.
 
 The planner only chooses index ranges and point subsets: its caps are hull
 arcs ending on the bottom or the top point, and one rule (_between) carves
@@ -17,9 +19,11 @@ rightmost points the caps leave, the one part in the middle the rest.
 All actual coordinates are handled by one backward walk (_walk) on index
 pools of the canonical set, forwards or, for right-sided parts, backwards:
 a crossing-free walk fills one hull arc with every suffix, so the walk
-turns the pool, already in hull order, and takes an end of the free arc
-at each step. backward_embedding, whose input is any convex set,
-keeps the generic greedy (_greedy).
+turns the pool, already in hull order, to start on its extreme point for
+the last label (found by one gather of the pool's coordinates, at its
+position in that gather), and takes an end of the free arc at each
+step. backward_embedding, whose input is any convex set, keeps the
+generic greedy (_greedy).
 The frame's set comes from rotate_set, mirror_set or paths._transposed_set,
 cut from the coordinate columns with its extremes seeded by index
 arithmetic, never re-validated; planner, executor and walk read only n, xs,
@@ -40,7 +44,7 @@ from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .errors import FourDirectional, InternalCaseError, PreconditionViolated
-from .geometry import ConvexPointSet, SetTag, classify, split_by_bt_line
+from .geometry import ConvexPointSet, SetTag, _indices, classify, split_by_bt_line
 from .paths import (
     _REVERSE_FLIP,
     DirPath,
@@ -101,11 +105,12 @@ def _greedy(labels: str, s, pool) -> list[int]:
 
 
 def _extreme(pick, col, pool) -> int:
-    # pick(pool, key=col.__getitem__) by one gather and one column search, as
-    # coordinates are distinct; itemgetter of one index returns no tuple.
+    # The position in pool of pick(pool, key=col.__getitem__), by one gather,
+    # as coordinates are distinct; itemgetter of one index returns no tuple.
     if len(pool) == 1:
-        return pool[0]
-    return col.index(pick(itemgetter(*pool)(col)))
+        return 0
+    keys = itemgetter(*pool)(col)
+    return keys.index(pick(keys))
 
 
 def _walk(labels: str, s, pool) -> list[int]:
@@ -119,10 +124,10 @@ def _walk(labels: str, s, pool) -> list[int]:
     """
     ys, xs = s.ys, s.xs
     way = {"U": (ys, True), "D": (ys, False), "R": (xs, True), "L": (xs, False)}
-    ring = list(pool)
+    ring = tuple(pool)
     if labels:
         col, up = way[labels[-1]]
-        k = ring.index(_extreme(max if up else min, col, ring))
+        k = _extreme(max if up else min, col, ring)
         ring = ring[k:] + ring[:k]
     lo, hi = 0, len(ring) - 1
     out = []
@@ -149,14 +154,14 @@ def _right_sided(labels: str, s, pool) -> list[int]:
 def _strip(labels: str, s, pool) -> list[int]:
     out = _walk(labels, s, pool)
     if len(pool) >= 2:
-        ends = (_extreme(min, s.ys, pool), _extreme(min, s.xs, pool))
+        ends = (pool[_extreme(min, s.ys, pool)], pool[_extreme(min, s.xs, pool)])
         if out[0] not in ends:
             raise InternalCaseError("strip endpoint guarantee broken (first vertex)")
     return out
 
 
 def _on_whole_set(run, p: DirPath, s: ConvexPointSet) -> Embedding:
-    return Embedding(tuple(run(p.labels, s, range(s.n))))
+    return Embedding(tuple(run(p.labels, s, _indices(s.n))))
 
 
 def backward_embedding(p: DirPath, s: ConvexPointSet) -> Embedding:
@@ -266,11 +271,12 @@ def _arc(s, start: int, count: int) -> tuple[int, ...]:
     n = s.n
     if not 0 <= count <= n:
         raise InternalCaseError(f"asked for an arc of {count} points from a set of {n}")
+    ints = _indices(n)
     start %= n
     wrap = start + count - n
     if wrap <= 0:
-        return tuple(range(start, start + count))
-    return tuple(range(wrap)) + tuple(range(start, n))
+        return ints[start : start + count]
+    return ints[:wrap] + ints[start:]
 
 
 def _run(labels: str, lo: int, hi: int, inside: str) -> tuple[int, int]:
@@ -301,7 +307,7 @@ def _between(s, left: CasePart, right: CasePart, *pieces) -> tuple[CasePart, ...
     # come in vertex order; a left or right piece takes the last - first + 1
     # leftmost or rightmost points still free, the one without a side the rest.
     ends = {s.bottom_index, s.top_index}
-    free = set(range(s.n)).difference(left.pool, right.pool)
+    free = set(_indices(s.n)).difference(left.pool, right.pool)
     if pieces[0][1] == left.last_vertex:
         free |= ends.intersection(left.pool)
     if pieces[-1][2] == right.first_vertex:
@@ -358,9 +364,9 @@ def plan_udr_case(p: DirPath, s: ConvexPointSet) -> CasePlan:
         return CasePlan(tag, m, alpha, beta, parts=parts, **runs)
 
     if m == n - 2:
-        return plan("left-sided", CasePart("whole", tuple(range(n)), 1, n, "left_sided"))
+        return plan("left-sided", CasePart("whole", _indices(n), 1, n, "left_sided"))
     if m == 0:
-        return plan("right-sided", CasePart("whole", tuple(range(n)), 1, n, "right_sided"))
+        return plan("right-sided", CasePart("whole", _indices(n), 1, n, "right_sided"))
 
     d_m, d_m1 = labels[m - 1], labels[m]
     if d_m == "D" and d_m1 != "D":
@@ -494,20 +500,22 @@ def _embed_three_directional(p: DirPath, s: ConvexPointSet) -> Embedding:
     # and D/L/R to R/D/U. Other paths are reversed if they use L. When the
     # frame's top would lie left of its bottom (for the turned set: when s's
     # right point lies above its left one), a mirror and one more reversal
-    # follow. Index k of the frame's set is point table[k] of s.
+    # follow. Index k of the frame's set is point table[k] of s, a table cut
+    # from the shared index tuple: r - k, k + r or -k (mod n), r = right_index.
     n, r = s.n, s.right_index
     if n == 1:
         return Embedding((0,))
+    ints = _indices(n)
     if "L" in p.labels and "R" in p.labels:
         backwards, mirrored = "D" not in p.labels, s.ys[r] > s.ys[s.left_index]
         p = rotate_path(p)
         if mirrored:
-            t, table = _transposed_set(s), (*range(r, -1, -1), *range(n - 1, r, -1))
+            t, table = _transposed_set(s), ints[r::-1] + ints[:r:-1]
         else:
-            t, table = rotate_set(s), (*range(r, n), *range(r))
+            t, table = rotate_set(s), ints[r:] + ints[:r]
     else:
         backwards, mirrored = "L" in p.labels, s.xs[s.top_index] < s.xs[s.bottom_index]
-        t, table = (mirror_set(s), (0, *range(n - 1, 0, -1))) if mirrored else (s, None)
+        t, table = (mirror_set(s), ints[:1] + ints[:0:-1]) if mirrored else (s, None)
     backwards ^= mirrored
     if backwards:
         p = reverse_path(p)

@@ -6,8 +6,9 @@ none twice) live here, the U/D/R split rules in geometry.split_by_bt_line
 and the U/D/R label rule in embedder.plan_udr_case. Each public check_*
 scans the embedding once. One pass over the walk's columns, _verdicts,
 finds both the first edge that breaks its label and the first vertex off
-the prefix arc; validate_embedding, require_pdce (the check every library
-answer passes) and oracle.certificate all read their verdicts from it.
+the prefix arc, stops once it knows both and builds no index int;
+validate_embedding, require_pdce (the check every library answer passes)
+and oracle.certificate all read their verdicts from it.
 
 Planarity is checked along two independent routes on purpose. The segment
 route is an exact Shamos-Hoey sweep over the walk's edges, with Python-int
@@ -29,7 +30,7 @@ from operator import sub
 from typing import NamedTuple, Optional
 
 from .errors import InternalCaseError, InvalidEmbedding, PreconditionViolated, SizeMismatch
-from .geometry import ConvexPointSet
+from .geometry import ConvexPointSet, _indices
 from .paths import DirPath, Embedding
 
 __all__ = [
@@ -88,39 +89,45 @@ def check_direction_consistency(
     return bad is None, bad
 
 
+def _neighbours(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    # (ints, prv, nxt): the shared index tuple, and (j - 1) % n and
+    # (j + 1) % n at position j, for any j with -n <= j < n.
+    ints = _indices(n)
+    return ints, ints[-1:] + ints[:-1], ints[1:] + ints[:1]
+
+
 def _verdicts(labels: str, xs, ys, a) -> tuple[Optional[int], Optional[int]]:
     """The column core of the answer checks, one pass over the walk a:
     (first k whose step a[k] -> a[k+1] breaks labels[k], first i whose a[i]
     does not extend the prefix arc of a[0..i-1] at one of its ends), each
-    None if there is none. Needs plain-int entries and a[0] in range; an
-    entry at or above len(xs) raises IndexError. Each entry is compared with
-    the arc's two in-range ends before its coordinates are read, so an
-    out-of-range one breaks the arc first."""
-    n = len(xs)
+    None if there is none, and stops once both are known. The arc's ends
+    step through _neighbours' tables and k comes from the shared index
+    tuple, so no index int is built. Needs plain-int entries and a[0] in
+    range. Each entry is compared with the arc's two in-range ends before
+    its coordinates are read, so an out-of-range one breaks the arc first:
+    an entry at or above len(xs) then raises IndexError, unless an edge
+    before it already broke its label and the pass stops there."""
+    ints, prv, nxt = _neighbours(len(xs))
     i = a[0]
-    below, above = (i - 1) % n, (i + 1) % n
+    below, above = prv[i], nxt[i]
     bad_edge = off_arc = None
-    k = 0
-    for d, j in zip(labels, a[1:]):
+    for k, d, j in zip(ints, labels, a[1:]):
         if j == below:
-            below = (j - 1) % n
+            below = prv[j]
         elif j == above:
-            above = (j + 1) % n
+            above = nxt[j]
         elif off_arc is None:
             off_arc = k + 1
-        if d == "U":
-            if ys[j] <= ys[i] and bad_edge is None:
-                bad_edge = k
-        elif d == "D":
-            if ys[j] >= ys[i] and bad_edge is None:
-                bad_edge = k
-        elif d == "R":
-            if xs[j] <= xs[i] and bad_edge is None:
-                bad_edge = k
-        elif xs[j] >= xs[i] and bad_edge is None:
+            if bad_edge is not None:
+                break
+        if (
+            ys[j] <= ys[i] if d == "U" else ys[j] >= ys[i] if d == "D"
+            else xs[j] <= xs[i] if d == "R" else xs[j] >= xs[i]
+        ) and bad_edge is None:
             bad_edge = k
+            if off_arc is not None:
+                break
         i = j
-        k += 1
     return bad_edge, off_arc
 
 
@@ -128,13 +135,13 @@ def _first_prefix_failure(s: ConvexPointSet, e: Embedding) -> Optional[int]:
     # A walk is crossing-free on a convex set iff every prefix occupies a
     # cyclically consecutive run of hull positions, so each new position must
     # extend the current arc at one of its two ends.
-    n = s.n
-    lo = hi = e[0]
-    for i in range(1, n):
-        idx = e[i]
-        if idx == (lo - 1) % n:
+    ints, prv, nxt = _neighbours(s.n)
+    a = e.assignment
+    lo = hi = a[0]
+    for i, idx in zip(ints[1:], a[1:]):
+        if idx == prv[lo]:
             lo = idx
-        elif idx == (hi + 1) % n:
+        elif idx == nxt[hi]:
             hi = idx
         else:
             return i

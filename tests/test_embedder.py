@@ -401,6 +401,28 @@ def test_every_case_tag_seeded():
     assert min(sides["left"], sides["right"]) >= 20, sides
 
 
+def test_part_pools_are_plain_tuples_of_the_range_construction(monkeypatch):
+    # Every pool is a plain tuple of ints holding the shared index objects,
+    # and planning on indices built afresh by range gives the same plans.
+    plans = list(_seeded_udr_plans())
+    rng = random.Random("large-pools")
+    for _ in range(12):
+        s = generate_random_convex(600, seed=rng.randrange(10**9), mode="general")
+        if _top_left_of_bottom(s):
+            s = mirror_set(s)
+        p = random_path(rng, s.n, rng.choice(("UDR", "UURD", "URRD")))
+        plans.append((p, s, plan_udr_case(p, s)))
+    for p, s, plan in plans:
+        shared = pdce.geometry._indices(s.n)
+        for part in plan.parts:
+            assert type(part.pool) is tuple, (plan.case_tag, part.name)
+            assert all(type(k) is int and shared[k] is k for k in part.pool), plan.case_tag
+    assert {plan.case_tag for _, _, plan in plans} == CASE_TAGS
+    monkeypatch.setattr(embedder, "_indices", lambda n: tuple(range(n)))
+    for p, s, plan in plans:
+        assert plan_udr_case(p, s) == plan
+
+
 def _flipped(labels):
     # The labels _right_sided hands to the walk: reversed, each one flipped.
     return labels[::-1].translate(_REVERSE_FLIP)

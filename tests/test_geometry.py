@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -603,3 +604,61 @@ def test_parse_points_text_diagnostics():
     assert pts == [(1, 2), (3, 4)]
     # Past int()'s digit limit only by leading zeros, a literal keeps its value.
     assert parse_points_text("-%s7 0\n" % ("0" * 5000)) == [(-7, 0)]
+
+
+def test_shared_indices_through_growth_and_shrinkage(monkeypatch):
+    # _indices(n) is 0..n-1 as a plain tuple, cut from one tuple that grows
+    # to exactly the largest n asked for and keeps its int objects as it grows.
+    monkeypatch.setattr(geometry, "_INDICES", ())
+    early = geometry._indices(300)
+    for n in (0, 1, 300, 5, 0, 1000, 1, 700, 0, 1000, 257):
+        got = geometry._indices(n)
+        assert type(got) is tuple and got == tuple(range(n)), n
+    assert len(geometry._INDICES) == 1000
+    small, large = geometry._indices(700), geometry._indices(1000)
+    assert all(a is b for a, b in zip(small, large))
+    assert all(a is b for a, b in zip(early, large))
+    # CPython caches the ints up to 256 only: above that, a fresh index is a
+    # new object, and every slice hands out the shared one.
+    fresh = int("999")
+    assert fresh == large[999] and fresh is not large[999]
+    # The axis orders hold the shared objects too.
+    s = generate_random_convex(600, seed=4)
+    shared = geometry._indices(600)
+    assert all(shared[k] is k for k in s.x_order + s.y_order)
+
+
+def test_shared_indices_under_racing_growth(monkeypatch):
+    # A racing grower may leave a shorter tuple behind; here one thread
+    # keeps doing so while three others ask for indices, and every call
+    # must still get exactly 0..n-1.
+    monkeypatch.setattr(geometry, "_INDICES", ())
+    bad, done = [], threading.Event()
+
+    def shrink():
+        while not done.is_set():
+            geometry._INDICES = ()
+
+    def work(seed):
+        rng = random.Random(seed)
+        for _ in range(2000):
+            n = rng.randrange(1, 300)
+            if geometry._indices(n) != tuple(range(n)):
+                bad.append(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    shrinker = threading.Thread(target=shrink)
+    workers = [threading.Thread(target=work, args=(k,)) for k in range(3)]
+    try:
+        shrinker.start()
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        done.set()
+        shrinker.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in [shrinker, *workers])
+    assert bad == []

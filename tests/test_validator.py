@@ -333,7 +333,8 @@ def test_fused_verdicts_match_per_rule_checks():
     # direction only, a walk off the arcs with labels it follows breaks the
     # prefix only, that walk with one label flipped before or after it
     # leaves the arcs breaks both in either order, and a swap usually breaks
-    # both. The verdict pass does not stop at the first break.
+    # both. The verdict pass does not stop at the first break, only once
+    # both verdicts are known.
     rng = random.Random("fused-verdicts")
     kinds = set()
     orders = set()
@@ -372,6 +373,24 @@ def test_fused_verdicts_match_per_rule_checks():
                         orders.add(bad_edge < off - 1)
     assert kinds == {(True, True), (False, True), (True, False), (False, False)}
     assert orders == {True, False}
+
+
+def test_verdict_pass_stops_once_both_verdicts_are_known():
+    # Entry 99 is out of range, so reading its coordinates raises. The pass
+    # reaches it only while a verdict is still open.
+    s = generate_random_convex(8, seed=1)
+    up = lambda i, j: "U" if s.ys[j] > s.ys[i] else "D"  # noqa: E731
+    down = lambda i, j: "D" if up(i, j) == "U" else "U"  # noqa: E731
+    # Edge 0 breaks its label, then vertex 2 leaves the arc {0, 1}.
+    labels = down(0, 1) + up(1, 5) + "UUUUU"
+    assert validator._verdicts(labels, s.xs, s.ys, (0, 1, 5, 99, 2, 3, 4, 6)) == (0, 2)
+    # Vertex 1 leaves the arc {0}, then edge 1 breaks its label.
+    labels = up(0, 5) + down(5, 6) + "UUUUU"
+    assert validator._verdicts(labels, s.xs, s.ys, (0, 5, 6, 99, 1, 2, 3, 4)) == (1, 1)
+    # With the labels still open, the pass reads entry 99.
+    labels = up(0, 5) + up(5, 6) + "UUUUU"
+    with pytest.raises(IndexError):
+        validator._verdicts(labels, s.xs, s.ys, (0, 5, 6, 99, 1, 2, 3, 4))
 
 
 def test_valid_embedding_runs_no_per_rule_core(monkeypatch):
