@@ -14,19 +14,18 @@ reads below the `python -S -c pass` probe's: that probe is the floor.
 
 - Library figures time one call inside the child, after its inputs are
   read: parse_points_text, validate, embed_three_directional,
-  validate_embedding, and decide_pdce on a YES (a random U/D/R path), a NO
-  (a random U/D/L/R path) and a deep NO (a random U/D/R path whose last n/10
-  labels are random U/D/L/R). Each decide runs on a set no decide has seen.
-  A decide that answers NO also records the last row its DP reached.
+  validate_embedding, and decide_pdce on a YES (a random U/D/R path) and a
+  NO (a random U/D/L/R path). Each decide runs on a set no decide has seen.
+  The child uses only pdce's public API.
 - CLI figures time a whole `python -m pdce` process: gen, embed, decide on
-  the same three paths, verify and render.
+  the same two paths, verify and render.
 - Start-up probes time `python -S -c pass`, `python -c pass` and, per tree,
   `python -c "import pdce.cli"`, so the CLI figures can be read net of them.
 - A fixed pure-Python kernel, which imports neither numpy nor pdce, is timed
   in this process before every figure, as a reference for the host's speed.
 
-Every tree reads the same inputs: the points of `pdce gen --n N --seed 1`
-(general mode) from the first tree, paths drawn from --seed, and the first
+Every tree reads the same inputs: the points of `pdce gen --n N --seed
+SEED` (general mode) from the first tree, paths drawn from SEED, and the first
 tree's `pdce embed` answer for verify and render. Bytecode is whatever each
 tree holds: run `python -m compileall TREE` before the sweep to time cached
 bytecode, and the environment block says which it was.
@@ -49,11 +48,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (100, 1000, 10_000, 30_000)
+SEED = 1
 LIBRARY = (
     "parse_points_text", "validate", "embed_three_directional", "validate_embedding",
-    "decide_yes", "decide_no", "decide_deep_no",
+    "decide_yes", "decide_no",
 )
-CLI = ("gen", "embed", "decide_yes", "decide_no", "decide_deep_no", "verify", "render")
+CLI = ("gen", "embed", "decide_yes", "decide_no", "verify", "render")
 
 
 def kernel() -> int:
@@ -81,12 +81,6 @@ def kernel_ms() -> float:
 
 
 # --- child side: one library call ------------------------------------------------
-
-
-class _Sink:
-    # Takes the choice rows _rows writes and keeps none of them.
-    def __setitem__(self, key, value) -> None:
-        pass
 
 
 def child(op: str, tree: str, work: str, n: int) -> dict:
@@ -121,14 +115,7 @@ def child(op: str, tree: str, work: str, n: int) -> dict:
         return {"wall_s": time.perf_counter() - t0, "is_pdce": ok}
     t0 = time.perf_counter()
     answer = pdce.decide_pdce(p, s)
-    out = {"wall_s": time.perf_counter() - t0, "answer": "NO" if answer is None else "YES"}
-    if answer is None:
-        from pdce import decider
-
-        state, full = decider._state(p.labels, s), (1 << n) - 1
-        sink = _Sink()
-        out["rows"] = decider._rows(p.labels, state, n, 0, full, full, n - 1, sink, sink)[0]
-    return out
+    return {"wall_s": time.perf_counter() - t0, "answer": "NO" if answer is None else "YES"}
 
 
 # --- parent side ------------------------------------------------------------------
@@ -160,7 +147,7 @@ def _env(tree: str | None) -> dict:
 
 def _best(runs: list) -> dict:
     # The best wall time and the largest peak RSS of the runs; other keys
-    # (answer, rows, exit code) from the run with the best time.
+    # (answer, exit code) from the run with the best time.
     best = dict(min(runs, key=lambda r: r["wall_s"]))
     best["maxrss_mib"] = max(r["maxrss_mib"] for r in runs)
     best["wall_s"] = round(best["wall_s"], 6)
@@ -169,8 +156,8 @@ def _best(runs: list) -> dict:
 
 
 class Sweep:
-    def __init__(self, trees: dict, work: Path, repeat: int, seed: int):
-        self.trees, self.work, self.repeat, self.seed = trees, work, repeat, seed
+    def __init__(self, trees: dict, work: Path, repeat: int):
+        self.trees, self.work, self.repeat = trees, work, repeat
         self.reference_ms: list[float] = []
 
     def _time(self, make) -> dict:
@@ -200,7 +187,7 @@ class Sweep:
         kind = name[len("decide_"):] if name.startswith("decide_") else "yes"
         path = (self.work / f"path_{kind}_{n}.txt").read_text().strip()
         args = {
-            "gen": ["gen", "--n", str(n), "--seed", "1"],
+            "gen": ["gen", "--n", str(n), "--seed", str(SEED)],
             "embed": ["embed", "--points", str(points), "--path", path],
             "verify": ["verify", "--points", str(points), "--path", path,
                        "--embedding", str(embedding)],
@@ -218,12 +205,9 @@ class Sweep:
         return self._time(make)
 
     def _paths(self, n: int) -> None:
-        rng = random.Random(f"sweep:{self.seed}:{n}")
-        draw = lambda alphabet, k: "".join(rng.choice(alphabet) for _ in range(k))  # noqa: E731
-        tail = n // 10
-        paths = {"yes": draw("URD", n - 1), "no": draw("URDL", n - 1),
-                 "deep_no": draw("URD", n - 1 - tail) + draw("URDL", tail)}
-        for kind, labels in paths.items():
+        rng = random.Random(f"sweep:{SEED}:{n}")
+        for kind, alphabet in (("yes", "URD"), ("no", "URDL")):
+            labels = "".join(rng.choice(alphabet) for _ in range(n - 1))
             (self.work / f"path_{kind}_{n}.txt").write_text(labels + "\n")
 
     def size(self, n: int) -> tuple[dict, dict]:
@@ -306,8 +290,7 @@ def main(argv=None) -> int:
     ap.add_argument("--src", action="append", metavar="LABEL=DIR",
                     help="a source tree to time, under a label (repeatable; default change=src)")
     ap.add_argument("--sizes", default=",".join(map(str, SIZES)), help="comma-separated n values")
-    ap.add_argument("--repeat", type=int, default=3, help="runs per figure (best is kept)")
-    ap.add_argument("--seed", type=int, default=1, help="seed of the paths")
+    ap.add_argument("--repeat", type=int, default=5, help="runs per figure (best is kept)")
     ap.add_argument("--out", metavar="FILE", help="the JSON file to write")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     ap.add_argument("--tree", help=argparse.SUPPRESS)
@@ -326,10 +309,9 @@ def main(argv=None) -> int:
             ap.error(f"--src {item!r}: expected LABEL=DIR with DIR/pdce/__init__.py")
         trees[label] = str(Path(tree).resolve())
     sizes = [int(v) for v in args.sizes.split(",")]
-    doc = {"environment": environment(trees), "sizes": sizes, "repeat": args.repeat,
-           "seed": args.seed}
+    doc = {"environment": environment(trees), "sizes": sizes, "repeat": args.repeat, "seed": SEED}
     with tempfile.TemporaryDirectory(prefix="pdce-sweep-") as work:
-        sweep = Sweep(trees, Path(work), args.repeat, args.seed)
+        sweep = Sweep(trees, Path(work), args.repeat)
         doc["startup"] = sweep.startup()
         doc["library"], doc["cli"] = {}, {}
         for n in sizes:

@@ -120,10 +120,22 @@ def _verdicts(labels: str, xs, ys, a) -> tuple[Optional[int], Optional[int]]:
             off_arc = k + 1
             if bad_edge is not None:
                 break
-        if (
-            ys[j] <= ys[i] if d == "U" else ys[j] >= ys[i] if d == "D"
-            else xs[j] <= xs[i] if d == "R" else xs[j] >= xs[i]
-        ) and bad_edge is None:
+        if d == "U":
+            if ys[j] <= ys[i] and bad_edge is None:
+                bad_edge = k
+                if off_arc is not None:
+                    break
+        elif d == "D":
+            if ys[j] >= ys[i] and bad_edge is None:
+                bad_edge = k
+                if off_arc is not None:
+                    break
+        elif d == "R":
+            if xs[j] <= xs[i] and bad_edge is None:
+                bad_edge = k
+                if off_arc is not None:
+                    break
+        elif xs[j] >= xs[i] and bad_edge is None:
             bad_edge = k
             if off_arc is not None:
                 break

@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-import threading
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -627,38 +626,3 @@ def test_shared_indices_through_growth_and_shrinkage(monkeypatch):
     shared = geometry._indices(600)
     assert all(shared[k] is k for k in s.x_order + s.y_order)
 
-
-def test_shared_indices_under_racing_growth(monkeypatch):
-    # A racing grower may leave a shorter tuple behind; here one thread
-    # keeps doing so while three others ask for indices, and every call
-    # must still get exactly 0..n-1.
-    monkeypatch.setattr(geometry, "_INDICES", ())
-    bad, done = [], threading.Event()
-
-    def shrink():
-        while not done.is_set():
-            geometry._INDICES = ()
-
-    def work(seed):
-        rng = random.Random(seed)
-        for _ in range(2000):
-            n = rng.randrange(1, 300)
-            if geometry._indices(n) != tuple(range(n)):
-                bad.append(n)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    shrinker = threading.Thread(target=shrink)
-    workers = [threading.Thread(target=work, args=(k,)) for k in range(3)]
-    try:
-        shrinker.start()
-        for t in workers:
-            t.start()
-        for t in workers:
-            t.join(timeout=60)
-    finally:
-        done.set()
-        shrinker.join(timeout=60)
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in [shrinker, *workers])
-    assert bad == []

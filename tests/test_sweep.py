@@ -10,9 +10,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = {
     "parse_points_text", "validate", "embed_three_directional", "validate_embedding",
-    "decide_yes", "decide_no", "decide_deep_no",
+    "decide_yes", "decide_no",
 }
-CLI = {"gen", "embed", "decide_yes", "decide_no", "decide_deep_no", "verify", "render"}
+CLI = {"gen", "embed", "decide_yes", "decide_no", "verify", "render"}
 
 
 def test_sweep_writes_every_figure(tmp_path):
@@ -53,10 +53,8 @@ def test_sweep_writes_every_figure(tmp_path):
         assert {k: v for k, v in a.items() if k not in ("wall_s", "maxrss_mib")} == {
             k: v for k, v in b.items() if k not in ("wall_s", "maxrss_mib")
         }, op
-        if op.startswith("decide_"):
-            assert a["answer"] in ("YES", "NO")
-            assert ("rows" in a) == (a["answer"] == "NO")
     assert doc["library"][n]["decide_yes"]["a"]["answer"] == "YES"
+    assert doc["library"][n]["decide_no"]["a"]["answer"] == "NO"
     assert doc["library"][n]["validate_embedding"]["a"]["is_pdce"] is True
     for name, figures in doc["cli"][n].items():
         assert set(figures) == {"a", "b"}
