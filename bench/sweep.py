@@ -8,17 +8,21 @@ Standard library only. Each --src names a source tree to import pdce from
 src/ as "change". With several trees the sweep alternates them figure by
 figure, so a drifting host moves all of them alike. Every figure runs in a
 fresh child process, --repeat times: the file keeps the best wall time and
-the largest ru_maxrss (os.wait4) of those runs. On Linux a child's
-ru_maxrss counts the pages of this process it was forked from, so no figure
-reads below the `python -S -c pass` probe's: that probe is the floor.
+the largest peak RSS of those runs. Every child runs under a small stub
+(_STUB) that reports the child's own peak RSS at exit, VmHWM from
+/proc/self/status. A child's ru_maxrss (os.wait4) would also count the
+pages of this process, which it holds from the fork until its exec, so it
+is only the fallback where /proc is missing; the environment block says
+which one the file holds.
 
 - Library figures time one call inside the child, after its inputs are
   read: parse_points_text, validate, embed_three_directional,
   validate_embedding, and decide_pdce on a YES (a random U/D/R path) and a
   NO (a random U/D/L/R path). Each decide runs on a set no decide has seen.
   The child uses only pdce's public API.
-- CLI figures time a whole `python -m pdce` process: gen, embed, decide on
-  the same two paths, verify and render.
+- CLI figures time a whole `python -m pdce` process, which the stub runs
+  as `-m` does (runpy): gen, embed, decide on the same two paths, verify
+  and render.
 - Start-up probes time `python -S -c pass`, `python -c pass` and, per tree,
   `python -c "import pdce.cli"`, so the CLI figures can be read net of them.
 - A fixed pure-Python kernel, which imports neither numpy nor pdce, is timed
@@ -54,6 +58,39 @@ LIBRARY = (
     "decide_yes", "decide_no",
 )
 CLI = ("gen", "embed", "decide_yes", "decide_no", "verify", "render")
+STATUS = Path("/proc/self/status")
+
+# The stub every child runs under: `python [-S] -c _STUB -m MODULE ARGS` runs
+# the module as `python -m` does, `-c CODE ARGS` runs the code as `python -c`
+# does, and `FILE ARGS` runs the script. At exit, whatever the exit code, it
+# writes the child's VmHWM in KiB (empty without /proc) as the last line of
+# stderr, after _MARK. Of its own it imports only runpy, which `python -m`
+# loads too, and only to run a module or a script.
+_MARK = "pdce-sweep VmHWM kB: "
+_STUB = f"""\
+import sys
+args = sys.argv
+try:
+    if args[1] == "-m":
+        import runpy
+        del args[:2]
+        runpy.run_module(args[0], run_name="__main__", alter_sys=True)
+    elif args[1] == "-c":
+        code = args.pop(2)
+        del args[1]
+        exec(code, {{"__name__": "__main__"}})
+    else:
+        import runpy
+        del args[0]
+        runpy.run_path(args[0], run_name="__main__")
+finally:
+    try:
+        with open({str(STATUS)!r}) as status:
+            peak = [line.split()[1] for line in status if line.startswith("VmHWM:")][0]
+    except (OSError, IndexError):
+        peak = ""
+    sys.stderr.write("\\n{_MARK}" + peak + "\\n")
+"""
 
 
 def kernel() -> int:
@@ -122,9 +159,14 @@ def child(op: str, tree: str, work: str, n: int) -> dict:
 
 
 def _spawn(argv: list, env: dict, stdout) -> tuple[float, float, str, int]:
-    # (wall s, ru_maxrss MiB, stdout text if piped, exit code) of one child.
+    # (wall s, peak RSS MiB, stdout text if piped, exit code) of one child,
+    # run under _STUB with argv as the stub's arguments, after "-S" for
+    # `python -S`. The peak RSS is the child's own VmHWM, or its ru_maxrss
+    # without /proc.
+    flags, args = (["-S"], argv[1:]) if argv[0] == "-S" else ([], argv)
     t0 = time.perf_counter()
-    proc = subprocess.Popen(argv, env=env, stdout=stdout, stderr=subprocess.PIPE)
+    proc = subprocess.Popen([sys.executable, *flags, "-c", _STUB, *args], env=env,
+                            stdout=stdout, stderr=subprocess.PIPE)
     text = proc.stdout.read().decode() if stdout is subprocess.PIPE else ""
     err = proc.stderr.read().decode()
     _, status, usage = os.wait4(proc.pid, 0)
@@ -133,9 +175,11 @@ def _spawn(argv: list, env: dict, stdout) -> tuple[float, float, str, int]:
     for stream in (proc.stdout, proc.stderr):
         if stream is not None:
             stream.close()
-    if proc.returncode not in (0, 1):
-        raise RuntimeError(f"{argv[1:]} exited {proc.returncode}: {err.strip()[-500:]}")
-    return wall, usage.ru_maxrss / 1024, text, proc.returncode
+    last = err.rstrip("\n").rpartition("\n")[2]
+    if proc.returncode not in (0, 1) or not last.startswith(_MARK):
+        raise RuntimeError(f"{argv} exited {proc.returncode}: {err.strip()[-500:]}")
+    kib = int(last[len(_MARK):] or usage.ru_maxrss)
+    return wall, kib / 1024, text, proc.returncode
 
 
 def _env(tree: str | None) -> dict:
@@ -173,7 +217,7 @@ class Sweep:
 
     def _library(self, op: str, n: int) -> dict:
         def make(tree):
-            argv = [sys.executable, __file__, "--child", op, "--tree", tree,
+            argv = [__file__, "--child", op, "--tree", tree,
                     "--work", str(self.work), "--n", str(n)]
             _, rss, text, code = _spawn(argv, _env(None), subprocess.PIPE)
             if code:
@@ -194,7 +238,7 @@ class Sweep:
             "render": ["render", "--points", str(points), "--path", path,
                        "--embedding", str(embedding)],
         }.get(name, ["decide", "--points", str(points), "--path", path])
-        return [sys.executable, "-m", "pdce", *args]
+        return ["-m", "pdce", *args]
 
     def _cli(self, name: str, n: int) -> dict:
         argv = self._cli_argv(name, n)
@@ -223,11 +267,10 @@ class Sweep:
         return library, cli
 
     def startup(self) -> dict:
-        probes = {"python -S -c pass": ([sys.executable, "-S", "-c", "pass"], None),
-                  "python -c pass": ([sys.executable, "-c", "pass"], None)}
+        probes = {"python -S -c pass": (["-S", "-c", "pass"], None),
+                  "python -c pass": (["-c", "pass"], None)}
         for label, tree in self.trees.items():
-            probes[f"python -c 'import pdce.cli' [{label}]"] = (
-                [sys.executable, "-c", "import pdce.cli"], tree)
+            probes[f"python -c 'import pdce.cli' [{label}]"] = (["-c", "import pdce.cli"], tree)
         out = {}
         for name, (argv, tree) in probes.items():
             runs = []
@@ -281,6 +324,7 @@ def environment(trees: dict) -> dict:
         "nproc": os.cpu_count(),
         "cpu_model": _cpu_model(),
         "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+        "peak_rss": "VmHWM" if STATUS.is_file() else "ru_maxrss",
         "trees": {label: _tree(tree) for label, tree in trees.items()},
     }
 

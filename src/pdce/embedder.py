@@ -106,9 +106,7 @@ def _greedy(labels: str, s, pool) -> list[int]:
 
 def _extreme(pick, col, pool) -> int:
     # The position in pool of pick(pool, key=col.__getitem__), by one gather,
-    # as coordinates are distinct; itemgetter of one index returns no tuple.
-    if len(pool) == 1:
-        return 0
+    # as coordinates are distinct; the pool holds two points or more.
     keys = itemgetter(*pool)(col)
     return keys.index(pick(keys))
 

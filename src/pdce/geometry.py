@@ -7,9 +7,11 @@ accepted only when it is in strictly convex, general position: pairwise
 distinct x, pairwise distinct y, and no three collinear points. Accepted
 sets are stored in a canonical order (counterclockwise around the hull,
 starting at the topmost point), which makes equality, hashing and all
-downstream index arithmetic independent of the input order. Sets, the two
-parsers (text and JSON), the text formatter and the predicates work on
-(x, y) int pairs; no engine reads a set's points view. validate() accepts
+downstream index arithmetic independent of the input order: top_index is
+the constant 0, the other three extreme indices are cached, and
+split_by_bt_line bisects the x column in place. Sets, the two parsers
+(text and JSON), the text formatter and the predicates work on (x, y)
+int pairs; no engine reads a set's points view. validate() accepts
 fast and explains exactly: a valid set passes in whole-column passes and
 one split into the two hull chains, and only a rejected input meets the
 slower route that names its error.
@@ -27,7 +29,7 @@ from __future__ import annotations
 import enum
 import operator
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -163,21 +165,22 @@ class ConvexPointSet:
     counterclockwise. Equality and hashing go by the two columns, which are
     read-only. validate() is the one door for outside input, and the
     symmetry operators build from a valid set by index arithmetic. The
-    constructor refuses; pickle and copy go through validate(). The four
-    extreme indices (which the symmetry operators seed), the two axis orders
-    (positions by increasing x or y, which the decider reads) and points,
-    the pairs as unchecked Point tuples, are read from the columns on first
-    use and cached. So is the decider's per-set state, which the first
-    decide on the set pays for: two lists of n + 1 ints per axis the path
-    uses, the start and end anchors of its comparison rows' cyclic ranges,
-    and two masks per label, of n and 2n bits, so at most 8 masks of at
-    most 2n bits. Every cache dies with the set and takes no part in
+    constructor refuses; pickle and copy go through validate(). top_index
+    is the constant 0. The other three extreme indices (which the symmetry
+    operators seed), the two axis orders (positions by increasing x or y,
+    which the decider reads) and points, the pairs as unchecked Point
+    tuples, are read from the columns on first use and cached. So is the
+    decider's per-set state, which the first decide on the set pays for:
+    two lists of n + 1 ints per axis the path uses, the start and end
+    anchors of its comparison rows' cyclic ranges, and two masks per label,
+    of n and 2n bits, so at most 8 masks of at most 2n bits. Every cache dies with the set and takes no part in
     equality, hashing, pickle or copy; the symmetry images start without
     the decider's.
     """
 
     xs: tuple[int, ...]
     ys: tuple[int, ...]
+    top_index = 0
     __setattr__ = __delattr__ = _read_only
 
     def __init__(self, *args, **kwargs) -> None:
@@ -201,10 +204,6 @@ class ConvexPointSet:
     @cached_property
     def points(self) -> tuple[Point, ...]:
         return tuple(map(Point, self.xs, self.ys))
-
-    @cached_property
-    def top_index(self) -> int:
-        return self.ys.index(max(self.ys))
 
     @cached_property
     def bottom_index(self) -> int:
@@ -238,7 +237,7 @@ class ConvexPointSet:
 
 def _sealed(xs: tuple[int, ...], ys: tuple[int, ...], **extremes: int) -> ConvexPointSet:
     # The set of already valid columns, past the refusing constructor; the
-    # extreme indices a caller knows (top_index, ...) become their cache.
+    # extreme indices a caller knows (bottom_index, ...) become their cache.
     s = object.__new__(ConvexPointSet)
     s.__dict__.update(extremes, xs=xs, ys=ys)
     return s
@@ -382,24 +381,6 @@ class SplitDescriptor(NamedTuple):
     beta: int
 
 
-def _unimodal_runs(
-    key: Sequence[int], lo: int, hi: int
-) -> tuple[Sequence[int], Sequence[int]]:
-    """Split a cyclically unimodal column into its two increasing runs.
-
-    key is a coordinate column (xs or ys) of a convex set in hull order: its
-    values are distinct, lo and hi are the positions of the smallest and
-    the largest, and key rises strictly along lo, .., hi and falls strictly
-    along hi, .., lo (mod n). Returns (rising, falling): the keys at
-    lo, .., hi-1 and those at lo-1, lo-2, .., hi+1. Both increase, so the
-    number of keys below a value is two bisections; the largest key, at hi,
-    is in neither run.
-    """
-    rotated = key[lo:] + key[:lo]  # rotated[i] = key[(lo + i) % n]
-    h = (hi - lo) % len(key)
-    return rotated[:h], rotated[:h:-1]
-
-
 def split_by_bt_line(s: ConvexPointSet) -> SplitDescriptor:
     """Split s by the directed line from its bottom point to its top point.
 
@@ -407,24 +388,25 @@ def split_by_bt_line(s: ConvexPointSet) -> SplitDescriptor:
     down the side left of the line to the bottom, then up the right side;
     no three points are collinear. So indices 1 .. bottom_index - 1 lie
     strictly left of the line, the rest past the bottom strictly right.
-    alpha and beta count x values by bisection on the two increasing runs
-    of the x column (_unimodal_runs); the rightmost point, in neither run,
-    counts towards beta only when it is the top.
+    The x column is read in place by two bisections. x falls from the top
+    to the leftmost point and rises on to the bottom, so alpha is
+    bottom_index less the points before left_index right of the bottom.
+    Every point before the bottom has x at most x(top); x rises from the
+    bottom to the rightmost point (the end, when the top is rightmost) and
+    stays above x(top) after it. So beta is the position in that rising
+    run past the last x at most x(top).
     Requires two points or more and the top strictly right of the bottom.
     """
     if s.n < 2:
         raise PreconditionViolated("split needs at least two points")
-    xs = s.xs
-    bx = xs[s.bottom_index]
-    tx = xs[s.top_index]
+    xs, k = s.xs, s.bottom_index
+    bx, tx = xs[k], xs[0]
     if tx < bx:
         raise PreconditionViolated("top point must lie to the right of the bottom point")
-    rising, falling = _unimodal_runs(xs, s.left_index, s.right_index)
     return SplitDescriptor(
-        m=s.bottom_index - 1,
-        alpha=bisect_left(rising, bx) + bisect_left(falling, bx),
-        beta=bisect_right(rising, tx) + bisect_right(falling, tx)
-        + (s.top_index == s.right_index),
+        m=k - 1,
+        alpha=k - bisect_right(xs, -bx, 0, s.left_index, key=operator.neg),
+        beta=bisect_right(xs, tx, k, s.right_index or s.n),
     )
 
 

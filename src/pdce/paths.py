@@ -24,7 +24,8 @@ operator on sets and embeddings pure index arithmetic on an n-point set s:
 No operator re-validates: a transformed valid set is valid. rotate_set and
 mirror_set cut and negate the source's coordinate columns, _transposed_set
 only cuts them (two reversed slices each), and all hand geometry._sealed
-the new extreme indices, found by the same index arithmetic; they scan no
+the new bottom, left and right indices, found by the same index
+arithmetic; the top is index 0 in every canonical set. They scan no
 column and leave the points view unbuilt.
 """
 
@@ -137,9 +138,8 @@ def rotate_set(s: ConvexPointSet) -> ConvexPointSet:
     return _sealed(
         tuple(map(neg, ys[r:] + ys[:r])),
         xs[r:] + xs[:r],
-        top_index=0,
         bottom_index=(s.left_index - r) % n,
-        left_index=(s.top_index - r) % n,
+        left_index=-r % n,
         right_index=(s.bottom_index - r) % n,
     )
 
@@ -150,7 +150,6 @@ def mirror_set(s: ConvexPointSet) -> ConvexPointSet:
     return _sealed(
         tuple(map(neg, xs[:1] + xs[:0:-1])),
         ys[:1] + ys[:0:-1],
-        top_index=-s.top_index % n,
         bottom_index=-s.bottom_index % n,
         left_index=-s.right_index % n,
         right_index=-s.left_index % n,
@@ -164,10 +163,9 @@ def _transposed_set(s: ConvexPointSet) -> ConvexPointSet:
     return _sealed(
         ys[r::-1] + ys[:r:-1],
         xs[r::-1] + xs[:r:-1],
-        top_index=0,
         bottom_index=(r - s.left_index) % n,
         left_index=(r - s.bottom_index) % n,
-        right_index=(r - s.top_index) % n,
+        right_index=r,
     )
 
 

@@ -34,7 +34,6 @@ from pdce import (
 )
 from pdce import decider
 from pdce.decider import _comparison_state
-from pdce.geometry import _unimodal_runs
 import _circle
 from conftest import instances, random_path
 
@@ -438,8 +437,11 @@ def _row(pair, n, r):
 
 def _bisection_state(key, lo, hi):
     # An earlier state, kept as a second oracle: the column's two increasing
-    # runs and the sorted column, read by two bisections per row.
-    return (lo, *_unimodal_runs(key, lo, hi), sorted(key))
+    # runs and the sorted column, read by two bisections per row. The runs
+    # are the keys at lo, .., hi-1 and those at lo-1, lo-2, .., hi+1 (mod n).
+    rotated = key[lo:] + key[:lo]  # rotated[i] = key[(lo + i) % n]
+    h = (hi - lo) % len(key)
+    return (lo, rotated[:h], rotated[:h:-1], sorted(key))
 
 
 def _bisection_runs(state, n, r):
@@ -928,3 +930,52 @@ def test_no_depth_matches_arc_walks():
         assert _longest_arc_walk(p.labels, s.xs, s.ys) == last + 1, (p.labels, s)
         answers[last == n - 1] += 1
     assert answers[True] >= 100 and answers[False] >= 50, answers
+
+
+# --- deep NOs -------------------------------------------------------------------
+
+
+def _deep_path(rng, n):
+    # A random U/D/R path whose last n // 10 labels are random U/D/L/R. Its
+    # U/D/R head always embeds, so a NO dies in the tail, after about 90 % of
+    # its rows. Of the six generator modes, only general sets gave NOs.
+    tail = n // 10
+    head = "".join(rng.choice("UDR") for _ in range(n - 1 - tail))
+    return DirPath(head + "".join(rng.choice("UDLR") for _ in range(tail)))
+
+
+def _last_live_row(t):
+    return max(r for r, (a, b) in enumerate(zip(t.near_bits, t.far_bits)) if a | b)
+
+
+def test_deep_nos_stop_on_the_tables_last_live_row():
+    # Each NO's last row, from one run of _rows, is dp_table's last
+    # non-empty one, and its depth, the share of the n vertices its longest
+    # label-respecting prefix places, is read from that row too.
+    rng = random.Random(0xDEE9)
+    depths = []
+    for i in range(30):
+        s = _circle.generate_random_convex(rng.randint(500, 640), seed=f"deep-no-{i}")
+        p = _deep_path(rng, s.n)
+        n, full = s.n, (1 << s.n) - 1
+        last, _, _ = decider._rows(p.labels, decider._state(p.labels, s), n, 0, full, full,
+                                   n - 1, [0] * n, [0] * n)
+        assert last == _last_live_row(dp_table(p, s)), i
+        assert (decide_pdce(p, s) is None) == (last < n - 1), i
+        if last < n - 1:
+            depths.append((last + 1) / n)
+    assert sum(d >= 0.8 for d in depths) >= 20, depths
+
+
+def test_deep_family_matches_reference_at_small_n():
+    # The same family at n <= 80, held cell by cell to the reference
+    # recurrence: 36 instances over every mode, then 164 general ones at
+    # n = 70..80, where about one path in twenty is a NO.
+    rng = random.Random(0xDEE8)
+    answers = {True: 0, False: 0}
+    for i in range(200):
+        mode = GENERATOR_MODES[i % len(GENERATOR_MODES)] if i < 36 else "general"
+        n = rng.randint(10, 80) if i < 36 else rng.randint(70, 80)
+        s = _circle.generate_random_convex(n, seed=f"deep-ref-{i}", mode=mode)
+        answers[_assert_matches_reference(_deep_path(rng, s.n), s)] += 1
+    assert answers[True] and answers[False] >= 3, answers

@@ -169,8 +169,9 @@ def test_frames_match_transformed_sets(mode):
 
 def test_transposed_set_is_mirror_of_rotation():
     # The reductions' turn+mirror frame, built from four slices: both
-    # columns equal mirror_set(rotate_set(s)), and the four extreme indices
-    # it seeds equal the round trip's and the ones read from its columns.
+    # columns equal mirror_set(rotate_set(s)), and the three extreme indices
+    # it seeds, with the top at 0, equal the round trip's and the ones read
+    # from its columns.
     sets = [
         generate_random_convex(n, seed=n, mode=mode)
         for mode in ALL_MODES
@@ -179,7 +180,7 @@ def test_transposed_set_is_mirror_of_rotation():
     for s in (*sets, S6, HEX_A1, HEX_A2):
         t, want = _transposed_set(s), mirror_set(rotate_set(s))
         assert (t.xs, t.ys) == (want.xs, want.ys)
-        seeded = tuple(vars(t)[f"{k}_index"] for k in ("top", "bottom", "left", "right"))
+        seeded = (t.top_index, *(vars(t)[f"{k}_index"] for k in ("bottom", "left", "right")))
         assert seeded == _extremes(want) == _column_extremes(t)
 
 
@@ -232,9 +233,23 @@ def test_set_operators_scan_no_column(monkeypatch):
     built = (rotate_set(s), mirror_set(s), mirror_set(rotate_set(s)), _transposed_set(s))
     seen = [_extremes(t) for t in built]
     with pytest.raises(AssertionError, match="scanned"):
-        fresh.top_index
+        fresh.bottom_index
     monkeypatch.undo()
     assert seen == [_column_extremes(t) for t in built]
+
+
+def test_records_are_unequal_to_other_types():
+    # A set, a path and an embedding compare equal only to their own kind:
+    # __eq__ answers NotImplemented to a plain tuple or str, whose contents
+    # match, and Python then falls back to identity.
+    s = validate([(0, 0), (2, 3), (4, 1)])
+    for record, other in (
+        (s, (s.xs, s.ys)), (s, tuple(zip(s.xs, s.ys))),
+        (DirPath("UR"), "UR"), (Embedding((1, 0, 2)), (1, 0, 2)),
+    ):
+        assert record.__eq__(other) is NotImplemented
+        assert record != other and other != record
+        assert not record == other
 
 
 def test_sets_equal_hash_and_pickle_by_columns(monkeypatch):
@@ -261,7 +276,7 @@ def test_sets_equal_hash_and_pickle_by_columns(monkeypatch):
     # assigned, and the constructor refuses them; only validate() and the
     # symmetry operators build a set.
     _extremes(s)
-    assert "top_index" in vars(s) and "top_index" not in vars(fresh)
+    assert "bottom_index" in vars(s) and "bottom_index" not in vars(fresh)
     assert fresh == s and hash(fresh) == hash(s)
     for name in ("xs", "ys", "top_index", "points"):
         with pytest.raises(AttributeError):

@@ -42,6 +42,10 @@ def test_sweep_writes_every_figure(tmp_path):
     }
     for probe in doc["startup"].values():
         assert set(probe) == {"wall_s", "maxrss_mib"} and probe["wall_s"] > 0
+    # Each child reports its own peak RSS, not the pages it shares with the
+    # sweep until its exec: a bare interpreter reads below one that loads pdce.
+    bare = doc["startup"]["python -S -c pass"]["maxrss_mib"]
+    assert bare < doc["startup"]["python -c 'import pdce.cli' [a]"]["maxrss_mib"], doc["startup"]
     assert set(doc["reference"]) == {"kernel_ms_median", "kernel_ms_min", "kernel_ms_max", "calls"}
     assert doc["reference"]["calls"] == 2 * (len(LIBRARY) + len(CLI))
     n = "100"
