@@ -128,6 +128,25 @@ MUTANTS = (
     Mutant("orientation-collinear-is-left", "geometry.py",
            "return (v > 0) - (v < 0)", "return (v >= 0) - (v < 0)",
            ("test_geometry.py",)),
+    # geometry: the input door's rules, each at its one site.
+    Mutant("door-three-fields-read-as-two", "geometry.py",
+           "if len(parts) != 2:", "if len(parts) < 2:",
+           ("test_geometry.py",)),
+    Mutant("door-range-one-past-limit", "geometry.py",
+           "if abs(x) > COORD_LIMIT or abs(y) > COORD_LIMIT:",
+           "if abs(x) > COORD_LIMIT or abs(y) > COORD_LIMIT + 1:",
+           ("test_geometry.py",)),
+    Mutant("door-one-y-tie-passes", "geometry.py",
+           "if len(set(xs)) < n or len(set(ys)) < n:",
+           "if len(set(xs)) < n or len(set(ys)) < n - 1:",
+           ("test_geometry.py",)),
+    Mutant("door-turn-admits-straight", "geometry.py",
+           "if not all(map(operator.gt, map(operator.mul, ex, ny),",
+           "if not all(map(operator.ge, map(operator.mul, ex, ny),",
+           ("test_geometry.py",)),
+    Mutant("door-line-count-restarts-per-block", "geometry.py",
+           "enumerate(block.splitlines(), ln + 1)", "enumerate(block.splitlines(), 1)",
+           ("test_geometry.py",)),
     # paths: the symmetry operators' index arithmetic and label tables.
     Mutant("rotate-left-index-sign", "paths.py",
            "left_index=-r % n,", "left_index=r % n,",

@@ -19,7 +19,10 @@ which one the file holds.
   read: parse_points_text, validate, embed_three_directional,
   validate_embedding, and decide_pdce on a YES (a random U/D/R path) and a
   NO (a random U/D/L/R path). Each decide runs on a set no decide has seen.
-  The child uses only pdce's public API.
+  The load figure times the input door as one step instead: reading the
+  points file, parse_points_text and validate, the work `pdce decide` and
+  every other subcommand does before its engine runs; its peak RSS is that
+  of the door alone. The child uses only pdce's public API.
 - CLI figures time a whole `python -m pdce` process, which the stub runs
   as `-m` does (runpy): gen, embed, decide on the same two paths, verify
   and render.
@@ -54,7 +57,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = (100, 1000, 10_000, 30_000)
 SEED = 1
 LIBRARY = (
-    "parse_points_text", "validate", "embed_three_directional", "validate_embedding",
+    "load", "parse_points_text", "validate", "embed_three_directional", "validate_embedding",
     "decide_yes", "decide_no",
 )
 CLI = ("gen", "embed", "decide_yes", "decide_no", "verify", "render")
@@ -127,6 +130,10 @@ def child(op: str, tree: str, work: str, n: int) -> dict:
     if Path(pdce.__file__).resolve().parent != (Path(tree) / "pdce").resolve():
         raise SystemExit(f"imported pdce from {pdce.__file__}, not from {tree}")
     folder = Path(work)
+    if op == "load":
+        t0 = time.perf_counter()
+        pdce.validate(pdce.parse_points_text((folder / f"points_{n}.txt").read_text()))
+        return {"wall_s": time.perf_counter() - t0}
     text = (folder / f"points_{n}.txt").read_text()
     if op == "parse_points_text":
         t0 = time.perf_counter()

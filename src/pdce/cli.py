@@ -26,12 +26,13 @@ from .generate import GENERATOR_MODES, generate_random_convex
 from .geometry import (
     ConvexPointSet,
     SetTag,
+    _column_set,
     _echo,
     _int_literal,
+    _text_columns,
     classify,
     format_points_text,
     parse_points_json,
-    parse_points_text,
     validate,
 )
 from .oracle import (
@@ -59,12 +60,15 @@ def _read_text(path: str) -> str:
 
 
 def _load_points(path: str) -> ConvexPointSet:
+    # A JSON file goes through its parser and validate(). A text file is
+    # parsed into two columns and checked by the core validate() uses, so
+    # no pair per point is built, and the text is let go before the set.
     text = _read_text(path)
     if text.lstrip().startswith("{"):
-        raw = parse_points_json(text)
-    else:
-        raw = parse_points_text(text)
-    return validate(raw)
+        return validate(parse_points_json(text))
+    columns = _text_columns(text)
+    del text
+    return _column_set(*columns)
 
 
 def _load_embedding(path: str, n: int) -> Embedding:

@@ -11,10 +11,14 @@ downstream index arithmetic independent of the input order: top_index is
 the constant 0, the other three extreme indices are cached, and
 split_by_bt_line bisects the x column in place. Sets, the two parsers
 (text and JSON), the text formatter and the predicates work on (x, y)
-int pairs; no engine reads a set's points view. validate() accepts
-fast and explains exactly: a valid set passes in whole-column passes and
-one split into the two hull chains, and only a rejected input meets the
-slower route that names its error.
+int pairs; a set's points view is built on each read, and no engine reads
+it. validate() accepts fast and explains exactly: a valid set passes in
+whole-column passes and one split into the two hull chains, and only a
+rejected input meets the slower route that names its error. Those rules
+run on two coordinate columns in one core, _column_set, which the CLI's
+text door enters straight from _text_columns: the door holds one copy of
+the points beside the text, with no list of all lines, no pair per point
+and no list of edge differences.
 
 CPython caches only the ints up to 256, so an index built afresh above
 that is a heap allocation. The embedder's pools and frame tables, the
@@ -31,7 +35,8 @@ import operator
 import re
 from bisect import bisect_right
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain, islice, tee
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     CollinearTriple,
@@ -167,15 +172,17 @@ class ConvexPointSet:
     symmetry operators build from a valid set by index arithmetic. The
     constructor refuses; pickle and copy go through validate(). top_index
     is the constant 0. The other three extreme indices (which the symmetry
-    operators seed), the two axis orders (positions by increasing x or y,
-    which the decider reads) and points, the pairs as unchecked Point
-    tuples, are read from the columns on first use and cached. So is the
-    decider's per-set state, which the first decide on the set pays for:
-    two lists of n + 1 ints per axis the path uses, the start and end
-    anchors of its comparison rows' cyclic ranges, and two masks per label,
-    of n and 2n bits, so at most 8 masks of at most 2n bits. Every cache dies with the set and takes no part in
-    equality, hashing, pickle or copy; the symmetry images start without
-    the decider's.
+    operators seed) and the two axis orders (positions by increasing x or
+    y, which the decider reads) are read from the columns on first use and
+    cached. So is the decider's per-set state, which the first decide on
+    the set pays for: two lists of n + 1 ints per axis the path uses, the
+    start and end anchors of its comparison rows' cyclic ranges, and two
+    masks per label, of n and 2n bits, so at most 8 masks of at most 2n
+    bits. Every cache dies with the set and takes no part in equality,
+    hashing, pickle or copy; the symmetry images start without the
+    decider's. points, the pairs as unchecked Point tuples for outside
+    callers, is built on each read and not kept: at 64 bytes a point it
+    would cost nearly as much as the set.
     """
 
     xs: tuple[int, ...]
@@ -201,7 +208,7 @@ class ConvexPointSet:
     def n(self) -> int:
         return len(self.xs)
 
-    @cached_property
+    @property
     def points(self) -> tuple[Point, ...]:
         return tuple(map(Point, self.xs, self.ys))
 
@@ -252,75 +259,104 @@ def validate(raw_points: Iterable) -> ConvexPointSet:
     oversized coordinates, and PreconditionViolated for malformed input.
     Accepts fast, explains exactly: int 2-tuples are checked by column and
     the set by the turns of the ring _strict_hull splits off; only an input
-    that fails goes through _pair or _monotone_chain, which name the error.
+    that fails goes through _pair or _explain, which name the error.
     """
     entries = list(raw_points)
-    n = len(entries)
+    if set(map(type, entries)) == {tuple} and set(map(len, entries)) == {2}:
+        xs, ys = (tuple(map(operator.itemgetter(k), entries)) for k in (0, 1))
+        if _plain(xs) and _plain(ys):
+            return _column_set(xs, ys)
+    xs, ys = zip(*map(_pair, entries)) if entries else ((), ())
+    return _column_set(xs, ys)
+
+
+def _plain(col: Sequence) -> bool:
+    # Whether every value of the column is an int of magnitude at most COORD_LIMIT.
+    return set(map(type, col)) == {int} and max(map(abs, col)) <= COORD_LIMIT
+
+
+def _column_set(xs: Sequence[int], ys: Sequence[int]) -> ConvexPointSet:
+    # The column core of validate() and the text door: validate()'s rules
+    # from the empty set on, in its order, on two columns of ints within
+    # COORD_LIMIT. Distinct coordinates are checked by two sets, one after
+    # the other, and each turn as its two edge differences are computed, so
+    # no list of differences is kept.
+    n = len(xs)
     if n == 0:
         raise PreconditionViolated("point set is empty")
-    fast = set(map(type, entries)) == {tuple} and set(map(len, entries)) == {2}
-    if fast:
-        xs, ys = (tuple(map(operator.itemgetter(k), entries)) for k in (0, 1))
-        both = xs + ys
-        fast = set(map(type, both)) == {int} and max(map(abs, both)) <= COORD_LIMIT
-    if not fast:
-        xs, ys = zip(*map(_pair, entries))
-
-    by_x = sorted(range(n), key=xs.__getitem__)
     if len(set(xs)) < n or len(set(ys)) < n:
-        by_y = sorted(range(n), key=ys.__getitem__)
-        for order, col, duplicate in ((by_x, xs, DuplicateX), (by_y, ys, DuplicateY)):
-            for a, b in zip(order, order[1:]):
-                if col[a] == col[b]:
-                    raise duplicate(*sorted((a, b)))
-
-    ring = _strict_hull(xs, ys, by_x) if n > 2 else by_x
+        _explain(xs, ys)
+    ring = _strict_hull(xs, ys)
     start = ring.index(ys.index(max(ys)))
     pick = operator.itemgetter(*ring[start:], *ring[:start])
-    cxs, cys = (pick(xs), pick(ys)) if n > 1 else (xs, ys)
+    cxs, cys = (pick(xs), pick(ys)) if n > 1 else (tuple(xs), tuple(ys))
     if n > 2:
         # Edge k runs from ring point k to k + 1; each turns strictly left into the next.
-        ex = list(map(operator.sub, cxs[1:] + cxs[:1], cxs))
-        ey = list(map(operator.sub, cys[1:] + cys[:1], cys))
-        cross = map(operator.mul, ex, ey[1:] + ey[:1])
-        if not all(map(operator.gt, cross, map(operator.mul, ey, ex[1:] + ex[:1]))):
-            _monotone_chain(xs, ys, by_x)
+        ex, nx = _edges(cxs)
+        ey, ny = _edges(cys)
+        if not all(map(operator.gt, map(operator.mul, ex, ny), map(operator.mul, ey, nx))):
+            _explain(xs, ys)
             raise InternalCaseError("hull canonicalization broke convexity")
     return _sealed(cxs, cys)
 
 
-def _strict_hull(xs: Sequence[int], ys: Sequence[int], by_x: list[int]) -> list[int]:
+def _edges(col: Sequence[int]) -> tuple[Iterator[int], Iterator[int]]:
+    # The differences col[k + 1] - col[k] round the ring, from k = 0 and from
+    # k = 1; tee holds only the one or two the two readers are apart.
+    here, ahead = tee(map(operator.sub, islice(chain(col, col[:1]), 1, None), col))
+    first = next(ahead)
+    return here, chain(ahead, (first,))
+
+
+def _strict_hull(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
     # One chain split by the line from the leftmost point l to the rightmost r:
     # l, the points on or below it by x, r, the points above it by falling x.
     # Every turn of this ring is strictly left iff the set is strictly convex.
+    by_x = sorted(_indices(len(xs)), key=xs.__getitem__)
+    if len(by_x) < 3:
+        return by_x
     l, r = by_x[0], by_x[-1]
     lx, ly = xs[l], ys[l]
     dx, dy = xs[r] - lx, ys[r] - ly
     lower, upper = [], []
-    for k in by_x[1:-1]:
+    for k in islice(by_x, 1, len(by_x) - 1):
         (lower if dx * (ys[k] - ly) <= dy * (xs[k] - lx) else upper).append(k)
     return [l, *lower, r, *reversed(upper)]
+
+
+def _explain(xs: Sequence[int], ys: Sequence[int]) -> None:
+    # The exact route of the rules _column_set checks fast: the first tie of
+    # the sorted x, then of the sorted y, then the monotone chain, which
+    # names a collinear triple or a point inside the hull.
+    n = len(xs)
+    by_x = sorted(_indices(n), key=xs.__getitem__)
+    by_y = sorted(_indices(n), key=ys.__getitem__)
+    for order, col, duplicate in ((by_x, xs, DuplicateX), (by_y, ys, DuplicateY)):
+        for a, b in zip(order, order[1:]):
+            if col[a] == col[b]:
+                raise duplicate(*sorted((a, b)))
+    _monotone_chain(xs, ys, by_x)
 
 
 def _monotone_chain(xs: Sequence[int], ys: Sequence[int], by_x: list[int]) -> list[int]:
     # Monotone chain (Andrew 1979) on indices, restricted to strict turns: the
     # hull from the leftmost point, or an error naming the offending indices.
     def build(order: list[int]) -> list[int]:
-        chain: list[int] = []
+        stack: list[int] = []
         for k in order:
             kx, ky = xs[k], ys[k]
-            while len(chain) >= 2:
-                i, j = chain[-2], chain[-1]
+            while len(stack) >= 2:
+                i, j = stack[-2], stack[-1]
                 ix, iy = xs[i], ys[i]
                 c = (xs[j] - ix) * (ky - iy) - (ys[j] - iy) * (kx - ix)
                 if c == 0:
                     raise CollinearTriple(*sorted((i, j, k)))
                 if c < 0:
-                    chain.pop()
+                    stack.pop()
                 else:
                     break
-            chain.append(k)
-        return chain
+            stack.append(k)
+        return stack
 
     hull = build(by_x)[:-1] + build(by_x[::-1])[:-1]
     if len(hull) < len(xs):
@@ -413,23 +449,46 @@ def split_by_bt_line(s: ConvexPointSet) -> SplitDescriptor:
 def parse_points_text(text: str) -> list[tuple[int, int]]:
     """Parse 'x y' lines into int pairs, checked as validate() checks them.
     Blank lines and lines starting with '#' are skipped."""
-    pairs = []
-    for ln, line in enumerate(text.splitlines(), start=1):
-        body = line.strip()
-        if not body or body.startswith("#"):
-            continue
-        parts = body.split()
-        if len(parts) != 2:
-            raise PreconditionViolated(f"line {ln}: expected 'x y', got {_echo(body)}")
-        try:
-            pairs.append(_pair((_int_literal(parts[0]), _int_literal(parts[1]))))
-        except CoordinateRange as exc:
-            raise CoordinateRange(f"line {ln}: {exc}") from None
-        except ValueError:
-            raise PreconditionViolated(
-                f"line {ln}: coordinates must be integers"
-            ) from None
-    return pairs
+    return list(zip(*_text_columns(text)))
+
+
+def _text_columns(text: str) -> tuple[list[int], list[int]]:
+    # The x and y columns of the 'x y' lines of text, each line checked in
+    # turn: two fields, each an int literal within COORD_LIMIT. The text is
+    # split into lines one block at a time, so no list of all its lines and
+    # no pair per point is built.
+    xs: list[int] = []
+    ys: list[int] = []
+    ln = 0
+    for block in _blocks(text):
+        for ln, line in enumerate(block.splitlines(), ln + 1):
+            parts = line.split()
+            if not parts or parts[0][0] == "#":
+                continue
+            if len(parts) != 2:
+                raise PreconditionViolated(f"line {ln}: expected 'x y', got {_echo(line.strip())}")
+            try:
+                x, y = _int_literal(parts[0]), _int_literal(parts[1])
+                if abs(x) > COORD_LIMIT or abs(y) > COORD_LIMIT:
+                    raise _out_of_range(x if abs(x) > COORD_LIMIT else y)
+            except CoordinateRange as exc:
+                raise CoordinateRange(f"line {ln}: {exc}") from None
+            except ValueError:
+                raise PreconditionViolated(f"line {ln}: coordinates must be integers") from None
+            xs.append(x)
+            ys.append(y)
+    return xs, ys
+
+
+def _blocks(text: str, size: int = 1 << 16) -> Iterator[str]:
+    # text in pieces of about size characters, each but the last cut just
+    # after a line feed. A line feed always ends a line, so the lines of the
+    # pieces are the lines of text, in order.
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + size) + 1 or len(text)
+        yield text[start:stop]
+        start = stop
 
 
 def format_points_text(points: Iterable) -> str:

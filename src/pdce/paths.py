@@ -26,7 +26,7 @@ mirror_set cut and negate the source's coordinate columns, _transposed_set
 only cuts them (two reversed slices each), and all hand geometry._sealed
 the new bottom, left and right indices, found by the same index
 arithmetic; the top is index 0 in every canonical set. They scan no
-column and leave the points view unbuilt.
+column and build no point.
 """
 
 from __future__ import annotations

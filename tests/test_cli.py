@@ -1,10 +1,13 @@
+import gc
 import importlib
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,7 +15,11 @@ import pytest
 import pdce
 from pdce import load_counterexample, render_svg, validate, parse_points_text
 from pdce import DirPath, Embedding, InternalCaseError, InvalidEmbedding, SizeMismatch
-from pdce import cli
+from pdce import (
+    CollinearTriple, CoordinateRange, DuplicateX, DuplicateY, NotConvexPosition,
+    PreconditionViolated,
+)
+from pdce import COORD_LIMIT, GENERATOR_MODES, PdceError, cli, generate_random_convex, geometry
 from pdce.cli import run
 from pdce.geometry import Point
 
@@ -434,6 +441,88 @@ def test_subcommands_build_no_point(tmp_path, capsys, monkeypatch):
     svg = tmp_path / "out.svg"
     assert run(["render", *common, "--embedding", str(embedding), "--svg", str(svg)]) == 0
     assert svg.read_text().count('class="node"') == 300
+
+
+def _door_texts(rng):
+    # (name, text) pairs for the points door: shuffled valid sets of every
+    # mode with comments, blank lines and mixed line breaks, and each with
+    # one rule broken.
+    breaks = ("\n", "\r\n", "\r", "\x0b", "\x85", "\u2028")
+    for mode in GENERATOR_MODES:
+        for n in (1, 2, 3, 5, 12, 40, 300):
+            s = generate_random_convex(n, seed=rng.randrange(1 << 30), mode=mode)
+            pts = list(zip(s.xs, s.ys))
+            rng.shuffle(pts)
+            lines = [f"{x} {y}" for x, y in pts]
+            for _ in range(n // 10 + 1):
+                lines.insert(rng.randrange(len(lines) + 1), rng.choice(("", "# c", "  #1 2")))
+            yield f"{mode}-{n}", "".join(line + rng.choice(breaks) for line in lines)
+            if n < 3:
+                continue
+            i, j = rng.sample(range(n), 2)
+            (xi, yi), (xj, yj) = pts[i], pts[j]
+            twice = [(2 * x, 2 * y) for x, y in pts]
+            broken = {
+                "dup-x": pts[:j] + [(xi, yj)] + pts[j + 1:],
+                "dup-y": pts[:j] + [(xj, yi)] + pts[j + 1:],
+                "interior": pts + [(sum(x for x, _ in pts) // n, sum(y for _, y in pts) // n)],
+                "collinear": twice + [(xi + xj, yi + yj)],
+                "range": pts[:j] + [(xj, COORD_LIMIT + 1)] + pts[j + 1:],
+                "range-neg": pts[:j] + [(-COORD_LIMIT - 1, yj)] + pts[j + 1:],
+            }
+            for name, bad in broken.items():
+                yield f"{mode}-{n}-{name}", "".join(f"{x} {y}\n" for x, y in bad)
+            yield f"{mode}-{n}-fields", "".join(f"{x} {y}\n" for x, y in pts[:j]) + f"{xj}\n"
+    yield "empty", ""
+    yield "comments-only", "# a\n\n#b\n"
+    yield "limits", f"{COORD_LIMIT} 0\n0 {COORD_LIMIT}\n{-COORD_LIMIT} 1\n1 {-COORD_LIMIT}\n"
+
+
+def test_text_door_matches_parse_then_validate(tmp_path):
+    # _load_points builds a text file's set from its columns: it must return
+    # the set, or raise the error, that validate(parse_points_text(text))
+    # does. It checks distinct coordinates through sets, so CI runs it under
+    # fixed hash seeds too.
+    rng = random.Random("text-door")
+    f = tmp_path / "points.txt"
+    seen = set()
+    for name, text in _door_texts(rng):
+        f.write_text(text, encoding="utf-8")
+        outcomes = []
+        for load in (cli._load_points, lambda path: validate(parse_points_text(cli._read_text(path)))):
+            try:
+                s = load(str(f))
+                outcomes.append((s.xs, s.ys))
+            except PdceError as exc:
+                where = getattr(exc, "indices", getattr(exc, "index", None))
+                outcomes.append((type(exc), str(exc), where))
+        assert outcomes[0] == outcomes[1], name
+        seen.add(outcomes[0][0] if len(outcomes[0]) == 3 else "set")
+    assert seen == {"set", DuplicateX, DuplicateY, NotConvexPosition, CollinearTriple,
+                    CoordinateRange, PreconditionViolated}, seen
+
+
+def test_text_door_holds_one_copy(tmp_path):
+    # The door reads a points file into its set column by column: at
+    # n = 10^4 its tracemalloc peak stays under 2.5 times the traced size of
+    # the set it returns (1.9 here; 4.2 when it built a list of all lines, a
+    # pair per point and the edge differences at once).
+    n = 10_000
+    s = generate_random_convex(n, seed=1)
+    pts = list(zip(s.xs, s.ys))
+    random.Random(0).shuffle(pts)
+    f = tmp_path / "points.txt"
+    f.write_text("".join(f"{x} {y}\n" for x, y in pts))
+    geometry._indices(n)  # the process's shared index ints, not the set's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        t = cli._load_points(str(f))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t == s
+    assert peak < 2.5 * held, (peak, held)
 
 
 def test_non_utf8_input_is_usage_error(s5_file, tmp_path, capsys):

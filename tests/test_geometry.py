@@ -46,6 +46,7 @@ except ImportError:
 
 S5_RAW = [(4, 0), (3, 6), (1, 5), (0, 3), (2, 1)]
 S5_CANONICAL = [(3, 6), (1, 5), (0, 3), (2, 1), (4, 0)]
+S5_TEXT = "".join(f"{x} {y}\n" for x, y in S5_RAW)
 
 
 def coords(s: ConvexPointSet):
@@ -95,6 +96,23 @@ def test_validate_s5_canonical_order():
         assert type(pt) is Point and pt == (s.xs[k], s.ys[k])
         assert (pt.x, pt.y) == (s.xs[k], s.ys[k])
     assert not hasattr(pdce, "Point")
+
+
+def test_points_view_is_built_per_read():
+    # points is a view the set builds on each read and does not keep: two
+    # reads are equal but distinct, every field is its column's, and the
+    # view goes back through the door to the same set.
+    sets = [generate_random_convex(n, seed=n, mode=mode)
+            for mode in GENERATOR_MODES for n in (1, 2, 40)]
+    last = sets[-1]
+    sets += [pdce.rotate_set(last), pdce.mirror_set(last), validate(parse_points_text(S5_TEXT))]
+    for s in sets:
+        first = s.points
+        assert "points" not in vars(s)
+        again = s.points
+        assert again == first and again is not first
+        assert [pt.x for pt in first] == list(s.xs) and [pt.y for pt in first] == list(s.ys)
+        assert validate(s.points) == s
 
 
 def test_validate_idempotent_on_canonical():
@@ -603,6 +621,75 @@ def test_parse_points_text_diagnostics():
     assert pts == [(1, 2), (3, 4)]
     # Past int()'s digit limit only by leading zeros, a literal keeps its value.
     assert parse_points_text("-%s7 0\n" % ("0" * 5000)) == [(-7, 0)]
+
+
+def _line_loop(text):
+    # parse_points_text as one loop over text.splitlines(), each line's
+    # pair checked by _pair: the reference for the parse by columns.
+    pairs = []
+    for ln, line in enumerate(text.splitlines(), start=1):
+        body = line.strip()
+        if not body or body.startswith("#"):
+            continue
+        parts = body.split()
+        if len(parts) != 2:
+            raise PreconditionViolated(f"line {ln}: expected 'x y', got {geometry._echo(body)}")
+        try:
+            pair = tuple(map(geometry._int_literal, parts))
+            pairs.append(geometry._pair(pair))
+        except CoordinateRange as exc:
+            raise CoordinateRange(f"line {ln}: {exc}") from None
+        except ValueError:
+            raise PreconditionViolated(f"line {ln}: coordinates must be integers") from None
+    return pairs
+
+
+# Every line break str.splitlines() knows, and field separators.
+_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+           "\u2028", "\u2029")
+_GAPS = (" ", "\t", "  ", " \t\x1f ")
+_VALUES = ("0", "7", "-7", "+7", "0007", "1_000", str(COORD_LIMIT), str(-COORD_LIMIT),
+           str(COORD_LIMIT + 1), str(-COORD_LIMIT - 1), "9" * 5000, "1.5", "a", "#", "٣")
+
+
+def _line(rng, valid):
+    # One line of a points file: a valid pair, or (when not valid) any mix
+    # of values, comments, blanks and field counts.
+    gap = rng.choice(_GAPS)
+    if valid:
+        return f"{rng.randrange(-COORD_LIMIT, COORD_LIMIT + 1)}{gap}{rng.randrange(-9, 10)}"
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.choice(("", " ", "#", "# note", "#1 2", "  # 1 2 3"))
+    fields = [rng.choice(_VALUES) for _ in range(kind)]
+    return rng.choice(("", " ")) + gap.join(fields) + rng.choice(("", " ", "\t"))
+
+
+@pytest.mark.parametrize("size", [1, 5, 64, 1 << 16])
+def test_text_columns_match_line_loop(monkeypatch, size):
+    # The parse by columns splits text into lines a block at a time; at any
+    # block size it must give the pairs, or the error, line number and
+    # message, of one loop over all the lines.
+    blocks = geometry._blocks
+    monkeypatch.setattr(geometry, "_blocks", lambda text: blocks(text, size))
+    rng = random.Random(f"text-columns:{size}")
+    for trial in range(400):
+        count = rng.randrange(0, 60)
+        bad = rng.randrange(count + 1) if trial % 4 else count
+        text = "".join(_line(rng, k != bad) + rng.choice(_BREAKS) for k in range(count))
+        if rng.random() < 0.3:
+            text = text.rstrip("\n")
+        want = _outcome_of(_line_loop, text)
+        assert _outcome_of(parse_points_text, text) == want, (size, text)
+        lines = [line for block in blocks(text, size) for line in block.splitlines()]
+        assert lines == text.splitlines()
+
+
+def _outcome_of(parse, text):
+    try:
+        return parse(text)
+    except PdceError as exc:
+        return type(exc), str(exc)
 
 
 def test_shared_indices_through_growth_and_shrinkage(monkeypatch):

@@ -253,7 +253,7 @@ def test_records_are_unequal_to_other_types():
 
 
 def test_sets_equal_hash_and_pickle_by_columns(monkeypatch):
-    # validate() builds no Point; points builds the n views once, on demand.
+    # validate() builds no Point; points builds the n views on each read.
     built = []
     new = Point.__new__
 
@@ -265,16 +265,16 @@ def test_sets_equal_hash_and_pickle_by_columns(monkeypatch):
     s = generate_random_convex(9, seed=4)
     assert not built
     points = s.points
-    assert s.points is points
+    assert s.points is not points
     monkeypatch.undo()
-    assert built == list(points) == list(zip(s.xs, s.ys))
+    assert built == 2 * list(points) and list(points) == list(zip(s.xs, s.ys))
     fresh = validate(zip(s.xs, s.ys))
     assert fresh == s and hash(fresh) == hash(s)
     assert fresh.points == s.points and repr(fresh) == repr(s)
-    # The columns are the only fields: the extreme indices, like the points,
-    # are a cache and take no part in equality or hashing. Neither can be
-    # assigned, and the constructor refuses them; only validate() and the
-    # symmetry operators build a set.
+    # The columns are the only fields: the extreme indices are a cache and
+    # take no part in equality or hashing. Neither they nor the points view
+    # can be assigned, and the constructor refuses them; only validate() and
+    # the symmetry operators build a set.
     _extremes(s)
     assert "bottom_index" in vars(s) and "bottom_index" not in vars(fresh)
     assert fresh == s and hash(fresh) == hash(s)

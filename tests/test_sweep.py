@@ -9,7 +9,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = {
-    "parse_points_text", "validate", "embed_three_directional", "validate_embedding",
+    "load", "parse_points_text", "validate", "embed_three_directional", "validate_embedding",
     "decide_yes", "decide_no",
 }
 CLI = {"gen", "embed", "decide_yes", "decide_no", "verify", "render"}
