@@ -110,6 +110,25 @@ MUTANTS = (
            "s.xs[s.top_index] < s.xs[s.bottom_index]",
            "s.xs[s.top_index] > s.xs[s.bottom_index]",
            ("test_embedder.py",)),
+    Mutant("frame-mirror-flips-all-labels", "embedder.py",
+           "labels = labels.translate(_MIRROR_LABEL)", "labels = labels.translate(_REVERSE_FLIP)",
+           ("test_embedder.py",)),
+    Mutant("frame-reversal-keeps-order", "embedder.py",
+           "labels = labels[::-1].translate(_REVERSE_FLIP)",
+           "labels = labels.translate(_REVERSE_FLIP)",
+           ("test_embedder.py",)),
+    # embedder: the entry rules of the U/D/R and U/R constructions.
+    Mutant("entry-labels-admit-l", "embedder.py",
+           "if not p.directions_used().issubset(alphabet):",
+           'if not p.directions_used().issubset(alphabet + "L"):',
+           ("test_embedder.py",)),
+    Mutant("entry-class-check-skipped", "embedder.py",
+           "if tag is not None and tag not in classify(s):",
+           "if tag is not None and SetTag.GENERAL_CONVEX not in classify(s):",
+           ("test_embedder.py",)),
+    Mutant("udr-one-point-any-path", "embedder.py",
+           "if s.n == p.n_vertices == 1:", "if s.n == 1:",
+           ("test_embedder.py",)),
     # geometry: the bottom-top split's two bisections, classify, validate.
     Mutant("split-alpha-without-key", "geometry.py",
            "bisect_right(xs, -bx, 0, s.left_index, key=operator.neg)",
@@ -144,8 +163,12 @@ MUTANTS = (
            "if not all(map(operator.gt, map(operator.mul, ex, ny),",
            "if not all(map(operator.ge, map(operator.mul, ex, ny),",
            ("test_geometry.py",)),
+    Mutant("reader-keeps-comments", "geometry.py",
+           'if body and body[0] != "#":', "if body:",
+           ("test_geometry.py",)),
     Mutant("door-line-count-restarts-per-block", "geometry.py",
-           "enumerate(block.splitlines(), ln + 1)", "enumerate(block.splitlines(), 1)",
+           "enumerate(text[start:stop].splitlines(), ln + 1)",
+           "enumerate(text[start:stop].splitlines(), 1)",
            ("test_geometry.py",)),
     # paths: the symmetry operators' index arithmetic and label tables.
     Mutant("rotate-left-index-sign", "paths.py",
@@ -161,6 +184,10 @@ MUTANTS = (
            '_ROTATE_LABEL = str.maketrans("ULDR", "LDRU")',
            '_ROTATE_LABEL = str.maketrans("ULDR", "RULD")',
            ("test_paths.py",)),
+    # cli: the four-label hint.
+    Mutant("cli-hint-catches-wrong-error", "cli.py",
+           "except PreconditionViolated:", "except InternalCaseError:",
+           ("test_cli.py",)),
     # generate: the circle draw and the count rule.
     Mutant("spread-base-halved", "generate.py",
            "base = span / (4.0 * (count + 1))", "base = span / (2.0 * (count + 1))",

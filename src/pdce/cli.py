@@ -25,12 +25,11 @@ from .errors import (
 from .generate import GENERATOR_MODES, generate_random_convex
 from .geometry import (
     ConvexPointSet,
-    SetTag,
     _column_set,
     _echo,
     _int_literal,
+    _lines,
     _text_columns,
-    classify,
     format_points_text,
     parse_points_json,
     validate,
@@ -44,7 +43,7 @@ from .oracle import (
 )
 from .paths import DirPath, Embedding
 from .render import render_svg
-from .validator import require_same_size, validate_embedding
+from .validator import validate_embedding
 
 
 # ---------------------------------------------------------------------------
@@ -73,10 +72,7 @@ def _load_points(path: str) -> ConvexPointSet:
 
 def _load_embedding(path: str, n: int) -> Embedding:
     rows = []
-    for ln, line in enumerate(_read_text(path).splitlines(), start=1):
-        body = line.strip()
-        if not body or body.startswith("#"):
-            continue
+    for ln, body in _lines(_read_text(path)):
         try:
             rows.append(_int_literal(body))
         except CoordinateRange:
@@ -98,20 +94,22 @@ def _print_embedding(e: Embedding) -> None:
 
 
 def _cmd_embed(args) -> int:
+    # The library checks the path and the set; a four-label path on a set
+    # that is no chain gets a hint at decide instead of the refusal.
     s = _load_points(args.points)
     p = DirPath(args.path)
-    require_same_size(p, s)
-    if len(p.directions_used()) == 4:
-        if classify(s).isdisjoint((SetTag.QUARTER_INC, SetTag.QUARTER_DEC)):
+    if len(p.directions_used()) < 4:
+        e = embed_three_directional(p, s)
+    else:
+        try:
+            e = embed_quarter_convex(p, s)
+        except PreconditionViolated:
             print(
                 "error: the path uses all four labels and the point set is not "
                 "an x/y-monotone chain; an embedding may not exist, try `pdce decide`",
                 file=sys.stderr,
             )
             return 2
-        e = embed_quarter_convex(p, s)
-    else:
-        e = embed_three_directional(p, s)
     _print_embedding(e)
     return 0
 

@@ -6,9 +6,10 @@ everything to the U/D/R case, solved by a divide-and-conquer along the line
 through the bottom and top points (plan_udr_case / execute_plan). Each call
 picks one frame from the set's extreme points and the labels: plain, mirror
 (x -> -x), quarter turn, or turn+mirror, the transpose (x, y) -> (y, x).
-The core runs once on the frame's set, and its answer returns by one
-gather through the frame's index table (k -> -k, k + r or r - k mod n,
-r = right_index), read backwards if the path was reversed. The tables and
+Its labels come from paths' label tables, and only they become a DirPath,
+the one plan_udr_case takes. The core runs once on the frame's set, and
+its answer returns by one gather through the frame's index table (k -> -k,
+k + r or r - k mod n, r = right_index), read backwards if reversed. The tables and
 the planner's pools are cut from geometry._indices, the shared tuple of
 index ints, so an embed builds no index int of its own.
 
@@ -32,7 +33,8 @@ ys and the extreme indices, never the points view.
 Each public entry checks its preconditions, runs an unchecked private core
 and checks the answer once with validator.require_pdce: a type check of
 the indices, then one pass over the columns for both the labels and the
-prefix arcs. Inside the cores only cheap guards run: the strip parts'
+prefix arcs; the U/D/R and U/R constructions share one entry check,
+_require_entry. Inside the cores only cheap guards run: the strip parts'
 first-vertex guarantee and the executor's agreement of parts on shared
 vertices. A planner bug therefore surfaces as InternalCaseError instead of
 a wrong drawing.
@@ -46,14 +48,13 @@ from typing import NamedTuple, Optional
 from .errors import FourDirectional, InternalCaseError, PreconditionViolated
 from .geometry import ConvexPointSet, SetTag, _indices, classify, split_by_bt_line
 from .paths import (
+    _MIRROR_LABEL,
     _REVERSE_FLIP,
+    _ROTATE_LABEL,
     DirPath,
     Embedding,
     _transposed_set,
-    mirror_path,
     mirror_set,
-    reverse_path,
-    rotate_path,
     rotate_set,
 )
 from .validator import require_pdce, require_same_size
@@ -62,10 +63,6 @@ __all__ = [
     "backward_embedding", "embed_quarter_convex", "embed_three_directional", "embed_udr_convex",
     "embed_udr_left_sided", "embed_udr_right_sided", "embed_ur_strip", "plan_udr_case",
 ]
-
-UDR = frozenset("UDR")
-UR = frozenset("UR")
-
 
 def _greedy(labels: str, s, pool) -> list[int]:
     """The backward assignment of len(pool) - 1 labels on the points of s
@@ -162,6 +159,17 @@ def _on_whole_set(run, p: DirPath, s: ConvexPointSet) -> Embedding:
     return Embedding(tuple(run(p.labels, s, _indices(s.n))))
 
 
+def _require_entry(p: DirPath, s: ConvexPointSet, work: str, alphabet: str, tag=None, kind=""):
+    # The entry rules of the U/D/R and U/R constructions, in this order: one
+    # vertex per point, labels drawn from alphabet, and for a primitive the
+    # set class tag, which its refusal calls kind.
+    require_same_size(p, s)
+    if not p.directions_used().issubset(alphabet):
+        raise PreconditionViolated(f"{work} handles {'/'.join(alphabet)} labels only")
+    if tag is not None and tag not in classify(s):
+        raise PreconditionViolated(f"point set is not {kind}")
+
+
 def backward_embedding(p: DirPath, s: ConvexPointSet) -> Embedding:
     """Greedy assignment of v_n down to v_2, then v_1 takes the leftover.
 
@@ -181,11 +189,7 @@ def embed_udr_left_sided(p: DirPath, s: ConvexPointSet) -> Embedding:
     rightmost point when the last label is U, D or R respectively (and the
     rightmost point of a left-sided set is its top or bottom).
     """
-    require_same_size(p, s)
-    if not p.directions_used() <= UDR:
-        raise PreconditionViolated("left-sided embedding handles U/D/R labels only")
-    if SetTag.LEFT_SIDED not in classify(s):
-        raise PreconditionViolated("point set is not left-sided")
+    _require_entry(p, s, "left-sided embedding", "UDR", SetTag.LEFT_SIDED, "left-sided")
     return require_pdce(p, s, _on_whole_set(_walk, p, s), "left-sided")
 
 
@@ -198,11 +202,7 @@ def embed_udr_right_sided(p: DirPath, s: ConvexPointSet) -> Embedding:
     lands on the bottom, top or leftmost point when the first label is U, D
     or R respectively.
     """
-    require_same_size(p, s)
-    if not p.directions_used() <= UDR:
-        raise PreconditionViolated("right-sided embedding handles U/D/R labels only")
-    if SetTag.RIGHT_SIDED not in classify(s):
-        raise PreconditionViolated("point set is not right-sided")
+    _require_entry(p, s, "right-sided embedding", "UDR", SetTag.RIGHT_SIDED, "right-sided")
     return require_pdce(p, s, _on_whole_set(_right_sided, p, s), "right-sided")
 
 
@@ -213,11 +213,7 @@ def embed_ur_strip(p: DirPath, s: ConvexPointSet) -> Embedding:
     point, and the last vertex lands on the top (last label U) or rightmost
     point (last label R).
     """
-    require_same_size(p, s)
-    if not p.directions_used() <= UR:
-        raise PreconditionViolated("strip embedding handles U/R labels only")
-    if SetTag.STRIP_CONVEX not in classify(s):
-        raise PreconditionViolated("point set is not strip-convex")
+    _require_entry(p, s, "strip embedding", "UR", SetTag.STRIP_CONVEX, "strip-convex")
     return require_pdce(p, s, _on_whole_set(_strip, p, s), "strip")
 
 
@@ -350,9 +346,7 @@ def plan_udr_case(p: DirPath, s: ConvexPointSet) -> CasePlan:
     what the caps leave: leftmost or rightmost points to a sided part, the
     rest to the one part without a side.
     """
-    require_same_size(p, s)
-    if not p.directions_used() <= UDR:
-        raise PreconditionViolated("case analysis handles U/D/R labels only")
+    _require_entry(p, s, "case analysis", "UDR")
     sp = split_by_bt_line(s)
     n, m, alpha, beta = s.n, sp.m, sp.alpha, sp.beta
     labels = p.labels
@@ -475,10 +469,9 @@ def _execute_plan(p: DirPath, s: ConvexPointSet, plan: CasePlan) -> Embedding:
 def embed_udr_convex(p: DirPath, s: ConvexPointSet) -> Embedding:
     """Embed a U/D/R path on any convex set whose top is right of its bottom.
 
-    plan_udr_case checks the labels and the set; a one-point set needs no plan.
+    plan_udr_case checks the path and the set; one point needs no plan.
     """
-    require_same_size(p, s)
-    if s.n == 1:
+    if s.n == p.n_vertices == 1:
         return Embedding((0,))
     return execute_plan(p, s, plan_udr_case(p, s))
 
@@ -490,35 +483,37 @@ def embed_three_directional(p: DirPath, s: ConvexPointSet) -> Embedding:
         raise FourDirectional(
             "path uses all four labels; an embedding may not exist on this set"
         )
-    return require_pdce(p, s, _embed_three_directional(p, s), "three-directional")
+    return require_pdce(p, s, _embed_three_directional(p.labels, s), "three-directional")
 
 
-def _embed_three_directional(p: DirPath, s: ConvexPointSet) -> Embedding:
+def _embed_three_directional(labels: str, s: ConvexPointSet) -> Embedding:
     # Paths with L and R take a quarter turn: U/L/R to L/D/U, then reversed,
     # and D/L/R to R/D/U. Other paths are reversed if they use L. When the
     # frame's top would lie left of its bottom (for the turned set: when s's
     # right point lies above its left one), a mirror and one more reversal
-    # follow. Index k of the frame's set is point table[k] of s, a table cut
-    # from the shared index tuple: r - k, k + r or -k (mod n), r = right_index.
+    # follow, each a label table on the string. Index k of the frame's set is
+    # point table[k] of s, a table cut from the shared index tuple: r - k,
+    # k + r or -k (mod n), r = right_index.
     n, r = s.n, s.right_index
     if n == 1:
         return Embedding((0,))
     ints = _indices(n)
-    if "L" in p.labels and "R" in p.labels:
-        backwards, mirrored = "D" not in p.labels, s.ys[r] > s.ys[s.left_index]
-        p = rotate_path(p)
+    if "L" in labels and "R" in labels:
+        backwards, mirrored = "D" not in labels, s.ys[r] > s.ys[s.left_index]
+        labels = labels.translate(_ROTATE_LABEL)
         if mirrored:
             t, table = _transposed_set(s), ints[r::-1] + ints[:r:-1]
         else:
             t, table = rotate_set(s), ints[r:] + ints[:r]
     else:
-        backwards, mirrored = "L" in p.labels, s.xs[s.top_index] < s.xs[s.bottom_index]
+        backwards, mirrored = "L" in labels, s.xs[s.top_index] < s.xs[s.bottom_index]
         t, table = (mirror_set(s), ints[:1] + ints[:0:-1]) if mirrored else (s, None)
     backwards ^= mirrored
     if backwards:
-        p = reverse_path(p)
+        labels = labels[::-1].translate(_REVERSE_FLIP)
     if mirrored:
-        p = mirror_path(p)
+        labels = labels.translate(_MIRROR_LABEL)
+    p = DirPath(labels)
     e = _execute_plan(p, t, plan_udr_case(p, t)).assignment[:: -1 if backwards else 1]
     return Embedding(e if table is None else itemgetter(*e)(table))
 
@@ -541,7 +536,7 @@ def embed_quarter_convex(p: DirPath, s: ConvexPointSet) -> Embedding:
         table = _QUARTER_DEC_COLLAPSE
     else:
         raise PreconditionViolated("point set is not an x/y-monotone chain")
-    collapsed = DirPath(p.labels.translate(table))
     # The collapse is reversible on these chains, but the answer is checked
     # against the original labels rather than trusting that.
-    return require_pdce(p, s, _embed_three_directional(collapsed, s), "label collapse")
+    e = _embed_three_directional(p.labels.translate(table), s)
+    return require_pdce(p, s, e, "label collapse")

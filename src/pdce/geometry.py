@@ -454,40 +454,42 @@ def parse_points_text(text: str) -> list[tuple[int, int]]:
 
 def _text_columns(text: str) -> tuple[list[int], list[int]]:
     # The x and y columns of the 'x y' lines of text, each line checked in
-    # turn: two fields, each an int literal within COORD_LIMIT. The text is
-    # split into lines one block at a time, so no list of all its lines and
-    # no pair per point is built.
+    # turn: two fields, each an int literal within COORD_LIMIT. No list of
+    # all the lines and no pair per point is built.
     xs: list[int] = []
     ys: list[int] = []
-    ln = 0
-    for block in _blocks(text):
-        for ln, line in enumerate(block.splitlines(), ln + 1):
-            parts = line.split()
-            if not parts or parts[0][0] == "#":
-                continue
-            if len(parts) != 2:
-                raise PreconditionViolated(f"line {ln}: expected 'x y', got {_echo(line.strip())}")
-            try:
-                x, y = _int_literal(parts[0]), _int_literal(parts[1])
-                if abs(x) > COORD_LIMIT or abs(y) > COORD_LIMIT:
-                    raise _out_of_range(x if abs(x) > COORD_LIMIT else y)
-            except CoordinateRange as exc:
-                raise CoordinateRange(f"line {ln}: {exc}") from None
-            except ValueError:
-                raise PreconditionViolated(f"line {ln}: coordinates must be integers") from None
-            xs.append(x)
-            ys.append(y)
+    for ln, body in _lines(text):
+        parts = body.split()
+        if len(parts) != 2:
+            raise PreconditionViolated(f"line {ln}: expected 'x y', got {_echo(body)}")
+        try:
+            x, y = _int_literal(parts[0]), _int_literal(parts[1])
+            if abs(x) > COORD_LIMIT or abs(y) > COORD_LIMIT:
+                raise _out_of_range(x if abs(x) > COORD_LIMIT else y)
+        except CoordinateRange as exc:
+            raise CoordinateRange(f"line {ln}: {exc}") from None
+        except ValueError:
+            raise PreconditionViolated(f"line {ln}: coordinates must be integers") from None
+        xs.append(x)
+        ys.append(y)
     return xs, ys
 
 
-def _blocks(text: str, size: int = 1 << 16) -> Iterator[str]:
-    # text in pieces of about size characters, each but the last cut just
-    # after a line feed. A line feed always ends a line, so the lines of the
-    # pieces are the lines of text, in order.
-    start = 0
+_BLOCK = 1 << 16
+
+
+def _lines(text: str) -> Iterator[tuple[int, str]]:
+    # (line number, stripped line) of each line of text that is neither blank
+    # nor a '#' comment, for both text doors. text is split one block of about
+    # _BLOCK characters at a time, each cut just after a line feed, which
+    # always ends a line, so no list of all its lines is built.
+    ln = start = 0
     while start < len(text):
-        stop = text.find("\n", start + size) + 1 or len(text)
-        yield text[start:stop]
+        stop = text.find("\n", start + _BLOCK) + 1 or len(text)
+        for ln, line in enumerate(text[start:stop].splitlines(), ln + 1):
+            body = line.strip()
+            if body and body[0] != "#":
+                yield ln, body
         start = stop
 
 

@@ -2,8 +2,9 @@
 
 Each input rule has one owner: require_same_size (one point per path
 vertex) and require_well_formed (one plain-int index in range per point,
-none twice) live here, the U/D/R split rules in geometry.split_by_bt_line
-and the U/D/R label rule in embedder.plan_udr_case. Each public check_*
+none twice) live here, the U/D/R split rules in geometry.split_by_bt_line,
+and the label-subset and set-class rules of the U/D/R and U/R
+constructions, plan_udr_case's among them, in embedder._require_entry. Each public check_*
 scans the embedding once. One pass over the walk's columns, _verdicts,
 finds both the first edge that breaks its label and the first vertex off
 the prefix arc, stops once it knows both and builds no index int;

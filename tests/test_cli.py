@@ -55,9 +55,19 @@ def test_embed_three_directional(s5_file, capsys):
 
 
 def test_embed_four_label_non_quarter_refused(s5_file, capsys):
+    # The whole hint line for a four-label path on a set that is no chain;
+    # a path of the wrong size is refused for its size first, whatever its
+    # labels.
     code = run(["embed", "--points", s5_file, "--path", "URDL"])
     assert code == 2
-    assert "decide" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", (
+        "error: the path uses all four labels and the point set is not an x/y-monotone "
+        "chain; an embedding may not exist, try `pdce decide`\n"
+    ))
+    for labels in ("URDLU", "URD", "UR", "URDUU"):
+        assert run(["embed", "--points", s5_file, "--path", labels]) == 2
+        want = f"error: path has {len(labels) + 1} vertices but the set has 5 points\n"
+        assert capsys.readouterr() == ("", want)
 
 
 def test_embed_four_label_quarter(tmp_path, capsys):

@@ -140,6 +140,47 @@ def test_left_sided_rejects_l_and_wrong_class():
         plan_udr_case(DirPath("UULU"), S6)
 
 
+def test_entry_refusals_pinned():
+    # Each U/D/R and U/R entry's refusals, type and message in full, and
+    # their order: one vertex per point first, then the labels, then the
+    # set class.
+    rs = generate_random_convex(6, seed=3, mode="right_sided")
+    cases = [
+        (embed_udr_left_sided, "URLU", S5, "left-sided embedding handles U/D/R labels only"),
+        (embed_udr_left_sided, "UUUUU", rs, "point set is not left-sided"),
+        (embed_udr_left_sided, "LUUUU", rs, "left-sided embedding handles U/D/R labels only"),
+        (embed_udr_right_sided, "URLUU", rs, "right-sided embedding handles U/D/R labels only"),
+        (embed_udr_right_sided, "UUUU", S5, "point set is not right-sided"),
+        (embed_ur_strip, "RDR", CHAIN4, "strip embedding handles U/R labels only"),
+        (embed_ur_strip, "URUR", S5, "point set is not strip-convex"),
+        (embed_ur_strip, "UDUR", S5, "strip embedding handles U/R labels only"),
+        (plan_udr_case, "UULU", S6, "case analysis handles U/D/R labels only"),
+        (plan_udr_case, "UUUU", S5, "top point must lie to the right of the bottom point"),
+        (plan_udr_case, "UULU", S5, "case analysis handles U/D/R labels only"),
+        (embed_udr_convex, "UULU", S6, "case analysis handles U/D/R labels only"),
+        (embed_udr_convex, "UUUU", S5, "top point must lie to the right of the bottom point"),
+        (embed_quarter_convex, "UDLR", S5, "point set is not an x/y-monotone chain"),
+    ]
+    for fn, labels, s, message in cases:
+        with pytest.raises(PreconditionViolated) as info:
+            fn(DirPath(labels), s)
+        assert str(info.value) == message, (fn.__name__, labels)
+        with pytest.raises(SizeMismatch) as info:
+            fn(DirPath(labels + "L"), s)
+        size = f"path has {len(labels) + 2} vertices but the set has {s.n} points"
+        assert str(info.value) == size, (fn.__name__, labels)
+
+
+def test_udr_convex_one_point():
+    # A one-point set needs no plan, and still takes one vertex only.
+    s = validate([(3, 4)])
+    assert embed_udr_convex(DirPath(""), s) == Embedding((0,))
+    for labels in ("U", "L", "UDR"):
+        want = f"path has {len(labels) + 1} vertices but the set has 1 points"
+        with pytest.raises(SizeMismatch, match=want):
+            embed_udr_convex(DirPath(labels), s)
+
+
 @given(instances(min_n=2, max_n=22, alphabet="UDR", modes=("left_sided",)))
 def test_left_sided_endpoint_contract(inst):
     p, s = inst
@@ -695,9 +736,11 @@ def test_validate_once_check_once(monkeypatch):
     # set, that of its frame: rotate_set (U/L/R and D/L/R paths), mirror_set
     # (the other paths, when the set's top lies left of its bottom) or, when
     # the quarter-turned set's top lies left of its bottom, the transposed
-    # set in place of rotate_set and mirror_set both. The answer comes back
-    # by one gather, with no embedding operator; the U/D/R primitives run on
-    # the frame's set, without a half turn. No Point is built.
+    # set in place of rotate_set and mirror_set both. The labels change as a
+    # string, and each call builds one DirPath, the one the planner takes.
+    # The answer comes back by one gather, with no embedding operator; the
+    # U/D/R primitives run on the frame's set, without a half turn. No
+    # Point is built.
     general = generate_random_convex(40, seed=3, mode="general")
     turned = mirror_set(general)
     assert _top_left_of_bottom(general) != _top_left_of_bottom(turned)
@@ -729,6 +772,7 @@ def test_validate_once_check_once(monkeypatch):
         branches.add((rotated, mirrored))
         return +Counter(
             _verdicts=1,
+            DirPath=1,
             rotate_set=int(rotated and not mirrored),
             mirror_set=int(mirrored and not rotated),
             _transposed_set=int(rotated and mirrored),
@@ -741,6 +785,7 @@ def test_validate_once_check_once(monkeypatch):
                 if getattr(mod, name, None) is fn:
                     monkeypatch.setattr(mod, name, _counted(fn, name, calls))
     monkeypatch.setattr(Point, "__new__", _counted(Point.__new__, "Point", calls))
+    monkeypatch.setattr(DirPath, "__init__", _counted(DirPath.__init__, "DirPath", calls))
     branches = set()
     rng = random.Random(5)
     for s in (general, turned):
@@ -754,8 +799,9 @@ def test_validate_once_check_once(monkeypatch):
     for chain in chains:
         # The label collapse leaves a U/D path on the chain itself.
         want = expected(frozenset("UD"), chain)
+        p = random_path(rng, chain.n, "UDLR")
         calls.clear()
-        embed_quarter_convex(random_path(rng, chain.n, "UDLR"), chain)
+        embed_quarter_convex(p, chain)
         assert calls == want, calls
     assert branches == {(False, False), (False, True), (True, False), (True, True)}
 

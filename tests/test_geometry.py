@@ -667,11 +667,11 @@ def _line(rng, valid):
 
 @pytest.mark.parametrize("size", [1, 5, 64, 1 << 16])
 def test_text_columns_match_line_loop(monkeypatch, size):
-    # The parse by columns splits text into lines a block at a time; at any
-    # block size it must give the pairs, or the error, line number and
-    # message, of one loop over all the lines.
-    blocks = geometry._blocks
-    monkeypatch.setattr(geometry, "_blocks", lambda text: blocks(text, size))
+    # The text doors split text into lines a block at a time; at any block
+    # size the parse by columns must give the pairs, or the error, line
+    # number and message, of one loop over all the lines, and the line
+    # reader the numbered lines that loop keeps.
+    monkeypatch.setattr(geometry, "_BLOCK", size)
     rng = random.Random(f"text-columns:{size}")
     for trial in range(400):
         count = rng.randrange(0, 60)
@@ -681,8 +681,10 @@ def test_text_columns_match_line_loop(monkeypatch, size):
             text = text.rstrip("\n")
         want = _outcome_of(_line_loop, text)
         assert _outcome_of(parse_points_text, text) == want, (size, text)
-        lines = [line for block in blocks(text, size) for line in block.splitlines()]
-        assert lines == text.splitlines()
+        kept = [(ln, line.strip()) for ln, line in enumerate(text.splitlines(), 1)]
+        assert list(geometry._lines(text)) == [
+            (ln, body) for ln, body in kept if body and not body.startswith("#")
+        ]
 
 
 def _outcome_of(parse, text):
